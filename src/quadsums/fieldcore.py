@@ -9,8 +9,18 @@ downstream (tables, embeddings, traces) is therefore reproducible run to
 run.
 
 Contexts are immutable and cached; elements are coordinate vectors in the
-power basis of the modulus root.  Batch (numpy) variants of the field maps
-back the quadratic-form and brute-force machinery in :mod:`quadsums.quadform`.
+power basis of the modulus root.
+
+Frobenius and trace are GF(p)-linear, so the scalar maps are cached exact
+linear maps: a context keeps, as Python-int tuples, the images of the power
+basis under z -> z^(p^j) for each j asked for (one x ** p**j and d
+multiplications) and Tr(x^u) for u < d (the sum of the d conjugates of
+each basis element, checked to lie in GF(p)).  ``FieldElem.frobenius`` is
+then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
+product, exact for every p.  They read none of the float64 batch maps
+below (``frob_mat_power``, ``trace_vec``, ``bulk_*``), which back the Gram
+matrix in :mod:`quadsums.quadform` and are exact only while
+d*(p-1)^2 < 2^53; the brute-force oracle uses the scalar maps alone.
 
 The module also houses the gcd kernel used for nullity computation:
 ``poly_gcd_deg(f, m)`` returns deg gcd(f, x^(p^m) - x) without ever
@@ -33,6 +43,7 @@ import numpy as np
 from . import _primepoly as pp
 from .errors import (
     DivisionByZero,
+    InternalInconsistency,
     InvalidInput,
     ModulusReducible,
     NoRootFound,
@@ -207,6 +218,45 @@ class FieldCtx:
                     conv[i] += c * row[i]
         return tuple(v % p for v in conv[:d])
 
+    # -- cached exact linear maps -----------------------------------------------
+
+    def frob_images(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """Images of the power basis 1, x, ..., x^(d-1) under z -> z^(p^j),
+        as coordinate tuples; built once per j from one x ** p**j and d
+        multiplications."""
+        j %= self.d
+        tables = self._cache.setdefault("frob_images", {})
+        rows = tables.get(j)
+        if rows is None:
+            y = self.gen() ** (self.p**j)
+            cur = self.one()
+            rows = []
+            for _ in range(self.d):
+                rows.append(cur.coeffs)
+                cur = cur * y
+            rows = tables[j] = tuple(rows)
+        return rows
+
+    def basis_traces(self) -> tuple[int, ...]:
+        """Tr(x^u) for u < d, each summed over the d conjugates of x^u; every
+        sum must lie in GF(p)."""
+        traces = self._cache.get("basis_traces")
+        if traces is None:
+            p, d = self.p, self.d
+            sums = [[0] * d for _ in range(d)]
+            y = self.gen()
+            for _ in range(d):  # y runs over the conjugates x^(p^j)
+                cur = self.one()
+                for row in sums:
+                    for i, c in enumerate(cur.coeffs):
+                        row[i] += c
+                    cur = cur * y
+                y = y**p
+            if any(c % p for row in sums for c in row[1:]):
+                raise InternalInconsistency("trace image escaped the prime field")
+            traces = self._cache["basis_traces"] = tuple(row[0] % p for row in sums)
+        return traces
+
     # -- cached numpy maps -----------------------------------------------------
 
     def _np_modulus(self) -> np.ndarray:
@@ -276,7 +326,8 @@ class FieldCtx:
             T = np.zeros((self.d, self.d))
             for j in range(self.d):
                 T = np.mod(T + self.frob_mat_power(j), self.p)
-            assert not T[1:].any(), "trace image escaped the prime field"
+            if T[1:].any():
+                raise InternalInconsistency("trace image escaped the prime field")
             vec = T[0].copy()
             self._cache["trace_vec"] = vec
         return vec
@@ -398,20 +449,26 @@ class FieldElem:
         return self ** (self.ctx.order - 2)
 
     def frobenius(self, j: int) -> "FieldElem":
-        """j-fold p-power map; x^(p^j)."""
+        """j-fold p-power map x^(p^j): the coordinates applied to the cached
+        images of the power basis, O(d^2)."""
         if j < 0:
             raise InvalidInput("frobenius exponent must be >= 0")
-        j %= self.ctx.d
-        return self ** (self.ctx.p**j) if j else self
+        ctx = self.ctx
+        j %= ctx.d
+        if not j:
+            return self
+        out = [0] * ctx.d
+        for c, img in zip(self.coeffs, ctx.frob_images(j)):
+            if c:
+                for i, v in enumerate(img):
+                    out[i] += c * v
+        p = ctx.p
+        return FieldElem(ctx, tuple(v % p for v in out))
 
     def trace(self) -> int:
-        acc = self
-        x = self
-        for _ in range(self.ctx.d - 1):
-            x = x.frobenius(1)
-            acc = acc + x
-        assert not any(acc.coeffs[1:]), "trace image escaped the prime field"
-        return acc.coeffs[0]
+        """Tr down to GF(p): the coordinates dotted with Tr(x^u), O(d)."""
+        ctx = self.ctx
+        return sum(c * t for c, t in zip(self.coeffs, ctx.basis_traces())) % ctx.p
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -791,7 +848,8 @@ def _rrem_elem(ctx: FieldCtx, a: list, b: list) -> list:
         q = a[-1] * binv.frobenius(i)
         for j in range(db + 1):
             a[i + j] = a[i + j] - q * b[j].frobenius(i)
-        assert a[-1].is_zero()
+        if not a[-1].is_zero():
+            raise InternalInconsistency("skew remainder step left a nonzero leading coefficient")
         a.pop()
     return _skew_trim(a)
 

@@ -7,9 +7,21 @@ Q(x) = Tr_N(f(x)), so the construction is uniform in the exponent pattern
 and self-validating against the defining identity x B x^T = Q(x).
 Diagonalization is symmetric congruence reduction mod p.
 
-The brute-force oracle enumerates every x in GF(p^N) in chunks, evaluates
-Tr_N(f(x)) with honest (vectorized) field arithmetic, tallies residues, and
-returns the exact element of Z[zeta_p].
+The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
+by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
+with G built entry by entry from scalar field arithmetic (Frobenius, product,
+trace), never from the Gram-matrix route.  The enumeration is blocked: with
+x = (lo, hi), lo the first k = N // 2 coordinates,
+
+    Q(x) = Q(lo) + Q(hi) + lo C hi^T,    C = G_lh + G_hl^T,
+
+and the linear term of a shifted sum splits the same way.  Each block of
+values is one outer sum of Q(lo) and Q(hi) plus one float64 matrix product,
+and digits are decoded for p^k + p^(N-k) rows only.  Every partial product
+is reduced mod p before the next one, so every summand is below N*p^2;
+under DEFAULT_CAP (p^N <= 2*10^7) that is at most 4*10^14, far below 2^53,
+where float64 stops being exact.  Enumerations past that bound raise
+TooLarge.
 """
 
 from __future__ import annotations
@@ -213,32 +225,55 @@ def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx) -> np.ndarray:
     return G
 
 
+def _digit_rows(p: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Coordinate rows of the encodings start..stop-1 of GF(p)^k (base-p
+    digits, lowest first), as float64."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    pows = p ** np.arange(k, dtype=np.int64)
+    return ((idx[:, None] // pows) % p).astype(np.float64)
+
+
+def _block_form(X: np.ndarray, B: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """x B x^T + x w^T mod p for every row x of X."""
+    return np.mod((np.mod(X @ B, p) * X).sum(axis=1) + X @ w, p)
+
+
 def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
     N = m * f.n
     p = f.p
     size = p**N
     if size > cap:
         raise TooLarge(f"p^N = {size} exceeds cap {cap}")
+    if N * p * p >= 2**53:
+        raise TooLarge(f"N*p^2 = {N * p * p} is past the exact float64 range of the enumeration")
     ctx_big = build_field_ctx(p, N)
     G = _bilinear_matrix(f, ctx_big).astype(np.float64)
-    lin_vec = None
+    lin = np.zeros(N)
     if linear is not None:
         linear = ctx_big.elem(linear) if not isinstance(linear, FieldElem) else linear
         if linear.ctx.key != ctx_big.key:
             linear = embed_element(linear.ctx, ctx_big, linear)
-        lin_vec = np.array(
+        lin = np.array(
             [(linear * ctx_big.from_encoding(p**u)).trace() for u in range(N)], dtype=np.float64
         )
-    pows = np.array([p**j for j in range(N)], dtype=np.int64)
+    # x = (lo, hi): Q(x) = Q(lo) + Q(hi) + lo C hi^T with C = G_lh + G_hl^T
+    k = N // 2
+    C = np.mod(G[:k, k:] + G[k:, :k].T, p)
+    lo = _digit_rows(p, k, 0, p**k)
+    q_lo = _block_form(lo, G[:k, :k], lin[:k], p)
+    lo_C = np.mod(lo @ C, p)
     counts = np.zeros(p, dtype=np.int64)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        X = ((idx[:, None] // pows) % p).astype(np.float64)
-        tr = ((X @ G) * X).sum(axis=1)
-        if lin_vec is not None:
-            tr += X @ lin_vec
-        counts += np.bincount(np.mod(tr, p).astype(np.int64), minlength=p)
+    n_hi = p ** (N - k)
+    for h0 in range(0, n_hi, _CHUNK):
+        hi = _digit_rows(p, N - k, h0, min(h0 + _CHUNK, n_hi))
+        q_hi = _block_form(hi, G[k:, k:], lin[k:], p)
+        step = max(1, _CHUNK // len(hi))
+        for l0 in range(0, len(lo), step):
+            tr = lo_C[l0 : l0 + step] @ hi.T + q_lo[l0 : l0 + step, None] + q_hi
+            tally = np.bincount(np.mod(tr, p).astype(np.int64).ravel())
+            counts[: len(tally)] += tally
+    if counts.sum() != size:
+        raise InternalInconsistency(f"tallied {counts.sum()} elements of {size}")
     return counts
 
 

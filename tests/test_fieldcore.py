@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadsums import (
+    FieldCtx,
     Poly,
     build_field_ctx,
     embed_element,
@@ -17,6 +18,7 @@ from quadsums import (
 from quadsums import _primepoly as pp
 from quadsums.errors import (
     DivisionByZero,
+    InternalInconsistency,
     InvalidInput,
     ModulusReducible,
     NotOdd,
@@ -94,6 +96,56 @@ def test_trace_frobenius_invariant(code):
     ctx = build_field_ctx(5, 2)
     x = ctx.from_encoding(code)
     assert trace_to_prime(frobenius(x, 1)) == trace_to_prime(x)
+
+
+# p = 2^31 - 1, d = 2 lies outside the float64 batch maps' exact range; the
+# scalar maps are Python-int tables and must stay exact there as well.
+SCALAR_FIELDS = [(3, 7), (5, 4), (7, 3), (2**31 - 1, 2)]
+
+
+@given(st.sampled_from(SCALAR_FIELDS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_scalar_frobenius_and_trace_match_definitions(pd, data):
+    ctx = build_field_ctx(*pd)
+    x = ctx.from_encoding(data.draw(st.integers(0, ctx.order - 1)))
+    j = data.draw(st.integers(0, 2 * ctx.d))
+    assert x.frobenius(j) == x ** (ctx.p**j)
+    conjugates = ctx.zero()
+    for i in range(ctx.d):
+        conjugates = conjugates + x ** (ctx.p**i)
+    assert conjugates.coeffs[1:] == (0,) * (ctx.d - 1)
+    assert x.trace() == conjugates.coeffs[0]
+
+
+# The invariant checks below run on fresh (uncached) contexts, so a corrupted
+# table never reaches the shared ones.
+
+
+def test_scalar_trace_escape_raises(monkeypatch):
+    ctx = FieldCtx(3, 3)
+    monkeypatch.setitem(ctx._cache, "red_tuples", [(1, 1, 1), (0, 1, 0)])
+    with pytest.raises(InternalInconsistency, match="escaped"):
+        ctx.gen().trace()
+
+
+def test_trace_vec_escape_raises(monkeypatch):
+    ctx = FieldCtx(3, 3)
+    monkeypatch.setitem(ctx._cache, "frob_pows", {1: np.ones((3, 3))})
+    with pytest.raises(InternalInconsistency, match="escaped"):
+        ctx.trace_vec()
+
+
+def test_skew_remainder_check_raises(monkeypatch):
+    from quadsums.fieldcore import _rrem_elem
+
+    ctx = FieldCtx(5, 2)
+    # z -> 2z is additive but not multiplicative, so the leading term of the
+    # remainder step no longer cancels
+    monkeypatch.setitem(ctx._cache, "frob_images", {1: ((2, 0), (0, 2))})
+    a = [ctx.zero(), ctx.zero(), ctx.one()]
+    b = [ctx.one(), ctx.gen()]
+    with pytest.raises(InternalInconsistency, match="remainder"):
+        _rrem_elem(ctx, a, b)
 
 
 def test_embed_prime_field_constants():

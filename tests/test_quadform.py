@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from quadsums import (
     ExpSumValue,
     QuadFunc,
     brute_force_sum,
+    brute_force_sum_shifted,
     build_field_ctx,
     diagonalize,
     gauss_cyclotomic,
@@ -14,8 +17,11 @@ from quadsums import (
     smallest_nonsquare,
     type_direct,
 )
-from quadsums.errors import NotSymmetric, TooLarge
-from quadsums.quadform import _embedded_terms, trace_values
+from quadsums import quadform
+from quadsums.cyclotomic import cyc_from_trace_counts
+from quadsums.errors import InternalInconsistency, NotSymmetric, TooLarge
+from quadsums.fieldcore import embed_element, is_prime
+from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts, trace_values
 from tests.conftest import random_quadfunc
 
 
@@ -127,6 +133,18 @@ def test_brute_force_cap():
     # explicit small cap
     with pytest.raises(TooLarge):
         brute_force_sum(QuadFunc.from_dense(3, [1]), 2, cap=8)
+    # within the cap, but N*p^2 is past the exact float64 range
+    with pytest.raises(TooLarge):
+        brute_force_sum(QuadFunc.from_dense(100000007, [1]), 1, cap=10**9)
+
+
+def test_enumeration_exact_at_large_prime():
+    # (p-1)^3 > 2^53, so the tally is exact only because every partial
+    # product is reduced mod p before the next one
+    p, c = 1000003, 654321
+    x = np.arange(p, dtype=np.int64)
+    expected = np.bincount(x * x % p * c % p, minlength=p)
+    assert (_trace_counts(QuadFunc.from_dense(p, [c]), 1, DEFAULT_CAP) == expected).all()
 
 
 def test_closed_form_matches_brute(rng):
@@ -163,3 +181,59 @@ def test_trace_values_matches_bilinear_oracle(rng):
         G = _bilinear_matrix(f, ctx)
         via_G = np.einsum("ki,ij,kj->k", X, G, X) % p
         assert (via_ops == via_G).all()
+
+
+def _reference_counts(f, m, b):
+    """Tallies of Tr(f(x)) and of Tr(f(x) + b*x) over GF(p^(mn)), one element
+    at a time."""
+    ctx = build_field_ctx(f.p, m * f.n)
+    terms = _embedded_terms(f, ctx)
+    if b.ctx.key != ctx.key:
+        b = embed_element(b.ctx, ctx, b)
+    plain, shifted = [0] * f.p, [0] * f.p
+    for x in ctx.elements():
+        y = ctx.zero()
+        for c, a in terms:
+            y = y + c * x * x.frobenius(a)
+        plain[y.trace()] += 1
+        shifted[(y + b * x).trace()] += 1
+    return plain, shifted
+
+
+def _oracle_cases(limit):
+    """(f, m) for every GF(p^N) with p^N <= limit over a GF(p) base, plus
+    GF(9), GF(25) and GF(27) bases."""
+    rng = random.Random(20261018)
+    for p in range(3, limit + 1, 2):
+        N = 1
+        while is_prime(p) and p**N <= limit:
+            yield random_quadfunc(rng, p), N
+            N += 1
+    for p, n in ((3, 2), (5, 2), (3, 3)):
+        base = build_field_ctx(p, n)
+        m = 1
+        while p ** (m * n) <= limit:
+            coeffs = [base.from_encoding(rng.randrange(base.order)) for _ in range(3)]
+            coeffs.append(base.from_encoding(rng.randrange(1, base.order)))
+            yield QuadFunc.from_terms(base, [(c, a) for a, c in enumerate(coeffs)]), m
+            m += 1
+
+
+def test_blocked_enumeration_matches_per_element_reference():
+    # the lo/hi split covers N = 1 (an empty lo block), odd N and n > 1
+    rng = random.Random(7)
+    for f, m in _oracle_cases(3**7):
+        p = f.p
+        b = f.ctx.from_encoding(rng.randrange(1, f.ctx.order))
+        plain, shifted = _reference_counts(f, m, b)
+        assert list(_trace_counts(f, m, DEFAULT_CAP)) == plain, (f, m)
+        assert list(_trace_counts(f, m, DEFAULT_CAP, linear=b)) == shifted, (f, m, b)
+        assert brute_force_sum(f, m) == cyc_from_trace_counts(p, plain)
+        assert brute_force_sum_shifted(f, b, m) == cyc_from_trace_counts(p, shifted)
+
+
+def test_enumeration_tally_check_raises(monkeypatch):
+    digit_rows = quadform._digit_rows
+    monkeypatch.setattr(quadform, "_digit_rows", lambda *args: digit_rows(*args)[:-1])
+    with pytest.raises(InternalInconsistency, match="tallied"):
+        brute_force_sum(QuadFunc.from_dense(3, [1, 1]), 3)

@@ -1,10 +1,25 @@
-"""Dense polynomial arithmetic over GF(p), numpy int64 coefficient arrays.
+"""Dense polynomial arithmetic over GF(p), numpy coefficient arrays.
 
 Coefficient order is ascending (constant term first).  The zero polynomial
 is the empty array.  These routines back modulus construction, the
 irreducibility test, and the small-instance gcd oracles; they are not meant
 for the huge structured gcds, which go through the linearized fast path in
 fieldcore.
+
+``is_irreducible`` is Rabin's test on the Frobenius matrix.  For a monic a
+of degree d, z -> z^p is GF(p)-linear on GF(p)[x]/(a); its matrix is
+Berlekamp's Q, whose row u holds x^(p*u) mod a (``frobenius_matrix``).
+Then x^(p^k) mod a is the row vector x times Q^k, one vector-matrix product
+per k.  a is irreducible iff x^(p^d) = x mod a and gcd(x^(p^(d/q)) - x, a)
+= 1 for every prime q | d; only candidates that pass the first condition
+pay for the gcds.  When p <= d, a root sieve first rejects every
+candidate with a root in GF(p), by one Horner evaluation at all of GF(p).
+
+Exactness: ``is_irreducible`` and ``frobenius_matrix`` form no sum of more
+than d products of two residues, so they compute in int64 while
+d*(p-1)^2 < 2^63 and in Python ints (numpy ``dtype=object``) beyond that
+(``exact_dtype``); their decisions and matrices are exact for every p.  The
+other helpers keep the dtype of their inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ def add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.result_type(a, b))
     out[: len(a)] = a
     out[: len(b)] = (out[: len(b)] - b) % p
     return trim(out)
@@ -59,7 +74,7 @@ def divmod_(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     rem = a.copy()
     db = deg(b)
     inv_lead = pow(int(b[-1]), -1, p)
-    q = np.zeros(len(a) - db, dtype=np.int64)
+    q = np.zeros(len(a) - db, dtype=a.dtype)
     for i in range(len(a) - db - 1, -1, -1):
         c = rem[i + db] * inv_lead % p
         if c:
@@ -84,22 +99,6 @@ def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return monic(a, p)
 
 
-def powmod(base: np.ndarray, e: int, modulus: np.ndarray, p: int) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    base = rem(base, modulus, p)
-    while e:
-        if e & 1:
-            result = rem(mul(result, base, p), modulus, p)
-        base = rem(mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
-
-
-def x_power_mod(e: int, modulus: np.ndarray, p: int) -> np.ndarray:
-    """x**e mod modulus."""
-    return powmod(np.array([0, 1], dtype=np.int64), e, modulus, p)
-
-
 def substitute_x_power(a: np.ndarray, k: int) -> np.ndarray:
     """a(x**k); spreads coefficients, valid stand-in for a**p when k == p
     and the coefficients lie in GF(p)."""
@@ -110,9 +109,67 @@ def substitute_x_power(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def exact_dtype(p: int, d: int):
+    """int64 while a sum of d products of residues mod p fits, else object."""
+    return np.int64 if d * (p - 1) ** 2 < 2**63 else object
+
+
+def _reduction_table(a: np.ndarray, p: int) -> np.ndarray:
+    """Rows x^(d+t) mod a for t = 0..d-2, for monic a of degree d >= 2."""
+    d = deg(a)
+    table = np.zeros((d - 1, d), dtype=a.dtype)
+    table[0] = -a[:d] % p
+    for t in range(1, d - 1):
+        table[t, 1:] = table[t - 1, :-1]
+        table[t] = (table[t] + table[t - 1, -1] * table[0]) % p
+    return table
+
+
+def _mulmod(f: np.ndarray, g: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """f*g mod a for length-d coefficient vectors, a given by its table."""
+    c = np.convolve(f, g) % p
+    d = len(f)
+    return (c[:d] + c[d:] @ table) % p
+
+
+def frobenius_matrix(a: np.ndarray, p: int) -> np.ndarray:
+    """Berlekamp's Q of a (degree d >= 2, made monic): a d x d array whose
+    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``."""
+    d = deg(a)
+    a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
+    table = _reduction_table(a, p)
+    x = np.zeros(d, dtype=a.dtype)
+    x[1] = 1
+    xp = x
+    for bit in bin(p)[3:]:  # left to right: square, then multiply by x
+        xp = _mulmod(xp, xp, table, p)
+        if bit == "1":
+            xp = _mulmod(xp, x, table, p)
+    # Rows with p*u <= 2d-2 are read off the identity and the table.
+    direct = np.concatenate([np.eye(d, dtype=a.dtype), table])[::p][:d]
+    Q = np.zeros((d, d), dtype=a.dtype)
+    Q[: len(direct)] = direct
+    for u in range(len(direct), d):
+        Q[u] = _mulmod(Q[u - 1], xp, table, p)
+    return Q
+
+
+def _has_root(a: np.ndarray, p: int) -> bool:
+    """Whether a vanishes somewhere on GF(p).  There x^i = x^(i - (p-1)) for
+    i >= p, so a is first folded to degree < p; one Horner pass then runs
+    at all of GF(p) at once."""
+    tail = a[1:]
+    tail = np.concatenate([tail, np.zeros(-len(tail) % (p - 1), dtype=a.dtype)])
+    folded = np.concatenate([a[:1], tail.reshape(-1, p - 1).sum(axis=0) % p])
+    xs = np.arange(p, dtype=a.dtype)
+    acc = np.zeros(p, dtype=a.dtype)
+    for c in folded[::-1]:
+        acc = (acc * xs + c) % p
+    return not acc.all()
+
+
 def is_irreducible(a: np.ndarray, p: int) -> bool:
-    """Rabin test: x^(p^d) == x mod a, and gcd(x^(p^(d/q)) - x, a) = 1 for
-    every prime q dividing d."""
+    """Rabin's test on the Frobenius matrix (see the module docstring)."""
     d = deg(a)
     if d < 1 or a[-1] == 0:
         return False
@@ -120,16 +177,24 @@ def is_irreducible(a: np.ndarray, p: int) -> bool:
         return True
     if a[0] == 0:  # divisible by x
         return False
-    x = np.array([0, 1], dtype=np.int64)
-    for q in _prime_divisors(d):
-        h = x_power_mod(p ** (d // q), a, p)
-        if deg(gcd(sub(h, x, p), a, p)) != 0:
-            return False
-    h = x_power_mod(p**d, a, p)
-    return len(sub(h, x, p)) == 0
+    a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
+    # The sieve takes p vector steps and the Q test more than 2d.
+    if p <= d and _has_root(a, p):
+        return False
+    Q = frobenius_matrix(a, p)
+    kept = dict.fromkeys(d // q for q in prime_divisors(d))
+    h = Q[1]  # x^(p^k) mod a, from k = 1
+    for k in range(1, d):
+        if k in kept:
+            kept[k] = h
+        h = h @ Q % p
+    x = np.array([0, 1], dtype=a.dtype)
+    if len(sub(h, x, p)):
+        return False
+    return all(deg(gcd(sub(hk, x, p), a, p)) == 0 for hk in kept.values())
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
     out = []
     q = 2
     while q * q <= n:

@@ -100,8 +100,9 @@ class CyclotomicInt:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conj(self) -> "CyclotomicInt":
@@ -179,9 +180,14 @@ def gauss_cyclotomic(p: int) -> CyclotomicInt:
 
 
 def expsum_to_cyclotomic(v) -> CyclotomicInt:
-    """t * g_p^(N-l) * p^l in Z[zeta_p] for an ExpSumValue-like object."""
-    g = gauss_cyclotomic(v.p)
-    return (g ** (v.N - v.l)) * (v.t * v.p**v.l)
+    """t * g_p^(N-l) * p^l in Z[zeta_p] for an ExpSumValue-like object.
+
+    g^2 = (-1)^((p-1)/2) * p, so g^r = ((-1)^((p-1)/2) * p)^(r // 2) * g^(r % 2)
+    and no product in Z[zeta_p] is formed."""
+    r = v.N - v.l
+    p_star = v.p if v.p % 4 == 1 else -v.p
+    g_odd = gauss_cyclotomic(v.p) if r % 2 else CyclotomicInt.from_int(v.p, 1)
+    return g_odd * (v.t * p_star ** (r // 2) * v.p**v.l)
 
 
 @dataclass(frozen=True)

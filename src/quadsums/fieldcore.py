@@ -6,7 +6,12 @@ When no modulus is supplied the deterministic default is used: the monic
 irreducible of degree d whose non-leading coefficient tuple has the
 smallest integer encoding c0 + c1*p + ... + c_{d-1}*p^(d-1).  Everything
 downstream (tables, embeddings, traces) is therefore reproducible run to
-run.
+run.  The search tests candidates in encoding order with Rabin's test on
+the Frobenius matrix Q (:mod:`quadsums._primepoly`), exact for every p.
+Codes 0..p-1 are the binomials x^d + c; when Thm 3.75 of Lidl and
+Niederreiter rules out every irreducible binomial, the search starts at
+code p, which leaves the result unchanged.  ``frob_mat_power(1)`` is Q
+transposed.
 
 Contexts are immutable and cached; elements are coordinate vectors in the
 power basis of the modulus root.
@@ -79,8 +84,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _has_irreducible_binomial(p: int, d: int) -> bool:
+    """Some x^d - c over GF(p) is irreducible iff every prime r | d divides
+    p - 1, and p = 1 (mod 4) when 4 | d (Lidl and Niederreiter, Thm 3.75)."""
+    return all((p - 1) % r == 0 for r in pp.prime_divisors(d)) and (d % 4 != 0 or p % 4 == 1)
+
+
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
-    for code in itertools.count(0):
+    # Codes 0..p-1 are the binomials x^d + c; skip them when none is irreducible.
+    start = 0 if _has_irreducible_binomial(p, d) else p
+    for code in itertools.count(start):
         coeffs = []
         c = code
         for _ in range(d):
@@ -259,13 +272,6 @@ class FieldCtx:
 
     # -- cached numpy maps -----------------------------------------------------
 
-    def _np_modulus(self) -> np.ndarray:
-        arr = self._cache.get("np_modulus")
-        if arr is None:
-            arr = np.array(self.modulus if self.d > 1 else [0, 1], dtype=np.int64)
-            self._cache["np_modulus"] = arr
-        return arr
-
     def frob_mat_power(self, j: int) -> np.ndarray:
         """Matrix (float64, columns = images of basis) of x -> x^(p^j)."""
         j %= self.d
@@ -273,20 +279,9 @@ class FieldCtx:
         if j not in mats:
             if j == 0:
                 mats[j] = np.eye(self.d)
-            elif j == 1:
-                p, d = self.p, self.d
-                cols = np.zeros((d, d), dtype=np.int64)
-                if d == 1:
-                    cols[0, 0] = 1
-                else:
-                    mod = self._np_modulus()
-                    xp = pp.x_power_mod(p, mod, p)
-                    cur = np.array([1], dtype=np.int64)
-                    for u in range(d):
-                        cols[: len(cur), u] = cur
-                        if u < d - 1:
-                            cur = pp.rem(pp.mul(cur, xp, p), mod, p)
-                mats[j] = cols.astype(np.float64)
+            elif j == 1:  # d >= 2 here; Q's rows are the basis images
+                Q = pp.frobenius_matrix(np.array(self.modulus), self.p)
+                mats[j] = Q.T.astype(np.float64)
             else:
                 prev = self.frob_mat_power(j - 1)
                 mats[j] = np.mod(self.frob_mat_power(1) @ prev, self.p)

@@ -99,7 +99,8 @@ def gcd_plus_plus(p: int, exponents) -> int:
         direct = 0
         for a in exps:
             direct = gcd(direct, p**a + 1)
-        assert direct == result, "gcd case split disagrees with direct gcd"
+        if direct != result:
+            raise InternalInconsistency("gcd case split disagrees with direct gcd")
     return result
 
 
@@ -112,7 +113,8 @@ def gcd_plus_minus(p: int, a: int, b: int) -> int:
     else:
         result = 2
     if max(a, b) <= 64:
-        assert gcd(p**a + 1, p**b - 1) == result, "gcd case split disagrees with direct gcd"
+        if gcd(p**a + 1, p**b - 1) != result:
+            raise InternalInconsistency("gcd case split disagrees with direct gcd")
     return result
 
 

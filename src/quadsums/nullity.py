@@ -184,7 +184,8 @@ def radical_poly(f: QuadFunc) -> LinearizedPoly:
         coeffs[alpha + ai] = coeffs[alpha + ai] + a.frobenius(alpha)
         coeffs[alpha - ai] = coeffs[alpha - ai] + a.frobenius(alpha - ai)
     out = LinearizedPoly(f.ctx, tuple(coeffs))
-    assert out.is_separable(), "radical polynomial must be separable"
+    if not out.is_separable():
+        raise InternalInconsistency("radical polynomial must be separable")
     return out
 
 
@@ -279,7 +280,8 @@ def nullity_profile(f: QuadFunc) -> NullityProfile:
                 l = nullity_at(f, d)
             entries.append((d, l))
     prof = NullityProfile(f, s, tuple(entries))
-    assert prof.entry_dict[s] == 2 * f.top_alpha
+    if prof.entry_dict[s] != 2 * f.top_alpha:
+        raise InternalInconsistency(f"profile ends at l_{s} = {prof.entry_dict[s]}, not 2*alpha")
     return prof
 
 

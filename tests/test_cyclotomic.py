@@ -98,3 +98,26 @@ def test_expsum_validation():
         ExpSumValue(3, 1, 2, 1)
     with pytest.raises(InvalidInput):
         ExpSumValue(3, 1, 0, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_closed_form_gauss_powers_match_products(p):
+    g = gauss_cyclotomic(p)
+    power = CyclotomicInt.from_int(p, 1)
+    for r in range(8):
+        assert g**r == power
+        for l, t in ((0, 1), (2, -1)):
+            assert ExpSumValue(p, r + l, l, t).to_cyclotomic() == power * (t * p**l)
+        power = power * g
+
+
+def test_pow_squares_no_further_than_the_top_bit(monkeypatch):
+    # one product per set bit and one square per bit below the top one
+    products = []
+    mul = CyclotomicInt.__mul__
+    monkeypatch.setattr(CyclotomicInt, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    g = gauss_cyclotomic(5)
+    for e in range(1, 9):
+        products.clear()
+        g**e
+        assert len(products) == bin(e).count("1") + e.bit_length() - 1, e

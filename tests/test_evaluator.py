@@ -78,6 +78,11 @@ def test_verify_examples():
     assert rep.equal and rep.value.l == 1
 
 
+def test_verify_at_large_prime():
+    # Z[zeta_p] has p - 1 coordinates here; the closed form must cost O(p)
+    assert verify(QuadFunc.from_dense(1000003, [654321]), 1).equal
+
+
 def test_verify_random_sweep(rng):
     for _ in range(30):
         p = rng.choice([3, 5])

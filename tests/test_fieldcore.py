@@ -16,6 +16,7 @@ from quadsums import (
     trace_to_prime,
 )
 from quadsums import _primepoly as pp
+from quadsums.fieldcore import _default_modulus
 from quadsums.errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -27,10 +28,34 @@ from quadsums.errors import (
 )
 
 
+# Default moduli of larger fields, as {exponent: coefficient} of the nonzero
+# terms: the direct bases the tower benchmark builds, GF(3^54), GF(5^50),
+# GF(7^49) and GF(3^81).  Computed with the powmod Rabin search that the
+# Frobenius-matrix test replaced; the smallest-encoding rule is a contract.
+PINNED_MODULI = {
+    (3, 9): {0: 1, 2: 1, 3: 2, 9: 1},
+    (3, 18): {0: 1, 1: 2, 3: 1, 18: 1},
+    (3, 27): {0: 2, 1: 2, 2: 1, 3: 1, 5: 1, 27: 1},
+    (5, 10): {0: 3, 1: 1, 2: 1, 10: 1},
+    (5, 15): {0: 2, 2: 1, 15: 1},
+    (5, 25): {0: 2, 1: 3, 3: 2, 25: 1},
+    (7, 7): {0: 1, 1: 6, 7: 1},
+    (7, 14): {0: 4, 1: 1, 14: 1},
+    (7, 21): {0: 1, 1: 3, 2: 1, 21: 1},
+    (3, 54): {0: 2, 1: 1, 54: 1},
+    (5, 50): {0: 2, 1: 2, 4: 1, 50: 1},
+    (7, 49): {0: 1, 1: 3, 3: 1, 49: 1},
+    (3, 81): {0: 1, 1: 2, 3: 2, 5: 1, 6: 1, 81: 1},
+}
+
+
 def test_default_moduli():
     assert build_field_ctx(3, 1).modulus is None
     assert build_field_ctx(3, 2).modulus == (1, 0, 1)
     assert build_field_ctx(5, 2).modulus == (2, 0, 1)
+    for (p, d), terms in PINNED_MODULI.items():
+        expected = tuple(terms.get(i, 0) for i in range(d + 1))
+        assert _default_modulus(p, d) == expected, (p, d)
 
 
 def test_ctx_validation():

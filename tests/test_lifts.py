@@ -31,6 +31,7 @@ from quadsums import (
 )
 from quadsums.errors import (
     ConditionViolated,
+    InternalInconsistency,
     InvalidInput,
     NotApplicable,
     ParityViolation,
@@ -62,6 +63,18 @@ def test_gcd_plus_minus_examples():
     assert gcd_plus_minus(5, 1, 2) == 6
     assert gcd_plus_minus(3, 2, 2) == 2
     assert gcd_plus_minus(3, 0, 1) == 2
+
+
+def test_gcd_case_split_checks_raise(monkeypatch):
+    import quadsums.lifts as lifts
+
+    # a 2-adic valuation that is wrong flips the case split, and the check
+    # against the direct gcd must catch it
+    monkeypatch.setattr(lifts, "valuation", lambda x, q: -x)
+    with pytest.raises(InternalInconsistency, match="case split"):
+        gcd_plus_plus(3, (1, 3))  # true value 4, split now says 2
+    with pytest.raises(InternalInconsistency, match="case split"):
+        gcd_plus_minus(3, 1, 2)  # true value 4, split now says 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -11,7 +11,13 @@ from quadsums import (
     radical_poly,
     splitting_exponent,
 )
-from quadsums.errors import InvalidInput, NotMultipleOfBase, SearchBudgetExceeded
+from quadsums import nullity
+from quadsums.errors import (
+    InternalInconsistency,
+    InvalidInput,
+    NotMultipleOfBase,
+    SearchBudgetExceeded,
+)
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
 F3_TOWER = QuadFunc.from_dense(3, [1, 2, 2, 2, 1])
@@ -171,3 +177,17 @@ def test_nullity_extension_base():
     prof = nullity_profile(f)
     assert prof.s % 2 == 0
     assert prof.nullity(prof.s) == 2 * f.top_alpha
+
+
+def test_radical_separability_check_raises(monkeypatch):
+    monkeypatch.setattr(nullity.LinearizedPoly, "is_separable", lambda self: False)
+    with pytest.raises(InternalInconsistency, match="separable"):
+        radical_poly(F7_SMALL)
+
+
+def test_profile_endpoint_check_raises(monkeypatch):
+    # a search that stops short of nullity 2*alpha; the uncached function
+    # runs, so no corrupted profile enters the cache
+    monkeypatch.setattr(nullity, "_search", lambda f, ceiling: (1, {1: 0}))
+    with pytest.raises(InternalInconsistency, match="profile ends"):
+        nullity_profile.__wrapped__(F7_SMALL)

@@ -19,6 +19,7 @@ Quick start::
     print(verify(f, 2))                           # exact equality vs enumeration
 """
 
+from ._numtheory import multiplicative_order
 from .cyclotomic import (
     CyclotomicInt,
     ExpSumValue,
@@ -51,7 +52,6 @@ from .lifts import (
     lift_p_value,
     lift_two,
     monomial_eval,
-    multiplicative_order,
     shift_linear,
     twist,
     twist_with,

@@ -1,13 +1,19 @@
-"""Gaussian elimination mod p on numpy int64 matrices."""
+"""Gaussian elimination mod p on numpy matrices of residues.
+
+Each elimination step forms products of two residues, so the matrices are
+int64 while (p-1)^2 < 2^63 and Python ints (``dtype=object``) beyond that
+(``_primepoly.exact_dtype(p, 1)``); the results are exact for every p."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._primepoly import exact_dtype
+
 
 def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot columns)."""
-    R = A.astype(np.int64).copy() % p
+    R = np.array(A, dtype=exact_dtype(p, 1)) % p
     rows, cols = R.shape
     pivots: list[int] = []
     r = 0
@@ -38,15 +44,17 @@ def kernel_dim(A: np.ndarray, p: int) -> int:
     return A.shape[1] - rank(A, p)
 
 
-def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+def solve(A: np.ndarray, b, p: int) -> np.ndarray | None:
     """One solution of A x = b mod p with free variables set to 0,
     or None when the system is inconsistent."""
     rows, cols = A.shape
-    aug = np.concatenate([A % p, (b % p).reshape(rows, 1)], axis=1)
+    aug = np.zeros((rows, cols + 1), dtype=exact_dtype(p, 1))
+    aug[:, :cols] = A
+    aug[:, cols] = b
     R, pivots = row_echelon(aug, p)
     if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int64)
+    x = np.zeros(cols, dtype=R.dtype)
     for r, c in enumerate(pivots):
         x[c] = R[r, cols]
     return x

@@ -2,9 +2,8 @@
 
 Coefficient order is ascending (constant term first).  The zero polynomial
 is the empty array.  These routines back modulus construction, the
-irreducibility test, and the small-instance gcd oracles; they are not meant
-for the huge structured gcds, which go through the linearized fast path in
-fieldcore.
+irreducibility test and the exact matrices of fieldcore; the huge
+structured gcds go through the linearized fast path there.
 
 ``is_irreducible`` is Rabin's test on the Frobenius matrix.  For a monic a
 of degree d, z -> z^p is GF(p)-linear on GF(p)[x]/(a); its matrix is
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._numtheory import prime_divisors
 from .errors import DivisionByZero
 
 
@@ -42,14 +42,6 @@ def make(coeffs, p: int) -> np.ndarray:
 
 def deg(a: np.ndarray) -> int:
     return len(a) - 1
-
-
-def add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] = (out[: len(b)] + b) % p
-    return trim(out)
 
 
 def sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -97,16 +89,6 @@ def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     while len(b):
         a, b = b, rem(a, b, p)
     return monic(a, p)
-
-
-def substitute_x_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a(x**k); spreads coefficients, valid stand-in for a**p when k == p
-    and the coefficients lie in GF(p)."""
-    if len(a) == 0:
-        return a
-    out = np.zeros((len(a) - 1) * k + 1, dtype=np.int64)
-    out[::k] = a
-    return out
 
 
 def exact_dtype(p: int, d: int):
@@ -192,17 +174,3 @@ def is_irreducible(a: np.ndarray, p: int) -> bool:
     if len(sub(h, x, p)):
         return False
     return all(deg(gcd(sub(hk, x, p), a, p)) == 0 for hk in kept.values())
-
-
-def prime_divisors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out

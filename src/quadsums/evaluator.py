@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
+from ._numtheory import factor as _factor
 from .cyclotomic import CyclotomicInt, ExpSumValue
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .fieldcore import build_field_ctx, embed_element
@@ -42,19 +43,6 @@ class EvalPlan:
     m: int
     N: int
     steps: tuple[tuple, ...]
-
-
-def _factor(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            out[q] = out.get(q, 0) + 1
-            m //= q
-        q += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def plan(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> EvalPlan:

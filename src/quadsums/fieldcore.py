@@ -22,10 +22,18 @@ basis under z -> z^(p^j) for each j asked for (one x ** p**j and d
 multiplications) and Tr(x^u) for u < d (the sum of the d conjugates of
 each basis element, checked to lie in GF(p)).  ``FieldElem.frobenius`` is
 then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
-product, exact for every p.  They read none of the float64 batch maps
-below (``frob_mat_power``, ``trace_vec``, ``bulk_*``), which back the Gram
-matrix in :mod:`quadsums.quadform` and are exact only while
-d*(p-1)^2 < 2^53; the brute-force oracle uses the scalar maps alone.
+product.  The brute-force oracle uses these scalar maps alone.
+
+The matrix route is separate and equally exact: ``frob_mat_power`` (powers
+of Q transposed), ``mult_mat`` and ``trace_form`` (the Hankel matrix of the
+power sums Tr(x^k), from Newton's identities on the modulus) back the Gram
+matrix in :mod:`quadsums.quadform` and the radical's linear map in
+:mod:`quadsums.nullity`.  Their entries are residues mod p, and every sum
+and product is reduced mod p before the next, so no intermediate exceeds a
+sum of d products of residues: the matrices are int64 while
+d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``) beyond that
+(``_primepoly.exact_dtype``).  Nothing here is float64; only the oracle's
+enumeration is, under its own enforced bound.
 
 The module also houses the gcd kernel used for nullity computation:
 ``poly_gcd_deg(f, m)`` returns deg gcd(f, x^(p^m) - x) without ever
@@ -46,6 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _primepoly as pp
+from ._numtheory import is_prime, prime_divisors
 from .errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -57,37 +66,10 @@ from .errors import (
     ZeroPolynomial,
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for machine-word inputs."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _has_irreducible_binomial(p: int, d: int) -> bool:
     """Some x^d - c over GF(p) is irreducible iff every prime r | d divides
     p - 1, and p = 1 (mod 4) when 4 | d (Lidl and Niederreiter, Thm 3.75)."""
-    return all((p - 1) % r == 0 for r in pp.prime_divisors(d)) and (d % 4 != 0 or p % 4 == 1)
+    return all((p - 1) % r == 0 for r in prime_divisors(d)) and (d % 4 != 0 or p % 4 == 1)
 
 
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -198,18 +180,10 @@ class FieldCtx:
         """Reductions of x^(d+t), t = 0..d-2, as coefficient tuples mod p."""
         rows = self._cache.get("red_tuples")
         if rows is None:
-            p, d = self.p, self.d
             rows = []
-            if d > 1:
-                row = tuple((-c) % p for c in self.modulus[:d])  # x^d
-                rows.append(row)
-                for _ in range(d - 2):
-                    shifted = (0,) + row[: d - 1]
-                    top = row[d - 1]
-                    if top:
-                        shifted = tuple((s + top * r) % p for s, r in zip(shifted, rows[0]))
-                    row = shifted
-                    rows.append(row)
+            if self.d > 1:
+                a = np.array(self.modulus, dtype=pp.exact_dtype(self.p, self.d))
+                rows = [tuple(map(int, row)) for row in pp._reduction_table(a, self.p)]
             self._cache["red_tuples"] = rows
         return rows
 
@@ -270,27 +244,26 @@ class FieldCtx:
             traces = self._cache["basis_traces"] = tuple(row[0] % p for row in sums)
         return traces
 
-    # -- cached numpy maps -----------------------------------------------------
+    # -- cached exact matrices ------------------------------------------------
 
     def frob_mat_power(self, j: int) -> np.ndarray:
-        """Matrix (float64, columns = images of basis) of x -> x^(p^j)."""
+        """Matrix of z -> z^(p^j), columns = images of the power basis."""
         j %= self.d
         mats = self._cache.setdefault("frob_pows", {})
         if j not in mats:
+            p, d = self.p, self.d
             if j == 0:
-                mats[j] = np.eye(self.d)
+                mats[j] = np.eye(d, dtype=pp.exact_dtype(p, d))
             elif j == 1:  # d >= 2 here; Q's rows are the basis images
-                Q = pp.frobenius_matrix(np.array(self.modulus), self.p)
-                mats[j] = Q.T.astype(np.float64)
+                mats[j] = pp.frobenius_matrix(np.array(self.modulus), p).T
             else:
-                prev = self.frob_mat_power(j - 1)
-                mats[j] = np.mod(self.frob_mat_power(1) @ prev, self.p)
+                mats[j] = self.frob_mat_power(1) @ self.frob_mat_power(j - 1) % p
         return mats[j]
 
     def mult_mat(self, a: "FieldElem") -> np.ndarray:
-        """Matrix of multiplication by a (float64)."""
+        """Matrix of z -> a*z, columns = images of the power basis."""
         d = self.d
-        cols = np.zeros((d, d), dtype=np.float64)
+        cols = np.zeros((d, d), dtype=pp.exact_dtype(self.p, d))
         cur = a.coeffs
         for u in range(d):
             cols[:, u] = cur
@@ -307,47 +280,23 @@ class FieldCtx:
             out = tuple((o + top * r) % p for o, r in zip(out, row))
         return out
 
-    def red_matrix(self) -> np.ndarray:
-        """(d-1, d) float64 rows reducing x^d .. x^(2d-2)."""
-        mat = self._cache.get("red_matrix")
-        if mat is None:
-            mat = np.array(self._red_tuples(), dtype=np.float64).reshape(self.d - 1, self.d)
-            self._cache["red_matrix"] = mat
-        return mat
-
-    def trace_vec(self) -> np.ndarray:
-        vec = self._cache.get("trace_vec")
-        if vec is None:
-            T = np.zeros((self.d, self.d))
-            for j in range(self.d):
-                T = np.mod(T + self.frob_mat_power(j), self.p)
-            if T[1:].any():
-                raise InternalInconsistency("trace image escaped the prime field")
-            vec = T[0].copy()
-            self._cache["trace_vec"] = vec
-        return vec
-
-    # -- batch maps over arrays of coordinate rows -----------------------------
-
-    def bulk_frobenius(self, X: np.ndarray, j: int) -> np.ndarray:
-        return np.mod(X @ self.frob_mat_power(j).T, self.p)
-
-    def bulk_mul_const(self, X: np.ndarray, a: "FieldElem") -> np.ndarray:
-        return np.mod(X @ self.mult_mat(a).T, self.p)
-
-    def bulk_mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        d, p = self.d, self.p
-        if d == 1:
-            return np.mod(A * B, p)
-        conv = np.zeros((A.shape[0], 2 * d - 1))
-        for i in range(d):
-            conv[:, i : i + d] += A[:, i : i + 1] * B
-        conv = np.mod(conv, p)
-        low = conv[:, :d] + conv[:, d:] @ self.red_matrix()
-        return np.mod(low, p)
-
-    def bulk_trace(self, X: np.ndarray) -> np.ndarray:
-        return np.mod(X @ self.trace_vec(), self.p)
+    def trace_form(self) -> np.ndarray:
+        """Hankel matrix H[u, w] = Tr(x^(u+w)) of the trace form on the power
+        basis.  The power sums s_k = Tr(x^k) of the roots of the modulus
+        x^d + c_(d-1) x^(d-1) + ... + c_0 follow from Newton's identities,
+        s_k = -(k c_(d-k) + sum_(j=1..min(k-1,d)) c_(d-j) s_(k-j)), with
+        c_(d-k) = 0 for k > d (Lidl and Niederreiter, Thm 1.75)."""
+        H = self._cache.get("trace_form")
+        if H is None:
+            p, d, c = self.p, self.d, self.modulus  # c is None only when d = 1
+            s = [d % p]
+            for k in range(1, 2 * d - 1):
+                acc = k * c[d - k] if k <= d else 0
+                acc += sum(c[d - j] * s[k - j] for j in range(1, min(k - 1, d) + 1))
+                s.append(-acc % p)
+            idx = np.add.outer(np.arange(d), np.arange(d))
+            H = self._cache["trace_form"] = np.array(s, dtype=pp.exact_dtype(p, d))[idx]
+        return H
 
 
 @functools.lru_cache(maxsize=None)
@@ -880,21 +829,8 @@ def poly_gcd_deg(f, m: int) -> int:
         lin = f.linearized_coeffs()
         if lin is not None:
             return f.ctx.p ** linearized_gcd_deg(f.ctx, lin, m)
-        return _dense_gcd_deg(f, m)
-    return f.ctx.p ** linearized_gcd_deg(f.ctx, list(f.coeffs), m)
-
-
-def _dense_gcd_deg(f: Poly, m: int) -> int:
-    ctx = f.ctx
-    p = ctx.p
-    if ctx.d == 1:
-        fa = pp.make([c.coeffs[0] for c in f.coeffs], p)
-        h = np.array([0, 1], dtype=np.int64)
+        x = h = Poly.x(f.ctx)
         for _ in range(m):
-            h = pp.rem(pp.substitute_x_power(h, p), fa, p)
-        g = pp.gcd(fa, pp.sub(h, np.array([0, 1], dtype=np.int64), p), p)
-        return pp.deg(g)
-    h = Poly.x(ctx)
-    for _ in range(m):
-        h = h.powmod(p, f)
-    return f.gcd(h - Poly.x(ctx)).degree
+            h = h.powmod(f.ctx.p, f)
+        return f.gcd(h - x).degree
+    return f.ctx.p ** linearized_gcd_deg(f.ctx, list(f.coeffs), m)

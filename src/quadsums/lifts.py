@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, inf
 
-import numpy as np
-
 from .cyclotomic import CyclotomicInt, ExpSumValue
 from .errors import (
     ConditionViolated,
@@ -28,7 +26,8 @@ from .errors import (
     ParityViolation,
     ZeroCoefficient,
 )
-from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element, is_prime
+from ._numtheory import is_prime, multiplicative_order
+from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element
 from .nullity import QuadFunc, radical_poly
 from . import _linalg
 from .quadform import elem_quadratic_character, legendre, smallest_nonsquare
@@ -43,44 +42,6 @@ def valuation(x: int, q: int) -> int | float:
         x //= q
         v += 1
     return v
-
-
-def multiplicative_order(base: int, modulus: int) -> int:
-    """Order of base in (Z/modulus)^*; requires gcd(base, modulus) = 1."""
-    base %= modulus
-    if gcd(base, modulus) != 1:
-        raise InvalidInput(f"{base} is not a unit mod {modulus}")
-    phi = modulus - 1 if is_prime(modulus) else _euler_phi(modulus)
-    for d in sorted(_divisors(phi)):
-        if pow(base, d, modulus) == 1:
-            return d
-    raise InternalInconsistency("order must divide the group order")
-
-
-def _euler_phi(n: int) -> int:
-    out = n
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out -= out // q
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
 
 
 def gcd_plus_plus(p: int, exponents) -> int:
@@ -310,7 +271,7 @@ def shift_linear(f: QuadFunc, b: FieldElem, N: int, value: ExpSumValue) -> Shift
     L = radical_poly(f)
     M = L.linear_map_matrix(ctx_big)
     rhs_elem = b.frobenius(f.top_alpha)
-    sol = _linalg.solve(M, np.array(rhs_elem.coeffs, dtype=np.int64), f.p)
+    sol = _linalg.solve(M, rhs_elem.coeffs, f.p)
     if sol is None:
         return ShiftedSum(zero=True, phase=0, base=value)
     x0 = ctx_big.elem([int(c) for c in sol])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import _linalg
+from ._numtheory import divisors
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -143,14 +144,6 @@ class LinearizedPoly:
     def is_separable(self) -> bool:
         return not self.coeffs[0].is_zero()
 
-    def to_poly(self):
-        from .fieldcore import Poly
-
-        out = [self.ctx.zero()] * (self.degree + 1)
-        for j, c in enumerate(self.coeffs):
-            out[self.ctx.p**j] = c
-        return Poly(self.ctx, out)
-
     def __call__(self, x: FieldElem) -> FieldElem:
         acc = x.ctx.zero()
         for j, c in enumerate(self.coeffs):
@@ -162,17 +155,14 @@ class LinearizedPoly:
     def linear_map_matrix(self, ctx_big: FieldCtx):
         """Matrix over GF(p) of z -> f*(z) acting on ctx_big, coefficients
         embedded; columns act on coordinate vectors."""
-        import numpy as np
-
-        d = ctx_big.d
-        M = np.zeros((d, d))
+        p = ctx_big.p
+        M = 0
         for j, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
             cE = c if ctx_big.key == self.ctx.key else embed_element(self.ctx, ctx_big, c)
-            M += ctx_big.mult_mat(cE) @ ctx_big.frob_mat_power(j)
-            M %= ctx_big.p
-        return M.astype(np.int64)
+            M = (M + ctx_big.mult_mat(cE) @ ctx_big.frob_mat_power(j) % p) % p
+        return M
 
 
 def radical_poly(f: QuadFunc) -> LinearizedPoly:
@@ -215,25 +205,13 @@ def _search(f: QuadFunc, ceiling_factor: int) -> tuple[int, dict[int, int]]:
         found[m] = l
         if l == target:
             # minimality: no proper divisor (multiple of n) already reached it
-            for d in sorted(_divisors(m)):
+            for d in divisors(m):
                 if d < m and d % f.n == 0 and found.get(d) == target:
                     raise InternalInconsistency("splitting exponent is not minimal")
             return m, found
     raise SearchBudgetExceeded(
         f"no m <= {ceiling_factor * f.n} reached nullity {target}; raise the ceiling"
     )
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -273,7 +251,7 @@ class NullityProfile:
 def nullity_profile(f: QuadFunc) -> NullityProfile:
     s, found = _search(f, SEARCH_CEILING_FACTOR)
     entries = []
-    for d in _divisors(s):
+    for d in divisors(s):
         if d % f.n == 0:
             l = found.get(d)
             if l is None:  # pragma: no cover - search always visits divisors

@@ -2,10 +2,15 @@
 brute-force summation oracle.
 
 Tr_N(f(x)) is a quadratic form on GF(p)^N once GF(p^N) is identified with
-coordinate vectors; its Gram matrix is built from plain evaluations of
-Q(x) = Tr_N(f(x)), so the construction is uniform in the exponent pattern
-and self-validating against the defining identity x B x^T = Q(x).
-Diagonalization is symmetric congruence reduction mod p.
+coordinate vectors.  For a term c x^(p^a + 1), Tr(x * c x^(p^a)) = x^T H
+M_c F^a x, where H[u, w] = Tr(x^(u+w)) is the trace form, M_c is
+multiplication by c and F^a is the a-th power of Frobenius (all cached by
+the :class:`FieldCtx`).  So the Gram matrix is G = sum_i H M_(c_i) F^(a_i)
+and B = (G + G^T)/2: three matrix products per term, reduced mod p after
+every sum and product, in the context's exact dtype (int64, or Python ints
+for large p; see :mod:`quadsums.fieldcore`), so B is exact for every p.
+Diagonalization is symmetric congruence reduction mod p, in
+``exact_dtype(p, 1)`` since it multiplies two residues at a time.
 
 The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
@@ -17,11 +22,11 @@ x = (lo, hi), lo the first k = N // 2 coordinates,
 
 and the linear term of a shifted sum splits the same way.  Each block of
 values is one outer sum of Q(lo) and Q(hi) plus one float64 matrix product,
-and digits are decoded for p^k + p^(N-k) rows only.  Every partial product
-is reduced mod p before the next one, so every summand is below N*p^2;
-under DEFAULT_CAP (p^N <= 2*10^7) that is at most 4*10^14, far below 2^53,
-where float64 stops being exact.  Enumerations past that bound raise
-TooLarge.
+and digits are decoded for p^k + p^(N-k) rows only.  This is the only
+float64 arithmetic in the package.  Every partial product is reduced mod p
+before the next one, so every summand is below N*p^2; under DEFAULT_CAP
+(p^N <= 2*10^7) that is at most 4*10^14, far below 2^53, where float64
+stops being exact.  Enumerations past that bound raise TooLarge.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._primepoly import exact_dtype
 from .cyclotomic import CyclotomicInt, cyc_from_trace_counts
 from .errors import InternalInconsistency, InvalidInput, NotSymmetric, TooLarge
 from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element
@@ -70,32 +76,11 @@ def smallest_nonsquare(ctx: FieldCtx) -> FieldElem:
     raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
 
 
-# -- batch evaluation of Tr_N(f(x)) --------------------------------------------
-
-
 def _embedded_terms(f: QuadFunc, ctx_big: FieldCtx) -> list[tuple[FieldElem, int]]:
     return [
         (c if ctx_big.key == f.ctx.key else embed_element(f.ctx, ctx_big, c), a)
         for c, a in f.terms
     ]
-
-
-def trace_values(ctx: FieldCtx, terms, X: np.ndarray, linear: FieldElem | None = None) -> np.ndarray:
-    """Tr(f(x)) for every coordinate row of X, with an optional linear term
-    Tr(b*x); exact mod-p integers."""
-    X = np.asarray(X, dtype=np.float64)
-    acc = np.zeros_like(X)
-    for c, a in terms:
-        Y = ctx.bulk_frobenius(X, a)
-        T = ctx.bulk_mul(X, Y)
-        acc = np.mod(acc + ctx.bulk_mul_const(T, c), ctx.p)
-    if linear is not None:
-        acc = np.mod(acc + ctx.bulk_mul_const(X, linear), ctx.p)
-    return ctx.bulk_trace(acc).astype(np.int64)
-
-
-def _basis_rows(N: int) -> np.ndarray:
-    return np.eye(N)
 
 
 # -- Gram matrix and congruence diagonalization ---------------------------------
@@ -111,24 +96,12 @@ def gram_matrix(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> np.ndarray:
     if ctx_big.d != N:
         raise InvalidInput("context degree does not match m*n")
     p = f.p
-    terms = _embedded_terms(f, ctx_big)
-
-    rows = [_basis_rows(N)]
-    pairs = [(u, v) for u in range(N) for v in range(u + 1, N)]
-    if pairs:
-        P = np.zeros((len(pairs), N))
-        for i, (u, v) in enumerate(pairs):
-            P[i, u] = 1
-            P[i, v] = 1
-        rows.append(P)
-    Q = trace_values(ctx_big, terms, np.concatenate(rows, axis=0))
-    q_single = Q[:N]
-    B = np.diag(q_single).astype(np.int64)
-    inv2 = pow(2, -1, p)
-    for i, (u, v) in enumerate(pairs):
-        val = (Q[N + i] - q_single[u] - q_single[v]) * inv2 % p
-        B[u, v] = B[v, u] = val
-    return B % p
+    H = ctx_big.trace_form()
+    G = 0
+    for c, a in _embedded_terms(f, ctx_big):
+        y = ctx_big.mult_mat(c) @ ctx_big.frob_mat_power(a) % p  # z -> c z^(p^a)
+        G = (G + H @ y % p) % p
+    return (G + G.T) % p * pow(2, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -152,13 +125,12 @@ def diagonalize(B: np.ndarray, p: int) -> QuadFormDiag:
     some off-diagonal entry M[u,v] does not, replace e_u by e_u + e_v to
     expose 2*M[u,v] on the diagonal.  Only (rank, type) are contractual.
     """
-    M = np.asarray(B, dtype=np.int64) % p
+    M = np.array(B, dtype=exact_dtype(p, 1)) % p
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
     if (M != M.T).any():
         raise NotSymmetric("matrix is not symmetric")
     N = M.shape[0]
-    M = M.copy()
     diag: list[int] = []
     i = 0
     while i < N:

@@ -142,6 +142,23 @@ def test_scalar_frobenius_and_trace_match_definitions(pd, data):
     assert x.trace() == conjugates.coeffs[0]
 
 
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 7), (5, 4), (7, 3), (2**61 - 1, 3)])
+def test_trace_form_is_hankel_of_power_traces(p, d):
+    # Newton's identities on the modulus against the scalar trace of x^k
+    ctx = build_field_ctx(p, d)
+    H = ctx.trace_form().tolist()
+    x = ctx.gen()
+    for u in range(d):
+        for w in range(d):
+            assert H[u][w] == (x ** (u + w)).trace()
+
+
+@pytest.mark.parametrize("p,d", [(3, 81), (2**61 - 1, 3)])
+def test_newton_power_traces_match_conjugate_sums(p, d):
+    ctx = build_field_ctx(p, d)
+    assert ctx.trace_form()[0].tolist() == list(ctx.basis_traces())
+
+
 # The invariant checks below run on fresh (uncached) contexts, so a corrupted
 # table never reaches the shared ones.
 
@@ -151,13 +168,6 @@ def test_scalar_trace_escape_raises(monkeypatch):
     monkeypatch.setitem(ctx._cache, "red_tuples", [(1, 1, 1), (0, 1, 0)])
     with pytest.raises(InternalInconsistency, match="escaped"):
         ctx.gen().trace()
-
-
-def test_trace_vec_escape_raises(monkeypatch):
-    ctx = FieldCtx(3, 3)
-    monkeypatch.setitem(ctx._cache, "frob_pows", {1: np.ones((3, 3))})
-    with pytest.raises(InternalInconsistency, match="escaped"):
-        ctx.trace_vec()
 
 
 def test_skew_remainder_check_raises(monkeypatch):
@@ -238,6 +248,16 @@ def test_poly_gcd_deg_x_is_one():
     x = Poly.x(ctx)
     for m in (1, 2, 7):
         assert poly_gcd_deg(x, m) == 1
+
+
+def test_poly_gcd_deg_dense_at_large_prime():
+    # x(x - 3)(x - 5) splits over GF(p): the gcd with x^p - x is all of it
+    p = 4294967311
+    ctx = build_field_ctx(p, 1)
+    f = Poly.from_ints(ctx, [0, 15, -8, 1])
+    assert f.linearized_coeffs() is None
+    assert poly_gcd_deg(f, 1) == 3
+    assert poly_gcd_deg(Poly.from_ints(ctx, [1, 0, 1]), 1) == 0  # p = 3 (mod 4)
 
 
 def test_poly_gcd_deg_rejects_zero():

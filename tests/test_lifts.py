@@ -21,6 +21,7 @@ from quadsums import (
     multiplicative_order,
     nullity_at,
     nullity_profile,
+    radical_poly,
     shift_linear,
     smallest_nonsquare,
     twist,
@@ -307,6 +308,25 @@ def test_shift_matches_brute_random(rng):
         assert sh.to_cyclotomic() == brute_force_sum_shifted(f, b, N)
         zeros += sh.zero
     assert zeros > 0
+
+
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_shift_exact_at_large_prime(p, rng):
+    # f = x^2 + x^(p+1) has a one-dimensional radical over GF(p^2), so the
+    # radical map L has rank 1: b^p in the image of L gives the phase
+    # Tr(f(y)) of any preimage y, any other b gives zero
+    f = QuadFunc.from_dense(p, [1, 1])
+    ctx = build_field_ctx(p, 2)
+    L = radical_poly(f)
+    value = ExpSumValue(p, 2, 1, 1)
+    y = ctx.from_encoding(rng.randrange(ctx.order))
+    sh = shift_linear(f, L(y).frobenius(1), 2, value)
+    assert not sh.zero
+    assert sh.phase == (y ** 2 + y ** (p + 1)).trace()
+    w = L(ctx.one())
+    r = ctx.from_encoding(rng.randrange(ctx.order))
+    assert not w.is_zero() and (w.coeffs[0] * r.coeffs[1] - w.coeffs[1] * r.coeffs[0]) % p
+    assert shift_linear(f, r.frobenius(1), 2, value).zero
 
 
 def test_product_identity_shifted(rng):

@@ -1,0 +1,51 @@
+import math
+
+import pytest
+
+from quadsums._numtheory import (
+    divisors,
+    euler_phi,
+    factor,
+    is_prime,
+    multiplicative_order,
+    prime_divisors,
+)
+from quadsums.errors import InvalidInput
+
+
+def _sieve(n):
+    flags = [False, False] + [True] * (n - 1)
+    for q in range(2, int(n**0.5) + 1):
+        if flags[q]:
+            flags[q * q :: q] = [False] * len(flags[q * q :: q])
+    return flags
+
+
+def test_is_prime_matches_sieve():
+    flags = _sieve(5000)
+    assert [n for n in range(5001) if is_prime(n)] == [n for n in range(5001) if flags[n]]
+    assert is_prime(2**61 - 1) and is_prime(4294967311) and not is_prime(2**61 + 1)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_factor_divisors_phi_against_definitions():
+    for n in range(1, 800):
+        fac = factor(n)
+        assert math.prod(q**e for q, e in fac.items()) == n
+        assert all(is_prime(q) for q in fac) and list(fac) == sorted(fac)
+        assert prime_divisors(n) == list(fac)
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_multiplicative_order_against_powers():
+    for modulus in range(2, 120):
+        for base in range(modulus):
+            if math.gcd(base, modulus) != 1:
+                with pytest.raises(InvalidInput):
+                    multiplicative_order(base, modulus)
+                continue
+            k = 1
+            while pow(base, k, modulus) != 1:
+                k += 1
+            assert multiplicative_order(base, modulus) == k

@@ -13,6 +13,7 @@ from quadsums import (
     gauss_cyclotomic,
     gram_matrix,
     legendre,
+    matrix_kernel_nullity,
     nullity_at,
     smallest_nonsquare,
     type_direct,
@@ -21,7 +22,7 @@ from quadsums import quadform
 from quadsums.cyclotomic import cyc_from_trace_counts
 from quadsums.errors import InternalInconsistency, NotSymmetric, TooLarge
 from quadsums.fieldcore import embed_element, is_prime
-from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts, trace_values
+from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts
 from tests.conftest import random_quadfunc
 
 
@@ -166,21 +167,53 @@ def test_type_direct_cross_check_against_gcd(rng):
         assert l == nullity_at(f, m)
 
 
-def test_trace_values_matches_bilinear_oracle(rng):
-    # the vectorized honest-field-ops evaluator and the bilinear-matrix
-    # fast path must agree everywhere they are both used
+LARGE_PRIMES = (2**31 - 1, 4294967311, 2**61 - 1)
+
+
+def _symmetrized_oracle(f, ctx):
+    """(G + G^T)/2 of the oracle's scalar-arithmetic G, in Python ints."""
     from quadsums.quadform import _bilinear_matrix
 
-    for _ in range(10):
-        p = rng.choice([3, 5, 7])
-        f = random_quadfunc(rng, p)
-        N = rng.randint(1, 3)
-        ctx = build_field_ctx(p, N)
-        X = np.array([[rng.randrange(p) for _ in range(N)] for _ in range(64)])
-        via_ops = trace_values(ctx, _embedded_terms(f, ctx), X)
-        G = _bilinear_matrix(f, ctx)
-        via_G = np.einsum("ki,ij,kj->k", X, G, X) % p
-        assert (via_ops == via_G).all()
+    p = ctx.p
+    G = _bilinear_matrix(f, ctx).tolist()
+    N = len(G)
+    return [[(G[u][v] + G[v][u]) * pow(2, -1, p) % p for v in range(N)] for u in range(N)]
+
+
+def test_gram_matrix_matches_bilinear_oracle(rng):
+    # the matrix route (trace form, multiplication, Frobenius powers) and the
+    # oracle's scalar route must give the same symmetric matrix, exactly,
+    # also where (p-1)^2 is past 2^53 and 2^63
+    for p in (3, 5, 7) + LARGE_PRIMES:
+        for _ in range(4):
+            f = random_quadfunc(rng, p)
+            N = rng.randint(1, 3)
+            ctx = build_field_ctx(p, N)
+            assert gram_matrix(f, N).tolist() == _symmetrized_oracle(f, ctx), (p, f, N)
+
+
+def test_type_direct_exact_at_large_prime():
+    # a nondegenerate binary form has type legendre(det); (p-1)^2 is past 2^63
+    p = 4294967311
+    ctx = build_field_ctx(p, 2)
+    for coeffs, t in (([3, 5, 1], 1), ([2, 0, 7], -1)):
+        f = QuadFunc.from_dense(p, coeffs)
+        (a, b), (_, c) = _symmetrized_oracle(f, ctx)
+        det = (a * c - b * b) % p
+        assert det and legendre(det, p) == t
+        assert type_direct(f, 2) == (t, 0)
+
+
+def test_matrix_kernel_nullity_exact_at_large_primes(rng):
+    # x^2 + x^(p+1) and x^2 - x^(p+1) have nullity 1 over GF(p^2); the rest
+    # are random
+    for p in LARGE_PRIMES:
+        for N in (2, 3):
+            fs = [QuadFunc.from_dense(p, [1, 1]), QuadFunc.from_dense(p, [1, p - 1])]
+            fs += [random_quadfunc(rng, p) for _ in range(4)]
+            for f in fs:
+                assert matrix_kernel_nullity(f, N) == nullity_at(f, N), (p, f, N)
+    assert nullity_at(QuadFunc.from_dense(LARGE_PRIMES[1], [1, 1]), 2) == 1
 
 
 def _reference_counts(f, m, b):

@@ -1,14 +1,21 @@
 """Elementary number theory on Python ints: primality, factorization and the
 functions derived from it.
 
-``factor`` is trial division, fine for the extension degrees, lift heights
-and small group orders this package factors."""
+``factor`` divides out the primes below ``TRIAL_LIMIT`` and splits what is
+left with Brent's variant of Pollard's rho, testing each piece with
+Miller-Rabin.  That handles the extension degrees and lift heights this
+package factors as well as the group orders p^k - 1 behind the nullity
+profile (``factor_power_minus_one``, memoized per (p, k)).  Rho takes
+about the square root of the second-largest prime factor in steps, so a
+number with two prime factors of 16 or more digits each is out of
+practical reach."""
 
 from __future__ import annotations
 
-from math import gcd
+import functools
+from math import gcd, isqrt
 
-from .errors import InvalidInput
+from .errors import InternalInconsistency, InvalidInput
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -38,18 +45,94 @@ def is_prime(n: int) -> bool:
     return True
 
 
+TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(q for q in range(2, TRIAL_LIMIT) if all(q % r for r in range(2, isqrt(q) + 1)))
+
+
+def _brent(n: int) -> int:
+    """A proper factor of an odd composite n (Brent's cycle finding on
+    x -> x^2 + c, products of differences batched 128 at a time; a new c
+    when a batch collapses to n)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise InternalInconsistency(f"no factor of {n} found")  # pragma: no cover - n is composite
+
+
 def factor(n: int) -> dict[int, int]:
     """Prime factorization {q: exponent} of n >= 1, primes increasing."""
+    if n < 1:
+        raise InvalidInput(f"cannot factor {n}")
     out: dict[int, int] = {}
-    q = 2
-    while q * q <= n:
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-        q += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < TRIAL_LIMIT**2 or is_prime(m):  # no prime below TRIAL_LIMIT is left
+            out[m] = out.get(m, 0) + 1
+            continue
+        # rho would need about sqrt(r) steps to split a power r^k; r > 2^9
+        for k in range(2, m.bit_length() // 9 + 1):
+            r = _iroot(m, k)
+            if r**k == m:
+                stack += [r] * k
+                break
+        else:
+            g = _brent(m)
+            stack += [g, m // g]
+    return dict(sorted(out.items()))
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) by Newton's iteration from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@functools.lru_cache(maxsize=None)
+def factor_power_minus_one(p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of p^k - 1 (p >= 2, k >= 1) as (q, e) pairs, q
+    increasing; memoized.  The primes of p^d - 1 for d | k, d < k, are
+    divided out first, so only the cofactor (about Phi_k(p)) goes to
+    ``factor``."""
+    n = p**k - 1
+    out: dict[int, int] = {}
+    for d in divisors(k)[:-1]:
+        for q, _ in factor_power_minus_one(p, d):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+    for q, e in factor(n).items():
+        out[q] = out.get(q, 0) + e
+    return tuple(sorted(out.items()))
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -50,7 +50,11 @@ class NotMultipleOfBase(InvalidInput):
 
 
 class SearchBudgetExceeded(QuadsumsError):
-    """Splitting-exponent search passed its iteration ceiling."""
+    """A search passed its iteration ceiling.
+
+    The library no longer raises it: the nullity profile is computed in
+    closed form instead of by a bounded search.  The class stays so that
+    callers which catch it keep importing."""
 
 
 class ParityViolation(QuadsumsError):

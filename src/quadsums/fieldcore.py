@@ -35,9 +35,10 @@ d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``) beyond that
 (``_primepoly.exact_dtype``).  Nothing here is float64; only the oracle's
 enumeration is, under its own enforced bound.
 
-The module also houses the gcd kernel used for nullity computation:
-``poly_gcd_deg(f, m)`` returns deg gcd(f, x^(p^m) - x) without ever
-materialising the second argument.  x^(p^m) mod f is obtained by m rounds
+The module also houses the skew-gcd ladder behind ``nullity_at``, the
+single-degree nullity that checks the closed-form profile and
+``type_direct``: ``poly_gcd_deg(f, m)`` returns deg gcd(f, x^(p^m) - x)
+without ever materialising the second argument.  x^(p^m) mod f is obtained by m rounds
 of p-th powering and reduction mod f; when f is a separable p-polynomial
 (the only production caller), remainders of p-polynomials by p-polynomials
 are again p-polynomials, so the whole remainder sequence is carried in the
@@ -75,6 +76,7 @@ def _has_irreducible_binomial(p: int, d: int) -> bool:
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
     # Codes 0..p-1 are the binomials x^d + c; skip them when none is irreducible.
     start = 0 if _has_irreducible_binomial(p, d) else p
+    dtype = pp.exact_dtype(p, d)
     for code in itertools.count(start):
         coeffs = []
         c = code
@@ -83,7 +85,7 @@ def _default_modulus(p: int, d: int) -> tuple[int, ...]:
             c //= p
         if c:
             raise ModulusReducible(f"no irreducible of degree {d} over GF({p})")
-        cand = np.array(coeffs + [1], dtype=np.int64)
+        cand = np.array(coeffs + [1], dtype=dtype)
         if pp.is_irreducible(cand, p):
             return tuple(coeffs) + (1,)
 
@@ -109,7 +111,7 @@ class FieldCtx:
                 modulus = tuple(int(c) % p for c in modulus)
                 if len(modulus) != d + 1 or modulus[-1] != 1:
                     raise InvalidInput("modulus must be monic of degree d")
-                if not pp.is_irreducible(np.array(modulus, dtype=np.int64), p):
+                if not pp.is_irreducible(np.array(modulus, dtype=pp.exact_dtype(p, d)), p):
                     raise ModulusReducible(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.d = d
@@ -255,7 +257,8 @@ class FieldCtx:
             if j == 0:
                 mats[j] = np.eye(d, dtype=pp.exact_dtype(p, d))
             elif j == 1:  # d >= 2 here; Q's rows are the basis images
-                mats[j] = pp.frobenius_matrix(np.array(self.modulus), p).T
+                a = np.array(self.modulus, dtype=pp.exact_dtype(p, d))
+                mats[j] = pp.frobenius_matrix(a, p).T
             else:
                 mats[j] = self.frob_mat_power(1) @ self.frob_mat_power(j - 1) % p
         return mats[j]

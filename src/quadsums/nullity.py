@@ -1,35 +1,57 @@
 """Nullity of the trace quadratic form attached to f(x) = sum a_i x^(p^a_i + 1).
 
-The radical of Tr_m(f) is the kernel, inside GF(p^m), of a separable
-p-polynomial built from f's coefficients; its GF(p)-dimension l_m is
-log_p deg gcd(that polynomial, x^(p^m) - x).  The profile of all l_m is
-finite: there is a least multiple s of the base degree with l_s = 2*alpha
-(the splitting exponent), and l_m = l_gcd(m, s) for every other m.
+The radical of Tr_m(f) is the kernel, inside GF(p^m), of the separable
+p-polynomial L = sum c_j z^(p^j) of p-degree 2*alpha built from f's
+coefficients (``radical_poly``); its GF(p)-dimension is l_m.  L has
+coefficients in GF(p^n), so z -> z^(p^n) maps its 2*alpha-dimensional
+root space V to itself, as a GF(p)-linear map A.  The roots in GF(p^(kn))
+are those fixed by A^k, so
+
+    l_(kn) = dim ker(A^k - I),    s = n * ord(A),
+
+where s, the splitting exponent, is the least multiple of n with
+l_s = 2*alpha, and l_m = l_gcd(m, s) for every other multiple m of n.
+This is the effective way to compute the nullity for all m at once.
+
+A is not built on V.  With R = GF(p^n)[T; sigma] the skew polynomials
+(T a = a^p T, composition of p-polynomials), left multiplication by the
+central T^n on R/RL is GF(p^n)-linear and similar to A over GF(p^n).  For
+n = 1 it is multiplication by x on GF(p)[x]/(ell), where
+ell(x) = sum c_j x^j is the conventional associate of L: then
+l_m = deg gcd(ell, x^m - 1) and s is the order of ell (Lidl and
+Niederreiter, Finite Fields, Thm 3.62 and Sec. 3.1).  For n > 1 the
+action is written over GF(p) as a 2*alpha*n square matrix, n copies of A,
+and its kernels are divided by n.
+
+The order: every eigenvalue of degree k over GF(p) lies in GF(p^k)^*.  The
+degrees come from dim ker(A^(p^k) - A), the count of Jordan blocks whose
+eigenvalue lies in GF(p^k) (a distinct-degree split; for n = 1, gcds with
+x^(p^k) - x).  The semisimple part's order divides lcm(p^k - 1) over those
+degrees and is found prime by prime from the factored p^k - 1; the
+unipotent part adds a factor p^t, found by at most log_p(2*alpha) + 1
+power checks.  The profile's first entry l_n is checked against the
+independent skew-gcd ladder (``nullity_at``).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
+
+import numpy as np
 
 from . import _linalg
-from ._numtheory import divisors
-from .errors import (
-    InternalInconsistency,
-    InvalidInput,
-    NotMultipleOfBase,
-    SearchBudgetExceeded,
-)
+from . import _primepoly as pp
+from ._numtheory import factor_power_minus_one
+from .errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 from .fieldcore import (
     FieldCtx,
     FieldElem,
-    FrobeniusLadder,
+    _rrem_elem,
     build_field_ctx,
     embed_element,
 )
-
-SEARCH_CEILING_FACTOR = 512
 
 
 @dataclass(frozen=True)
@@ -188,30 +210,187 @@ def nullity_at(f: QuadFunc, m: int) -> int:
     return linearized_gcd_deg(f.ctx, list(radical_poly(f).coeffs), m)
 
 
-def splitting_exponent(f: QuadFunc, ceiling_factor: int = SEARCH_CEILING_FACTOR) -> int:
+def splitting_exponent(f: QuadFunc) -> int:
     """Least multiple s of n with l_s = 2*alpha; GF(p^s) is the splitting
     field of the radical polynomial."""
-    return _search(f, ceiling_factor)[0]
+    return _closed_form(f)[0]
 
 
-def _search(f: QuadFunc, ceiling_factor: int) -> tuple[int, dict[int, int]]:
-    target = 2 * f.top_alpha
-    lad = FrobeniusLadder(f.ctx, [c for c in radical_poly(f).coeffs])
-    found: dict[int, int] = {}
-    for i in range(1, ceiling_factor + 1):
-        lad.advance(f.n)
-        m = i * f.n
-        l = lad.kernel_exponent()
-        found[m] = l
-        if l == target:
-            # minimality: no proper divisor (multiple of n) already reached it
-            for d in divisors(m):
-                if d < m and d % f.n == 0 and found.get(d) == target:
-                    raise InternalInconsistency("splitting exponent is not minimal")
-            return m, found
-    raise SearchBudgetExceeded(
-        f"no m <= {ceiling_factor * f.n} reached nullity {target}; raise the ceiling"
-    )
+class _Associate:
+    """GF(p)[x]/(ell) for n = 1, ell = sum c_j x^j the conventional
+    associate of the radical polynomial; x acts as the companion matrix of
+    ell.  Residues are length-2*alpha coefficient arrays."""
+
+    def __init__(self, f: QuadFunc):
+        p = self.p = f.p
+        ell = [c.coeffs[0] for c in radical_poly(f).coeffs]
+        self.dim = len(ell) - 1
+        self.ell = pp.monic(np.array(ell, dtype=pp.exact_dtype(p, self.dim)), p)
+        self.table = pp._reduction_table(self.ell, p)
+        self.one = np.zeros(self.dim, dtype=self.ell.dtype)
+        self.one[0] = 1
+        self.gen = np.roll(self.one, 1)
+
+    def mul(self, a, b):
+        return pp._mulmod(a, b, self.table, self.p)
+
+    def nullity(self, a, b) -> int:
+        """dim ker(a - b) = deg gcd(ell, a - b), by Euclid on Python lists
+        (numpy's per-call cost dominates at these degrees)."""
+        p = self.p
+        u, v = self.ell.tolist(), ((a - b) % p).tolist()
+        while True:
+            while v and not v[-1]:
+                v.pop()
+            if not v:
+                return len(u) - 1
+            dv, inv = len(v) - 1, pow(v[-1], -1, p)
+            for i in range(len(u) - 1, dv - 1, -1):  # u <- u mod v
+                c = u[i] * inv % p
+                if c:
+                    for j in range(dv):
+                        u[i - dv + j] = (u[i - dv + j] - c * v[j]) % p
+            u, v = v, u[:dv]
+
+
+class _CentralAction:
+    """Phi_p for n > 1: left multiplication by T^n on R/RL over GF(p), with
+    R = GF(p^n)[T; sigma] and L the radical polynomial.  T^n is central, so
+    Phi is GF(p^n)-linear, and its block (j, i) is mult_mat of the T^j
+    coefficient of T^(n+i) mod L (right remainder).  Phi_p is similar to n
+    copies of z -> z^(p^n) on the 2*alpha-dimensional root space of L, so
+    its kernels are n times theirs."""
+
+    def __init__(self, f: QuadFunc):
+        ctx, n, p = f.ctx, f.n, f.p
+        L = list(radical_poly(f).coeffs)
+        self.p, self.n, self.dim = p, n, len(L) - 1
+        size = self.dim * n
+        dtype = pp.exact_dtype(p, size)
+        self.one = np.eye(size, dtype=dtype)
+        self.gen = np.zeros((size, size), dtype=dtype)
+        for i in range(self.dim):
+            rem = _rrem_elem(ctx, [ctx.zero()] * (n + i) + [ctx.one()], L)
+            for j, c in enumerate(rem):
+                self.gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
+
+    def mul(self, a, b):
+        return a @ b % self.p
+
+    def nullity(self, a, b) -> int:
+        k = _linalg.kernel_dim((a - b) % self.p, self.p)
+        if k % self.n:
+            raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
+        return k // self.n
+
+
+def _power(act, a, e: int):
+    out = act.one
+    while e:
+        if e & 1:
+            out = act.mul(out, a)
+        e >>= 1
+        if e:
+            a = act.mul(a, a)
+    return out
+
+
+def _is_one(act, a) -> bool:
+    return bool((a == act.one).all())
+
+
+def _eigen_degrees(act) -> tuple[dict[int, int], bool]:
+    """{k: c_k} for the degrees k over GF(p) of the eigenvalues of the
+    action A, with c_k > 0 the number of their Jordan blocks (conjugates
+    counted); and whether A is semisimple.
+
+    dim ker(A^(p^k) - A) = sum over j | k of c_j: A is invertible, and
+    A^(p^k - 1) - I has a one-dimensional kernel on each Jordan block of an
+    eigenvalue in GF(p^k), as p^k - 1 is prime to p.  The walk stops once
+    the dimensions left could not hold an eigenvalue of higher degree."""
+    counts: dict[int, int] = {}
+    y, k = act.gen, 0
+    while act.dim - sum(counts.values()) > k:
+        k += 1
+        y = _power(act, y, act.p)
+        c = act.nullity(y, act.gen) - sum(v for j, v in counts.items() if k % j == 0)
+        if c:
+            counts[k] = c
+    return counts, sum(counts.values()) == act.dim
+
+
+def _order(act) -> dict[int, int]:
+    """Factored multiplicative order of the action A.  With S its
+    semisimple part, ord(A) = ord(S) * p^t.  Every eigenvalue of degree k
+    lies in GF(p^k)^*, so ord(S) divides E = lcm(p^k - 1); B = A^(p^T), with
+    p^T at least the largest Jordan block, has the order of S.  Then t is
+    the least exponent with A^(ord(S) p^t) = I, at most T."""
+    p = act.p
+    degrees, semisimple = _eigen_degrees(act)
+    E: dict[int, int] = {}
+    for k in degrees:
+        for q, v in factor_power_minus_one(p, k):
+            E[q] = max(E.get(q, 0), v)
+    T = 0
+    while not semisimple and p**T < act.dim:
+        T += 1
+    B = _power(act, act.gen, p**T)
+    order = {q: v for q, v in _order_dividing(act, B, sorted(E.items())) if v}
+    if semisimple:  # T = 0: B is A
+        return order
+    z, t = _power(act, act.gen, _expand(order.items())), 0
+    while not _is_one(act, z):
+        if t == T:
+            raise InternalInconsistency("unipotent part outlasts the largest Jordan block")
+        z, t = _power(act, z, p), t + 1
+    if t:
+        order[p] = t  # p^k - 1 is prime to p
+    return order
+
+
+def _order_dividing(act, z, fac: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Factored order of z, whose order divides prod q^v over fac.  The
+    primes are split in halves and each half's order taken of z raised to
+    the other half's part, so the exponents over one level of the recursion
+    add up to about log2 of the product."""
+    if len(fac) > 1:
+        lo, hi = fac[: len(fac) // 2], fac[len(fac) // 2 :]
+        return _order_dividing(act, _power(act, z, _expand(hi)), lo) + _order_dividing(
+            act, _power(act, z, _expand(lo)), hi
+        )
+    out = []
+    for q, v in fac:
+        j = 0
+        while j < v and not _is_one(act, z):
+            z, j = _power(act, z, q), j + 1
+        out.append((q, j))
+    if not _is_one(act, z):
+        raise InternalInconsistency(f"eigenvalue orders do not divide {_expand(fac)}")
+    return out
+
+
+def _expand(fac) -> int:
+    return prod(q**v for q, v in fac)
+
+
+def _closed_form(f: QuadFunc) -> tuple[int, list[tuple[int, int]]]:
+    """(s, [(m, l_m) for every divisor m of s with n | m]) from the order
+    of the action; powers along the divisor lattice, one prime at a time."""
+    n = f.n
+    if f.top_alpha == 0:  # L is a nonzero constant: no radical anywhere
+        return n, [(n, 0)]
+    act = _Associate(f) if n == 1 else _CentralAction(f)
+    order = _order(act)
+    powers = [(1, act.gen)]
+    for q, v in order.items():
+        walk = []
+        for k, y in powers:
+            for i in range(v + 1):
+                walk.append((k * q**i, y))
+                if i < v:
+                    y = _power(act, y, q)
+        powers = walk
+    return n * _expand(order.items()), sorted((n * k, act.nullity(y, act.one)) for k, y in powers)
 
 
 @dataclass(frozen=True)
@@ -249,14 +428,10 @@ class NullityProfile:
 
 @functools.lru_cache(maxsize=512)
 def nullity_profile(f: QuadFunc) -> NullityProfile:
-    s, found = _search(f, SEARCH_CEILING_FACTOR)
-    entries = []
-    for d in divisors(s):
-        if d % f.n == 0:
-            l = found.get(d)
-            if l is None:  # pragma: no cover - search always visits divisors
-                l = nullity_at(f, d)
-            entries.append((d, l))
+    s, entries = _closed_form(f)
+    ladder = nullity_at(f, f.n)
+    if entries[0][1] != ladder:
+        raise InternalInconsistency(f"closed form gives l_{f.n} = {entries[0][1]}, the ladder {ladder}")
     prof = NullityProfile(f, s, tuple(entries))
     if prof.entry_dict[s] != 2 * f.top_alpha:
         raise InternalInconsistency(f"profile ends at l_{s} = {prof.entry_dict[s]}, not 2*alpha")
@@ -265,8 +440,8 @@ def nullity_profile(f: QuadFunc) -> NullityProfile:
 
 def matrix_kernel_nullity(f: QuadFunc, m: int) -> int:
     """Independent nullity backend: kernel dimension of the radical
-    polynomial as a GF(p)-linear map on GF(p^m).  Cross-check only; the gcd
-    backend is authoritative."""
+    polynomial as a GF(p)-linear map on GF(p^m).  Cross-check only; the
+    closed-form profile is authoritative."""
     if m < 1 or m % f.n:
         raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={f.n}")
     ctx_big = build_field_ctx(f.p, m)

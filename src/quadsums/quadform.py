@@ -188,7 +188,7 @@ def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx) -> np.ndarray:
     computed by scalar field arithmetic on the power basis."""
     N = ctx_big.d
     basis = [ctx_big.from_encoding(ctx_big.p**u) for u in range(N)]
-    G = np.zeros((N, N), dtype=np.int64)
+    G = np.zeros((N, N), dtype=exact_dtype(ctx_big.p, 1))
     for c, a in _embedded_terms(f, ctx_big):
         ys = [c * b.frobenius(a) for b in basis]
         for u, bu in enumerate(basis):

@@ -50,6 +50,13 @@ def test_profile_running_example():
     assert "(1,0) (2,0) (13,4) (26,8)" in out
 
 
+def test_profile_past_old_search_ceiling():
+    # s = 6562 lies past the 512 ladder steps the profile once gave up after
+    code, out = run(["profile", "--p", "3", "--coeffs", "1,0,1,2,0,1,0,2,1"])
+    assert code == 0
+    assert "s = 6562" in out
+
+
 def test_profile_json_roundtrip():
     code, out = run(["profile", "--p", "5", "--coeffs", "1,2,3,4,1", "--format", "json"])
     doc = json.loads(out)

@@ -71,6 +71,22 @@ def test_ctx_validation():
         build_field_ctx(3, 1, (1, 1))  # prime field takes no modulus
 
 
+P_PAST_INT64 = 9223372036854775837  # prime, past 2^63, = 5 (mod 8)
+
+
+def test_field_past_int64_builds():
+    # x^2 - 2 is irreducible as 2 is a non-residue mod p = 5 (mod 8); the
+    # coefficient p - 2 does not fit int64
+    p = P_PAST_INT64
+    ctx = build_field_ctx(p, 2, (p - 2, 0, 1))
+    x = ctx.gen()
+    assert x * x == ctx.elem(2)
+    assert x.frobenius(1) == -x and x ** p == -x
+    assert ctx.frob_mat_power(1).tolist() == [[1, 0], [0, p - 1]]
+    assert _default_modulus(p, 2) == (2, 0, 1)  # x^2 + 1 splits as p = 1 (mod 4)
+    assert build_field_ctx(p, 3).modulus[-1] == 1
+
+
 def test_field_arith_examples():
     f5 = build_field_ctx(5, 1)
     assert field_arith(f5, "inv", 2) == f5.elem(3)

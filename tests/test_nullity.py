@@ -12,12 +12,7 @@ from quadsums import (
     splitting_exponent,
 )
 from quadsums import nullity
-from quadsums.errors import (
-    InternalInconsistency,
-    InvalidInput,
-    NotMultipleOfBase,
-    SearchBudgetExceeded,
-)
+from quadsums.errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
 F3_TOWER = QuadFunc.from_dense(3, [1, 2, 2, 2, 1])
@@ -72,9 +67,22 @@ def test_splitting_exponents():
         assert splitting_exponent(QuadFunc.from_dense(p, [1])) == 1
 
 
-def test_search_ceiling():
-    with pytest.raises(SearchBudgetExceeded):
-        splitting_exponent(F5_RUNNING, ceiling_factor=5)
+def test_profile_gf3_alpha8_past_old_ceiling():
+    # s = 6562 = 2 * 17 * 193 lies past the 512*n steps the ladder search
+    # once took before giving up
+    f = QuadFunc.from_dense(3, [1, 0, 1, 2, 0, 1, 0, 2, 1])
+    prof = nullity_profile(f)
+    assert prof.s == 6562
+    assert prof.entry_dict[3281] == 0 and prof.nullity(3281) == 0
+    assert nullity_at(f, 6562) == 16 and nullity_at(f, 3281) == 0
+
+
+def test_profile_large_prime_past_old_ceiling():
+    # x^2 + 3x^(p+1): the associate 3x^2 + 2x + 3 has order (p - 1)/3
+    p = 1000003
+    prof = nullity_profile(QuadFunc.from_dense(p, [1, 3]))
+    assert prof.s == 333334 == (p - 1) // 3
+    assert prof.entries == ((1, 0), (2, 0), (166667, 0), (333334, 2))
 
 
 def test_profile_running_example():
@@ -186,8 +194,70 @@ def test_radical_separability_check_raises(monkeypatch):
 
 
 def test_profile_endpoint_check_raises(monkeypatch):
-    # a search that stops short of nullity 2*alpha; the uncached function
-    # runs, so no corrupted profile enters the cache
-    monkeypatch.setattr(nullity, "_search", lambda f, ceiling: (1, {1: 0}))
+    # a closed form that stops short of nullity 2*alpha; the uncached
+    # function runs, so no corrupted profile enters the cache
+    monkeypatch.setattr(nullity, "_closed_form", lambda f: (2, [(1, 0), (2, 0)]))
     with pytest.raises(InternalInconsistency, match="profile ends"):
         nullity_profile.__wrapped__(F7_SMALL)
+
+
+def test_profile_ladder_cross_check_raises(monkeypatch):
+    # l_n from the closed form must equal the ladder's nullity_at(f, n)
+    monkeypatch.setattr(nullity, "nullity_at", lambda f, m: 1)
+    with pytest.raises(InternalInconsistency, match="the ladder"):
+        nullity_profile.__wrapped__(F7_SMALL)
+
+
+def test_order_check_raises(monkeypatch):
+    # an eigenvalue degree set that misses a factor leaves A^E != I
+    monkeypatch.setattr(nullity, "_eigen_degrees", lambda act: ({1: act.dim}, True))
+    with pytest.raises(InternalInconsistency, match="do not divide"):
+        nullity.splitting_exponent(F5_RUNNING)
+
+
+# Bases GF(3), GF(5), GF(7), GF(9), GF(25) and GF(27), alpha <= 4: the
+# closed form against the skew-gcd ladder at every m = kn <= 64 and against
+# the matrix kernel where p^m <= 3^12.
+CLOSED_FORM_BASES = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3))
+
+
+def _random_func(rng, p, n, alpha):
+    ctx = build_field_ctx(p, n)
+    coeffs = [ctx.elem([rng.randrange(p) for _ in range(n)]) for _ in range(alpha + 1)]
+    while coeffs[-1].is_zero():
+        coeffs[-1] = ctx.elem([rng.randrange(p) for _ in range(n)])
+    return QuadFunc.from_terms(ctx, [(c, j) for j, c in enumerate(coeffs)])
+
+
+@pytest.mark.parametrize("p,n", CLOSED_FORM_BASES)
+def test_closed_form_matches_ladder_and_kernel(rng, p, n):
+    for alpha in range(5):
+        for _ in range(3 if n == 1 else 2):
+            f = _random_func(rng, p, n, alpha)
+            prof = nullity_profile.__wrapped__(f)
+            assert prof.s % n == 0 and prof.entry_dict[prof.s] == 2 * alpha
+            for m in range(n, 65, n):
+                assert prof.nullity(m) == nullity_at(f, m), (f, m)
+                if p**m <= 3**12:
+                    assert prof.nullity(m) == matrix_kernel_nullity(f, m), (f, m)
+
+
+def test_closed_form_on_special_actions():
+    # x^2 + x^(p+1) over GF(3): the associate 1 + 2x + x^2 = (x + 1)^2 is
+    # one Jordan block of eigenvalue -1, so s = 2 * 3 and l_2 = 1
+    f = QuadFunc.from_dense(3, [1, 1])
+    assert nullity_profile.__wrapped__(f).entries == ((1, 0), (2, 1), (3, 0), (6, 2))
+    ctx = build_field_ctx(3, 2)
+    # over GF(9), x^(p+1) has L = 2(z^(p^2) + z): z -> z^9 is -I on its
+    # kernel, which a gcd with the char poly (x + 1)^2 would miss at m = 4
+    g = QuadFunc.from_terms(ctx, [(ctx.elem(1), 1)])
+    assert nullity_profile.__wrapped__(g).entries == ((2, 0), (4, 2))
+    # (0,1) x^(p+1) with (0,1)^2 = -1: L kills GF(9), the action is I
+    h = QuadFunc.from_terms(ctx, [(ctx.gen(), 1)])
+    assert nullity_profile.__wrapped__(h).entries == ((2, 2),)
+    # x^2 + x^(p+1) over GF(9): a Jordan block again, s = 2 * 3
+    k = QuadFunc.from_terms(ctx, [(ctx.elem(1), 0), (ctx.elem(1), 1)])
+    assert nullity_profile.__wrapped__(k).entries == ((2, 1), (6, 2))
+    for func in (g, h, k):
+        for m in range(2, 25, 2):
+            assert nullity_profile.__wrapped__(func).nullity(m) == nullity_at(func, m)

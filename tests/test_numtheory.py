@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadsums._numtheory import (
     divisors,
     euler_phi,
     factor,
+    factor_power_minus_one,
     is_prime,
     multiplicative_order,
     prime_divisors,
@@ -49,3 +52,30 @@ def test_multiplicative_order_against_powers():
             while pow(base, k, modulus) != 1:
                 k += 1
             assert multiplicative_order(base, modulus) == k
+
+
+def test_factor_known_large():
+    assert factor(2**64 + 1) == {274177: 1, 67280421310721: 1}
+    assert factor(7**17 - 1) == {2: 1, 3: 1, 14009: 1, 2767631689: 1}
+    assert factor(3**16 - 1) == {2: 6, 5: 1, 17: 1, 41: 1, 193: 1}
+    assert factor((2**61 - 1) ** 2) == {2**61 - 1: 2}
+    assert factor(1009**3 * 4294967311**2) == {1009: 3, 4294967311: 2}
+    assert factor((1009 * 1013) ** 3) == {1009: 3, 1013: 3}
+    assert factor(1) == {}
+    with pytest.raises(InvalidInput):
+        factor(0)
+
+
+@pytest.mark.parametrize("p,k", [(3, 16), (7, 17), (2**61 - 1, 4), (4294967311, 4), (3, 81)])
+def test_factor_power_minus_one(p, k):
+    fac = dict(factor_power_minus_one(p, k))
+    assert math.prod(q**e for q, e in fac.items()) == p**k - 1
+    assert all(is_prime(q) for q in fac) and list(fac) == sorted(fac)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2**64))
+def test_factor_product_and_primality(n):
+    fac = factor(n)
+    assert math.prod(q**e for q, e in fac.items()) == n
+    assert all(is_prime(q) for q in fac) and list(fac) == sorted(fac)

@@ -168,6 +168,7 @@ def test_type_direct_cross_check_against_gcd(rng):
 
 
 LARGE_PRIMES = (2**31 - 1, 4294967311, 2**61 - 1)
+P_PAST_INT64 = 9223372036854775837
 
 
 def _symmetrized_oracle(f, ctx):
@@ -190,6 +191,16 @@ def test_gram_matrix_matches_bilinear_oracle(rng):
             N = rng.randint(1, 3)
             ctx = build_field_ctx(p, N)
             assert gram_matrix(f, N).tolist() == _symmetrized_oracle(f, ctx), (p, f, N)
+
+
+def test_gram_matrix_matches_bilinear_oracle_past_int64(rng):
+    # p >= 2^63: the oracle's G and the context's modulus are Python ints
+    p = P_PAST_INT64
+    for N, modulus in ((1, None), (2, (p - 2, 0, 1)), (3, None)):
+        ctx = build_field_ctx(p, N, modulus)
+        for _ in range(2):
+            f = random_quadfunc(rng, p)
+            assert gram_matrix(f, N, ctx).tolist() == _symmetrized_oracle(f, ctx), (f, N)
 
 
 def test_type_direct_exact_at_large_prime():

@@ -5,7 +5,7 @@ an extension degree, and a monic irreducible modulus.  Moduli are chosen
 deterministically, so everything below prints the same on every run.
 """
 
-from quadsums import build_field_ctx, embed_element, embedding_roots, frobenius, trace_to_prime
+from quadsums import build_field_ctx, embed_element, embedding_roots
 
 # The default modulus is the irreducible with the smallest integer encoding.
 f9 = build_field_ctx(3, 2)
@@ -19,11 +19,11 @@ print("\nr * r =", r * r, " (= -1 mod 3)")
 print("r^(-1) =", r.inverse())
 
 # Frobenius is the p-power map; applying it d times is the identity.
-print("\nFrobenius orbit of r:", [str(frobenius(r, j)) for j in range(3)])
+print("\nFrobenius orbit of r:", [str(r.frobenius(j)) for j in range(3)])
 
 # The trace sums the Frobenius conjugates down to GF(p).
-print("trace of r:", trace_to_prime(r), " (r + r^3 = r - r = 0)")
-print("trace of 1 in GF(81):", trace_to_prime(f81.one()), " (4 * 1 mod 3)")
+print("trace of r:", r.trace(), " (r + r^3 = r - r = 0)")
+print("trace of 1 in GF(81):", f81.one().trace(), " (4 * 1 mod 3)")
 
 # GF(9) embeds in GF(81) by sending r to a root of x^2 + 1 there; the
 # smallest-encoding root is used so the embedding is canonical.
@@ -35,6 +35,6 @@ print("image of r:", img, " squares to", img * img)
 # Embeddings are ring homomorphisms; traces scale by the relative degree,
 # here [GF(81) : GF(9)] = 2.
 x = f9.from_encoding(7)
-t9 = trace_to_prime(x)
-t81 = trace_to_prime(embed_element(f9, f81, x))
+t9 = x.trace()
+t81 = embed_element(f9, f81, x).trace()
 print(f"\nTr_9(x) = {t9};  Tr_81(embed(x)) = {t81}  (= 2 * {t9} mod 3)")

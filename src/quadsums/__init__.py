@@ -23,7 +23,6 @@ from ._numtheory import multiplicative_order
 from .cyclotomic import (
     CyclotomicInt,
     ExpSumValue,
-    cyc_arith,
     cyc_from_trace_counts,
     expsum_to_cyclotomic,
     gauss_cyclotomic,
@@ -36,11 +35,7 @@ from .fieldcore import (
     build_field_ctx,
     embed_element,
     embedding_roots,
-    field_arith,
-    frobenius,
     linearized_gcd_deg,
-    poly_gcd_deg,
-    trace_to_prime,
 )
 from .lifts import (
     ShiftedSum,
@@ -108,7 +103,6 @@ __all__ = [
     "brute_force_sum",
     "brute_force_sum_shifted",
     "build_field_ctx",
-    "cyc_arith",
     "cyc_from_trace_counts",
     "diagonalize",
     "diff_reference",
@@ -117,8 +111,6 @@ __all__ = [
     "enumerate_functions",
     "evaluate",
     "expsum_to_cyclotomic",
-    "field_arith",
-    "frobenius",
     "gauss_cyclotomic",
     "gcd_plus_minus",
     "gcd_plus_plus",
@@ -136,13 +128,11 @@ __all__ = [
     "nullity_at",
     "nullity_profile",
     "plan",
-    "poly_gcd_deg",
     "radical_poly",
     "reference_path",
     "shift_linear",
     "smallest_nonsquare",
     "splitting_exponent",
-    "trace_to_prime",
     "twist",
     "twist_with",
     "type_balanced",

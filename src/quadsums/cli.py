@@ -1,8 +1,19 @@
 """Command-line surface.
 
-Subcommands: eval, profile, table, verify, shift, monomial.  Exit codes:
-0 success, 1 invalid input, 2 unsupported by the implemented formulas,
-3 internal inconsistency (always a bug).
+Subcommands: eval, profile, table, verify, shift, monomial.  Exit codes,
+with the QuadsumsError subclasses that give each:
+
+  0  success
+  1  invalid input: InvalidInput and its subclasses NotPrime, NotOdd,
+     ModulusReducible, ZeroPolynomial, MixedPrimes, NotSymmetric,
+     NotMultipleOfBase, ZeroCoefficient, MalformedReference; also
+     DivisionByZero and any other ValueError
+  2  unsupported, a limit rather than an input error: Unsupported,
+     TooLarge, SearchBudgetExceeded
+  3  internal inconsistency, always a bug: InternalInconsistency,
+     NoRootFound, ParityViolation, ConditionViolated, NotApplicable,
+     DivisibilityViolated; also a verify mismatch, or a table that differs
+     from its reference
 
 Coefficients are dense by default (--coeffs a0,a1,...,ak meaning exponents
 0..k); --alphas switches to sparse input where the i-th coefficient pairs
@@ -297,10 +308,11 @@ def main(argv=None, out=None) -> int:
         if getattr(args, "format", None) == "csv" and args.command in ("eval", "verify", "shift"):
             raise errors.InvalidInput("csv output is only available for table and profile")
         return _COMMANDS[args.command](args, out)
-    except errors.Unsupported as exc:
+    except (errors.Unsupported, errors.TooLarge, errors.SearchBudgetExceeded) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (errors.InternalInconsistency, errors.ParityViolation, errors.DivisibilityViolated) as exc:
+    except (errors.InternalInconsistency, errors.NoRootFound, errors.ParityViolation,
+            errors.ConditionViolated, errors.NotApplicable, errors.DivisibilityViolated) as exc:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (errors.QuadsumsError, ValueError) as exc:

@@ -150,19 +150,6 @@ class CyclotomicInt:
         return f"CyclotomicInt(p={self.p}, {list(self.coords)})"
 
 
-def cyc_arith(a: CyclotomicInt, b, op: str):
-    """Dispatcher: op in {add, mul, conj, eq}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "conj":
-        return a.conj()
-    if op == "eq":
-        return a == b
-    raise InvalidInput(f"unknown op {op!r}")
-
-
 def cyc_from_trace_counts(p: int, counts) -> CyclotomicInt:
     """sum(counts[i] * zeta^i) reduced to the power basis."""
     counts = list(counts)
@@ -227,6 +214,3 @@ class ExpSumValue:
     def complex_value(self) -> complex:
         gauss = 1j ** (((self.p - 1) ** 2 // 4) % 4) * self.p**0.5
         return self.t * gauss ** (self.N - self.l) * self.p**self.l
-
-    def with_provenance(self, provenance) -> "ExpSumValue":
-        return ExpSumValue(self.p, self.N, self.l, self.t, tuple(provenance))

@@ -93,9 +93,5 @@ class InternalInconsistency(QuadsumsError):
     """Two routes that must agree did not; always a bug."""
 
 
-class NonPPowerDegree(InternalInconsistency):
-    """gcd degree was not a power of p; signals a corrupted computation."""
-
-
 class MalformedReference(InvalidInput):
     pass

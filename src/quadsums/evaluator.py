@@ -7,6 +7,11 @@ diagonalization at a small base and composes lift steps (p-power, then one
 two-power stage, then odd primes in increasing order).  Odd primes are
 ordered purely so provenance is reproducible; results are order
 independent.
+
+Every nullity comes from the one closed-form profile of f.  The
+diagonalizations at the direct base and of the twist are checked against
+it: l_base(f) = profile.nullity(base), and l_N(f~) = l_2N(f) - l_N(f) for
+the twist at base N (proved in :func:`quadsums.lifts.twist`).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class EvalPlan:
     steps: tuple[tuple, ...]
 
 
-def plan(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> EvalPlan:
+def plan(f: QuadFunc, m: int) -> EvalPlan:
     """Deterministic evaluation strategy for S(f, m*n)."""
     if m < 1:
         raise InvalidInput("m must be >= 1")
@@ -55,10 +60,10 @@ def plan(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> EvalPlan:
     vals = {valuation(a, 2) for a in f.alphas}
     if len(vals) == 1 and vals != {inf} and valuation(N, 2) > next(iter(vals)):
         return EvalPlan(f, m, N, (("balanced",),))
-    return _composition_plan(f, m, direct_limit)
+    return _composition_plan(f, m)
 
 
-def _composition_plan(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> EvalPlan:
+def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
     p = f.p
     fac = _factor(m)
     a = fac.pop(2, 0)
@@ -70,18 +75,18 @@ def _composition_plan(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> 
         steps.append(("p_power_lift", c))
     else:
         base = f.n * p**c
-        if base > direct_limit:
+        if base > DIRECT_LIMIT:
             raise Unsupported(
                 "p_power_base_too_large",
-                f"no p-power lift applies and direct work at degree {base} exceeds {direct_limit}",
+                f"no p-power lift applies and direct work at degree {base} exceeds {DIRECT_LIMIT}",
             )
         steps.append(("direct", base))
     if a:
         twist_base = f.n * p**c
-        if twist_base > direct_limit:
+        if twist_base > DIRECT_LIMIT:
             raise Unsupported(
                 "twist_base_too_large",
-                f"two-power lift needs the twist type at degree {twist_base} > {direct_limit}",
+                f"two-power lift needs the twist type at degree {twist_base} > {DIRECT_LIMIT}",
             )
         steps.append(("two_power_lift", a))
     for q in sorted(fac):
@@ -98,6 +103,9 @@ def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState
         if kind == "direct":
             base = step[1]
             t, l = type_direct(f, base // f.n)
+            l_profile = profile.nullity(base)
+            if l != l_profile:
+                raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
             state = TypeState(p, base, l, t, f)
             prov.append({"step": "direct_diagonalization", "N": base, "t": t, "l": l})
         elif kind == "p_power_lift":
@@ -109,6 +117,11 @@ def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState
             ctx_base = f.ctx if state.N == f.n else build_field_ctx(p, state.N)
             ft = twist(f, ctx_base)
             tt, lt_diag = type_direct(ft, 1)
+            lt_profile = profile.nullity(2 * state.N) - profile.nullity(state.N)
+            if lt_diag != lt_profile:
+                raise InternalInconsistency(
+                    f"twist diagonalization nullity {lt_diag} != l_2N - l_N = {lt_profile} at N={state.N}"
+                )
             st_tilde = TypeState(p, state.N, lt_diag, tt, ft)
             l_target = profile.nullity(2**a * state.N)
             state = lift_two(state, st_tilde, a, l_target)
@@ -131,9 +144,9 @@ def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState
     return state, prov
 
 
-def evaluate(f: QuadFunc, m: int, direct_limit: int = DIRECT_LIMIT) -> ExpSumValue:
+def evaluate(f: QuadFunc, m: int) -> ExpSumValue:
     """Exact S(f, m*n) as t * g_p^(N-l) * p^l with full provenance."""
-    pln = plan(f, m, direct_limit)
+    pln = plan(f, m)
     profile = nullity_profile(f)
     N = pln.N
     l = profile.nullity(N)

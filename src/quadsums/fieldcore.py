@@ -36,14 +36,12 @@ d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``) beyond that
 enumeration is, under its own enforced bound.
 
 The module also houses the skew-gcd ladder behind ``nullity_at``, the
-single-degree nullity that checks the closed-form profile and
-``type_direct``: ``poly_gcd_deg(f, m)`` returns deg gcd(f, x^(p^m) - x)
-without ever materialising the second argument.  x^(p^m) mod f is obtained by m rounds
-of p-th powering and reduction mod f; when f is a separable p-polynomial
-(the only production caller), remainders of p-polynomials by p-polynomials
-are again p-polynomials, so the whole remainder sequence is carried in the
-sparse coefficient-per-p-power form and each round costs O(deg_p f) field
-operations instead of O(deg f).
+single-degree nullity that checks the first entry l_n of every closed-form
+profile: ``linearized_gcd_deg`` returns log_p deg gcd(L, x^(p^m) - x) for a
+p-polynomial L without materialising x^(p^m).  Remainders of p-polynomials
+by p-polynomials are again p-polynomials, so x^(p^m) mod L is carried in
+the sparse coefficient-per-p-power form, and each of the m rounds of p-th
+powering costs O(deg_p L) field operations instead of O(deg L).
 """
 
 from __future__ import annotations
@@ -169,9 +167,6 @@ class FieldCtx:
     def elements(self) -> Iterable["FieldElem"]:
         for code in range(self.order):
             yield self.from_encoding(code)
-
-    def format_elem(self, x: "FieldElem") -> str:
-        return ",".join(str(c) for c in x.coeffs)
 
     def parse_elem(self, text: str) -> "FieldElem":
         return self.elem([int(t) for t in text.split(",")])
@@ -447,35 +442,6 @@ class FieldElem:
         return f"FieldElem([{self}], GF({self.ctx.p}^{self.ctx.d}))"
 
 
-def field_arith(ctx: FieldCtx, op: str, *operands) -> FieldElem:
-    """Dispatcher over the basic field operations; operands may be ints."""
-    arity = {"add": 2, "sub": 2, "mul": 2, "inv": 1, "pow": 2}.get(op)
-    if arity is None:
-        raise InvalidInput(f"unknown op {op!r}")
-    if len(operands) != arity:
-        raise InvalidInput(f"{op} takes {arity} operand(s)")
-    n_elems = 1 if op in ("inv", "pow") else 2
-    xs = [ctx.elem(o) for o in operands[:n_elems]]
-    if op == "add":
-        return xs[0] + xs[1]
-    if op == "sub":
-        return xs[0] - xs[1]
-    if op == "mul":
-        return xs[0] * xs[1]
-    if op == "inv":
-        return xs[0].inverse()
-    return xs[0] ** int(operands[1])
-
-
-def frobenius(x: FieldElem, j: int) -> FieldElem:
-    return x.frobenius(j)
-
-
-def trace_to_prime(x: FieldElem) -> int:
-    """Trace down to GF(p) as an integer residue."""
-    return x.trace()
-
-
 # -- embeddings ---------------------------------------------------------------
 
 
@@ -573,10 +539,6 @@ class Poly:
     def from_ints(cls, ctx: FieldCtx, ints: Sequence[int]) -> "Poly":
         return cls(ctx, [ctx.elem(int(c)) for c in ints])
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.zero(), ctx.one()))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -623,7 +585,8 @@ class Poly:
             return Poly(self.ctx, ()), self
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = other.coeffs[-1].inverse()
+        lead = other.coeffs[-1]
+        inv_lead = lead if lead == self.ctx.one() else lead.inverse()
         q = [self.ctx.zero()] * (len(rem) - db)
         for i in range(len(rem) - db - 1, -1, -1):
             c = rem[i + db] * inv_lead
@@ -666,29 +629,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def linearized_coeffs(self) -> list[FieldElem] | None:
-        """Coefficients by p-power exponent when this polynomial is additive
-        (support inside {1, p, p^2, ...}); None otherwise."""
-        if self.is_zero:
-            return None
-        p = self.ctx.p
-        out: list[FieldElem] = []
-        exps = {}
-        e, j = 1, 0
-        while e <= self.degree:
-            exps[e] = j
-            e *= p
-            j += 1
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if i not in exps:
-                return None
-            while len(out) <= exps[i]:
-                out.append(self.ctx.zero())
-            out[exps[i]] = c
-        return out
 
     def __repr__(self):
         if self.is_zero:
@@ -744,10 +684,6 @@ class FrobeniusLadder:
             h = [self.ctx.zero()] + [c.frobenius(1) for c in self.h]
             self.h = _rrem_elem(self.ctx, h, self.f)
         self.height += 1
-
-    def advance(self, k: int):
-        for _ in range(k):
-            self.step()
 
     def kernel_exponent(self) -> int:
         """Skew degree of gcd(f, x^(p^height) - x); the commutative gcd degree
@@ -812,28 +748,6 @@ def linearized_gcd_deg(ctx: FieldCtx, coeffs: Sequence, m: int) -> int:
     if m < 1:
         raise InvalidInput("m must be >= 1")
     ladder = FrobeniusLadder(ctx, coeffs)
-    ladder.advance(m)
+    for _ in range(m):
+        ladder.step()
     return ladder.kernel_exponent()
-
-
-def poly_gcd_deg(f, m: int) -> int:
-    """deg gcd(f, x^(p^m) - x), computed from x^(p^m) mod f (m rounds of
-    p-th powering with reduction mod f).
-
-    Accepts a dense :class:`Poly`, or any object with `.ctx` and `.coeffs`
-    holding coefficients indexed by p-power exponent (a p-polynomial).
-    Dense inputs whose support is additive take the sparse route.
-    """
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
-    if isinstance(f, Poly):
-        if f.is_zero:
-            raise ZeroPolynomial("gcd degree of the zero polynomial")
-        lin = f.linearized_coeffs()
-        if lin is not None:
-            return f.ctx.p ** linearized_gcd_deg(f.ctx, lin, m)
-        x = h = Poly.x(f.ctx)
-        for _ in range(m):
-            h = h.powmod(f.ctx.p, f)
-        return f.gcd(h - x).degree
-    return f.ctx.p ** linearized_gcd_deg(f.ctx, list(f.coeffs), m)

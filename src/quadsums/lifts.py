@@ -123,7 +123,20 @@ def lift_odd_prime(state: TypeState, q: int, s: int, l_target: int) -> TypeState
 def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
     """Companion function for the two-power lift: coefficients scaled by
     beta^((p^alpha_i + 1)/2) for the smallest-encoding nonsquare beta of the
-    base field (or of ctx_base when lifting from a larger base)."""
+    base field (or of ctx_base when lifting from a larger base).
+
+    Nullity of the twist: with N the degree of the base, l_N(f~) =
+    l_2N(f) - l_N(f).  Proof: take gamma in GF(p^2N) with gamma^2 = beta.
+    Then gamma^(p^alpha + 1) = beta^((p^alpha + 1)/2), so f~(x) = f(gamma x).
+    As beta is a nonsquare, sigma: z -> z^(p^N) sends gamma to -gamma, and
+    GF(p^2N) = GF(p^N) + gamma GF(p^N), the +1 and -1 eigenspaces of sigma.
+    The polar form of Tr_2N(f) takes z in GF(p^N) and w = gamma y to
+    Tr_2N(u) with u = sum a_i (z^(p^alpha_i) w + z w^(p^alpha_i)); the a_i lie
+    in GF(p^N), so sigma(u) = -u and Tr_2N(u) = Tr_N(u + sigma(u)) = 0.  The
+    two summands are orthogonal, so sigma splits the radical over GF(p^2N)
+    into its parts in GF(p^N) and in gamma GF(p^N).  On GF(p^N), Tr_2N(f)
+    is 2 Tr_N(f); on gamma GF(p^N), x -> gamma x carries 2 Tr_N(f~) to it.
+    Scaling by 2 keeps the radical, so l_2N(f) = l_N(f) + l_N(f~)."""
     ctx = ctx_base or f.ctx
     if ctx.p != f.p or ctx.d % f.n:
         raise InvalidInput("twist base must contain the coefficient field")

@@ -51,6 +51,7 @@ from .fieldcore import (
     _rrem_elem,
     build_field_ctx,
     embed_element,
+    linearized_gcd_deg,
 )
 
 
@@ -205,8 +206,6 @@ def nullity_at(f: QuadFunc, m: int) -> int:
     """l_m(f) = dim of the radical of Tr_m(f) over GF(p); requires n | m."""
     if m < 1 or m % f.n:
         raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={f.n}")
-    from .fieldcore import linearized_gcd_deg
-
     return linearized_gcd_deg(f.ctx, list(radical_poly(f).coeffs), m)
 
 

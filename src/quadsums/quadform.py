@@ -10,7 +10,9 @@ and B = (G + G^T)/2: three matrix products per term, reduced mod p after
 every sum and product, in the context's exact dtype (int64, or Python ints
 for large p; see :mod:`quadsums.fieldcore`), so B is exact for every p.
 Diagonalization is symmetric congruence reduction mod p, in
-``exact_dtype(p, 1)`` since it multiplies two residues at a time.
+``exact_dtype(p, 1)`` since it multiplies two residues at a time.  No
+nullity backend is called here: the evaluator checks the diagonalization's
+nullity against the closed-form profile (:mod:`quadsums.nullity`).
 
 The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
@@ -39,7 +41,7 @@ from ._primepoly import exact_dtype
 from .cyclotomic import CyclotomicInt, cyc_from_trace_counts
 from .errors import InternalInconsistency, InvalidInput, NotSymmetric, TooLarge
 from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element
-from .nullity import QuadFunc, nullity_at
+from .nullity import QuadFunc
 
 DEFAULT_CAP = 20_000_000
 _CHUNK = 1 << 17
@@ -169,14 +171,10 @@ def diagonalize(B: np.ndarray, p: int) -> QuadFormDiag:
 
 
 def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, int]:
-    """(type, nullity) of Tr_{mn}(f) by Gram-matrix diagonalization; the
-    nullity is cross-checked against the gcd backend."""
+    """(type, nullity) of Tr_{mn}(f) by Gram-matrix diagonalization.  The
+    nullity is the diagonalization's own; the caller checks it against the
+    closed-form profile."""
     dg = diagonalize(gram_matrix(f, m, ctx), f.p)
-    l_gcd = nullity_at(f, m * f.n)
-    if dg.nullity != l_gcd:
-        raise InternalInconsistency(
-            f"diagonalization nullity {dg.nullity} != gcd nullity {l_gcd} at N={m * f.n}"
-        )
     return dg.type_, dg.nullity
 
 

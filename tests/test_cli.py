@@ -1,7 +1,14 @@
 import io
 import json
+import re
+from pathlib import Path
 
+import pytest
+
+from quadsums import cli, errors
 from quadsums.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -83,8 +90,15 @@ def test_verify_text_and_exit():
 
 
 def test_verify_cap_too_small():
+    # a budget limit, not an input error
     code, _ = run(["verify", "--p", "3", "--coeffs", "1,1", "--m", "10", "--cap", "100"])
-    assert code == 1
+    assert code == 2
+
+
+def test_verify_past_default_cap_is_unsupported(capsys):
+    code, _ = run(["verify", "--p", "3", "--coeffs", "1,1", "--m", "20"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("unsupported:")
 
 
 def test_shift_phase_and_zero():
@@ -135,3 +149,38 @@ def test_table_diff_failure_exit_code(tmp_path):
     code, out = run(["table", "--p", "3", "--alpha-max", "1", "--diff", str(ref)])
     assert code == 3
     assert "1 diffs" in out
+
+
+def _documented_exit_codes(text: str) -> dict[str, list[int]]:
+    """{word: [codes]} from an exit-code list: each entry starts with its
+    code ("  1  ..." in the docstring, "  - `1` ..." in the README) and runs
+    to the next entry or blank line."""
+    found: dict[str, list[int]] = {}
+    for m in re.finditer(r"^ +(?:- `)?([0-3])`? +(.*?)(?=^ +(?:- `)?[0-3]`? |^\s*$|\Z)", text, re.M | re.S):
+        for word in set(re.findall(r"\w+", m.group(2))):
+            found.setdefault(word, []).append(int(m.group(1)))
+    return found
+
+
+def _error_classes(cls=errors.QuadsumsError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("source", ["cli docstring", "README"])
+def test_every_error_class_has_its_documented_exit_code(source, monkeypatch):
+    text = cli.__doc__ if source == "cli docstring" else README.read_text()
+    table = _documented_exit_codes(text)
+    classes = sorted(set(_error_classes()), key=lambda c: c.__name__)
+    assert len(classes) > 15
+    for exc_cls in classes:
+        codes = table.get(exc_cls.__name__)
+        assert codes is not None and len(codes) == 1, f"{exc_cls.__name__} has no single exit code in the {source}"
+
+        def raise_it(args, out, exc_cls=exc_cls):
+            raise exc_cls("forced")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", raise_it)
+        code, _ = run(["eval", "--p", "3", "--coeffs", "1", "--m", "1"])
+        assert code == codes[0], exc_cls.__name__

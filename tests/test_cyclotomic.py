@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from quadsums import (
     CyclotomicInt,
     ExpSumValue,
-    cyc_arith,
     cyc_from_trace_counts,
     expsum_to_cyclotomic,
     gauss_cyclotomic,
@@ -35,10 +34,10 @@ def test_gauss_square_identity(p):
 def test_arith_examples():
     g3 = gauss_cyclotomic(3)
     assert (g3 * CyclotomicInt.zero(3)).is_zero()
-    assert cyc_arith(g3, g3, "mul").coords == (-3, 0)
+    assert (g3 * g3).coords == (-3, 0)
     g5 = gauss_cyclotomic(5)
-    assert cyc_arith(g5.conj(), g5, "mul") == 5
-    assert cyc_arith(g5, g5, "eq") is True
+    assert g5.conj() * g5 == 5
+    assert (g5 == g5) is True
     with pytest.raises(MixedPrimes):
         g3 + g5
 

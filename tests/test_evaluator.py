@@ -144,3 +144,28 @@ def test_evaluate_commutes_with_odd_lift_order(rng):
         for q in reversed(qs):
             st = lift_odd_prime(st, q, 1, prof.nullity(st.N * q))
         assert (st.t, st.l) == (v.t, v.l)
+
+
+def test_direct_nullity_check_raises(monkeypatch):
+    from quadsums import evaluator
+    from quadsums.errors import InternalInconsistency
+
+    real = evaluator.type_direct
+    monkeypatch.setattr(evaluator, "type_direct", lambda g, m: (real(g, m)[0], real(g, m)[1] + 1))
+    with pytest.raises(InternalInconsistency, match="diagonalization nullity 1 != profile nullity 0 at N=1"):
+        evaluate(F5_RUNNING, 13)
+
+
+def test_twist_nullity_check_raises(monkeypatch):
+    from quadsums import evaluator
+    from quadsums.errors import InternalInconsistency
+
+    real = evaluator.type_direct
+
+    def corrupt_twist(g, m):
+        t, l = real(g, m)
+        return (t, l) if g is F5_RUNNING else (t, l + 1)
+
+    monkeypatch.setattr(evaluator, "type_direct", corrupt_twist)
+    with pytest.raises(InternalInconsistency, match="twist diagonalization nullity 1 != l_2N - l_N = 0 at N=1"):
+        evaluate(F5_RUNNING, 2)

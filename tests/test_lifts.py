@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from quadsums import (
     lift_p,
     lift_p_value,
     lift_two,
+    matrix_kernel_nullity,
     monomial_eval,
     multiplicative_order,
     nullity_at,
@@ -182,6 +184,37 @@ def test_lift_two_beta_independence(rng):
             st = lift_two(TypeState(p, 1, l1, t1), TypeState(p, 1, lt, tt), 2, prof.nullity(4))
             results.add(st.t)
         assert len(results) == 1
+
+
+def _twist_cases():
+    """Every f with alpha <= 2 and top coefficient 1 over GF(3), GF(5) and
+    GF(7), and every f with alpha <= 1 over GF(9)."""
+    for p in (3, 5, 7):
+        for alpha in range(3):
+            for low in itertools.product(range(p), repeat=alpha):
+                yield QuadFunc.from_dense(p, list(low) + [1])
+    ctx = build_field_ctx(3, 2)
+    for top in range(1, 9):
+        yield QuadFunc.from_terms(ctx, [(ctx.from_encoding(top), 0)])
+        for c0 in range(9):
+            yield QuadFunc.from_terms(ctx, [(ctx.from_encoding(c0), 0), (ctx.from_encoding(top), 1)])
+
+
+def test_twist_nullity_is_l2N_minus_lN():
+    # l_N(f~) = l_2N(f) - l_N(f), at N in {n, 2n, 3n} with p^(2N) <= 3^12
+    checked = 0
+    for f in _twist_cases():
+        prof = nullity_profile(f)
+        for k in (1, 2, 3):
+            N = k * f.n
+            if f.p ** (2 * N) > 3**12:
+                continue
+            ft = twist(f, f.ctx if k == 1 else build_field_ctx(f.p, N))
+            l_twist = type_direct(ft, 1)[1]
+            assert l_twist == prof.nullity(2 * N) - prof.nullity(N), (f, N)
+            assert l_twist == matrix_kernel_nullity(ft, N), (f, N)
+            checked += 1
+    assert checked == 3 * (13 + 31 + 57 + 80)
 
 
 def test_lift_two_parity_guard():

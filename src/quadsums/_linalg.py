@@ -1,4 +1,5 @@
-"""Gaussian elimination mod p on numpy matrices of residues.
+"""Gaussian elimination mod p on numpy matrices of residues: the one
+elimination over GF(p), behind kernels, solutions and determinants.
 
 Each elimination step forms products of two residues, so the matrices are
 int64 while (p-1)^2 < 2^63 and Python ints (``dtype=object``) beyond that
@@ -11,11 +12,14 @@ import numpy as np
 from ._primepoly import exact_dtype
 
 
-def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot columns)."""
+def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """(R, pivot columns, scale): R is the reduced row echelon form of A
+    mod p, and scale the product of the pivots, negated once per row swap.
+    Row additions keep the determinant, so det A = scale * det R."""
     R = np.array(A, dtype=exact_dtype(p, 1)) % p
     rows, cols = R.shape
     pivots: list[int] = []
+    scale = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -26,6 +30,8 @@ def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
+            scale = -scale
+        scale = scale * int(R[r, c]) % p
         R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
         mask = np.nonzero(R[:, c])[0]
         mask = mask[mask != r]
@@ -33,15 +39,18 @@ def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             R[mask] = (R[mask] - np.outer(R[mask, c], R[r])) % p
         pivots.append(c)
         r += 1
-    return R, pivots
+    return R, pivots, scale
 
 
-def rank(A: np.ndarray, p: int) -> int:
-    return len(row_echelon(A, p)[1])
+def det(A: np.ndarray, p: int) -> int:
+    """Determinant mod p of a square matrix (1 for the empty one): R is the
+    identity when A is nonsingular, else A has fewer pivots than rows."""
+    _, pivots, scale = row_echelon(A, p)
+    return scale if len(pivots) == len(A) else 0
 
 
 def kernel_dim(A: np.ndarray, p: int) -> int:
-    return A.shape[1] - rank(A, p)
+    return A.shape[1] - len(row_echelon(A, p)[1])
 
 
 def solve(A: np.ndarray, b, p: int) -> np.ndarray | None:
@@ -51,7 +60,7 @@ def solve(A: np.ndarray, b, p: int) -> np.ndarray | None:
     aug = np.zeros((rows, cols + 1), dtype=exact_dtype(p, 1))
     aug[:, :cols] = A
     aug[:, cols] = b
-    R, pivots = row_echelon(aug, p)
+    R, pivots, _ = row_echelon(aug, p)
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=R.dtype)

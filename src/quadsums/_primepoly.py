@@ -1,9 +1,11 @@
-"""Dense polynomial arithmetic over GF(p), numpy coefficient arrays.
+"""Polynomials over GF(p), coefficients ascending (constant term first).
 
-Coefficient order is ascending (constant term first).  The zero polynomial
-is the empty array.  These routines back modulus construction, the
-irreducibility test and the exact matrices of fieldcore; the huge
-structured gcds go through the linearized fast path there.
+``rem`` and ``gcd_degree`` are the one Euclid over GF(p), on lists of
+Python-int residues; the zero polynomial is [].  The closed-form profile
+(n = 1), the skew-gcd ladder over GF(p) and Rabin's gcd checks all use
+them: at these degrees numpy's per-call cost would dominate.  The numpy
+helpers back modulus construction, the irreducibility test and the exact
+matrices of fieldcore.
 
 ``is_irreducible`` is Rabin's test on the Frobenius matrix.  For a monic a
 of degree d, z -> z^p is GF(p)-linear on GF(p)[x]/(a); its matrix is
@@ -17,8 +19,8 @@ candidate with a root in GF(p), by one Horner evaluation at all of GF(p).
 Exactness: ``is_irreducible`` and ``frobenius_matrix`` form no sum of more
 than d products of two residues, so they compute in int64 while
 d*(p-1)^2 < 2^63 and in Python ints (numpy ``dtype=object``) beyond that
-(``exact_dtype``); their decisions and matrices are exact for every p.  The
-other helpers keep the dtype of their inputs.
+(``exact_dtype``); their decisions and matrices are exact for every p.
+Python ints are exact throughout, so ``rem`` and ``gcd_degree`` are too.
 """
 
 from __future__ import annotations
@@ -29,66 +31,45 @@ from ._numtheory import prime_divisors
 from .errors import DivisionByZero
 
 
-def trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if len(nz) == 0:
-        return a[:0]
-    return a[: nz[-1] + 1]
-
-
-def make(coeffs, p: int) -> np.ndarray:
-    return trim(np.asarray(list(coeffs), dtype=np.int64) % p)
-
-
-def deg(a: np.ndarray) -> int:
-    return len(a) - 1
-
-
-def sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.result_type(a, b))
-    out[: len(a)] = a
-    out[: len(b)] = (out[: len(b)] - b) % p
-    return trim(out)
-
-
-def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return a[:0]
-    return np.convolve(a, b) % p
-
-
-def divmod_(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(b) == 0:
-        raise DivisionByZero("polynomial division by zero")
-    if len(a) < len(b):
-        return a[:0], a.copy()
-    rem = a.copy()
-    db = deg(b)
-    inv_lead = pow(int(b[-1]), -1, p)
-    q = np.zeros(len(a) - db, dtype=a.dtype)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = rem[i + db] * inv_lead % p
-        if c:
-            q[i] = c
-            rem[i : i + db + 1] = (rem[i : i + db + 1] - c * b) % p
-    return q, trim(rem)
-
-
-def rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return divmod_(a, b, p)[1]
-
-
 def monic(a: np.ndarray, p: int) -> np.ndarray:
     if len(a) == 0 or a[-1] == 1:
         return a
     return a * pow(int(a[-1]), -1, p) % p
 
 
-def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    while len(b):
-        a, b = b, rem(a, b, p)
-    return monic(a, p)
+def trim(a: list) -> list:
+    """Drop trailing zeros in place (ints, or field elements)."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _reduce(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b in place of a, for b trimmed and nonzero."""
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j in range(db):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    del a[db:]
+    return trim(a)
+
+
+def rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b for lists of residues, trimmed (the zero polynomial is [])."""
+    b = trim(list(b))
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    return _reduce(list(a), b, p)
+
+
+def gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    """deg gcd(a, b) for lists of residues, by Euclid; -1 when both vanish."""
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        a, b = b, _reduce(a, b, p)
+    return len(a) - 1
 
 
 def exact_dtype(p: int, d: int):
@@ -98,7 +79,7 @@ def exact_dtype(p: int, d: int):
 
 def _reduction_table(a: np.ndarray, p: int) -> np.ndarray:
     """Rows x^(d+t) mod a for t = 0..d-2, for monic a of degree d >= 2."""
-    d = deg(a)
+    d = len(a) - 1
     table = np.zeros((d - 1, d), dtype=a.dtype)
     table[0] = -a[:d] % p
     for t in range(1, d - 1):
@@ -117,7 +98,7 @@ def _mulmod(f: np.ndarray, g: np.ndarray, table: np.ndarray, p: int) -> np.ndarr
 def frobenius_matrix(a: np.ndarray, p: int) -> np.ndarray:
     """Berlekamp's Q of a (degree d >= 2, made monic): a d x d array whose
     row u is x^(p*u) mod a, in ``exact_dtype(p, d)``."""
-    d = deg(a)
+    d = len(a) - 1
     a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
     table = _reduction_table(a, p)
     x = np.zeros(d, dtype=a.dtype)
@@ -152,7 +133,7 @@ def _has_root(a: np.ndarray, p: int) -> bool:
 
 def is_irreducible(a: np.ndarray, p: int) -> bool:
     """Rabin's test on the Frobenius matrix (see the module docstring)."""
-    d = deg(a)
+    d = len(a) - 1
     if d < 1 or a[-1] == 0:
         return False
     if d == 1:
@@ -170,7 +151,8 @@ def is_irreducible(a: np.ndarray, p: int) -> bool:
         if k in kept:
             kept[k] = h
         h = h @ Q % p
-    x = np.array([0, 1], dtype=a.dtype)
-    if len(sub(h, x, p)):
+    x = np.zeros(d, dtype=a.dtype)
+    x[1] = 1
+    if ((h - x) % p).any():
         return False
-    return all(deg(gcd(sub(hk, x, p), a, p)) == 0 for hk in kept.values())
+    return all(gcd_degree(a.tolist(), ((hk - x) % p).tolist(), p) == 0 for hk in kept.values())

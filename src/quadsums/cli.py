@@ -25,6 +25,7 @@ terms are separated by semicolons.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -144,9 +145,15 @@ def _value_json(f: QuadFunc, m: int, v: ExpSumValue) -> dict:
         "t": v.t,
         "value_exact": v.exact_str(),
         "value_cyclotomic": list(v.to_cyclotomic().coords),
-        "value_complex": [v.complex_value().real, v.complex_value().imag],
+        "value_complex": _complex_json(v),
         "provenance": list(v.provenance),
     }
+
+
+def _complex_json(v: ExpSumValue):
+    """[re, im], or None (JSON null) once the value overflows a float."""
+    z = v.complex_value()
+    return [z.real, z.imag] if cmath.isfinite(z) else None
 
 
 def _print_value(f: QuadFunc, m: int, v: ExpSumValue, fmt: str, out):
@@ -286,7 +293,7 @@ def _value_json_monomial(args, v: ExpSumValue, case: str) -> dict:
         "case": case,
         "value_exact": v.exact_str(),
         "value_cyclotomic": list(v.to_cyclotomic().coords),
-        "value_complex": [v.complex_value().real, v.complex_value().imag],
+        "value_complex": _complex_json(v),
     }
 
 

@@ -9,6 +9,7 @@ ints; magnitudes like g_p^r grow like p^(r/2) and must stay exact.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, MixedPrimes
@@ -212,5 +213,13 @@ class ExpSumValue:
         return ("-" if self.t < 0 else "") + body
 
     def complex_value(self) -> complex:
-        gauss = 1j ** (((self.p - 1) ** 2 // 4) % 4) * self.p**0.5
-        return self.t * gauss ** (self.N - self.l) * self.p**self.l
+        """t * i^((p-1)^2/4 * (N-l)) * p^((N+l)/2), as g_p = i^((p-1)^2/4)
+        sqrt(p): real or purely imaginary.  The magnitude is inf once it
+        leaves the float range, so no valid value raises."""
+        try:
+            size = self.p ** ((self.N + self.l) / 2)
+        except OverflowError:
+            size = math.inf
+        k = (self.p - 1) ** 2 // 4 * (self.N - self.l) % 4
+        v = self.t * (-1) ** (k // 2) * size
+        return complex(0.0, v) if k % 2 else complex(v, 0.0)

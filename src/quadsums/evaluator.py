@@ -22,7 +22,7 @@ from math import inf
 from ._numtheory import factor as _factor
 from .cyclotomic import CyclotomicInt, ExpSumValue
 from .errors import InternalInconsistency, InvalidInput, Unsupported
-from .fieldcore import build_field_ctx, embed_element
+from .fieldcore import build_field_ctx
 from .lifts import (
     TypeState,
     lift_odd_prime,
@@ -152,10 +152,7 @@ def evaluate(f: QuadFunc, m: int) -> ExpSumValue:
     l = profile.nullity(N)
 
     if pln.steps[0][0] == "monomial":
-        a0, alpha0 = f.terms[0]
-        ctx_big = build_field_ctx(f.p, N) if N != f.n else f.ctx
-        aE = a0 if ctx_big.key == f.ctx.key else embed_element(f.ctx, ctx_big, a0)
-        v = monomial_eval(aE, alpha0, N)
+        v = monomial_eval(*f.terms[0], N)
         if v.l != l:
             raise InternalInconsistency(f"monomial nullity {v.l} != profile nullity {l}")
         return v

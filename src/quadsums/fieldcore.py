@@ -643,16 +643,8 @@ class Poly:
 # Right division of p-polynomials (composition order) keeps every remainder
 # additive and reproduces the dense remainder sequence exactly, so the gcd
 # degree below is by construction the degree of the monic commutative gcd.
-
-
-def _skew_trim(a: list) -> list:
-    while a and _is_zero_coeff(a[-1]):
-        a.pop()
-    return a
-
-
-def _is_zero_coeff(c) -> bool:
-    return c == 0 if isinstance(c, int) else c.is_zero()
+# Over GF(p), where c^p = c, right division is ordinary division of the
+# coefficient lists, so that branch runs on the Euclid of _primepoly.
 
 
 class FrobeniusLadder:
@@ -663,11 +655,10 @@ class FrobeniusLadder:
         self.ctx = ctx
         self._ints = ctx.d == 1
         if self._ints:
-            f = [c if isinstance(c, int) else c.coeffs[0] for c in coeffs]
-            f = [c % ctx.p for c in f]
+            f = [(c if isinstance(c, int) else c.coeffs[0]) % ctx.p for c in coeffs]
         else:
             f = [ctx.elem(c) if not isinstance(c, FieldElem) else c for c in coeffs]
-        f = _skew_trim(list(f))
+        f = pp.trim(list(f))
         if not f:
             raise ZeroPolynomial("zero p-polynomial")
         self.f = f
@@ -678,8 +669,7 @@ class FrobeniusLadder:
     def step(self):
         p = self.ctx.p
         if self._ints:
-            h = [0] + self.h  # c^p = c in GF(p)
-            self.h = _rrem_int(p, h, self.f)
+            self.h = pp.rem([0] + self.h, self.f, p)  # c^p = c in GF(p)
         else:
             h = [self.ctx.zero()] + [c.frobenius(1) for c in self.h]
             self.h = _rrem_elem(self.ctx, h, self.f)
@@ -691,32 +681,13 @@ class FrobeniusLadder:
         if self._ints:
             g = list(self.h) or [0]
             g[0] = (g[0] - 1) % self.ctx.p
-            return _gcrd_deg_int(self.ctx.p, list(self.f), _skew_trim(g))
+            return pp.gcd_degree(self.f, g, self.ctx.p)
         g = list(self.h) or [self.ctx.zero()]
         g[0] = g[0] - self.ctx.one()
-        return _gcrd_deg_elem(self.ctx, list(self.f), _skew_trim(g))
-
-
-def _rrem_int(p: int, a: list[int], b: list[int]) -> list[int]:
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    a = list(a)
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        i = len(a) - 1 - db
-        q = a[-1] * inv % p
-        for j in range(db + 1):
-            a[i + j] = (a[i + j] - q * b[j]) % p
-        a.pop()
-    return _skew_trim(a)
-
-
-def _gcrd_deg_int(p: int, a: list[int], b: list[int]) -> int:
-    while b:
-        a, b = b, _rrem_int(p, a, b)
-    return len(a) - 1
+        a, b = self.f, pp.trim(g)
+        while b:
+            a, b = b, _rrem_elem(self.ctx, a, b)
+        return len(a) - 1
 
 
 def _rrem_elem(ctx: FieldCtx, a: list, b: list) -> list:
@@ -734,13 +705,7 @@ def _rrem_elem(ctx: FieldCtx, a: list, b: list) -> list:
         if not a[-1].is_zero():
             raise InternalInconsistency("skew remainder step left a nonzero leading coefficient")
         a.pop()
-    return _skew_trim(a)
-
-
-def _gcrd_deg_elem(ctx: FieldCtx, a: list, b: list) -> int:
-    while b:
-        a, b = b, _rrem_elem(ctx, a, b)
-    return len(a) - 1
+    return pp.trim(a)
 
 
 def linearized_gcd_deg(ctx: FieldCtx, coeffs: Sequence, m: int) -> int:

@@ -220,28 +220,36 @@ def type_balanced(f: QuadFunc, N: int, l_N: int) -> int:
 
 def monomial_eval(a: FieldElem, alpha: int, N: int) -> ExpSumValue:
     """Closed form for the sum of e(a x^(p^alpha + 1)) over GF(p^N); a must
-    be a nonzero element of that field."""
+    be a nonzero element of a subfield GF(p^d), d | N.  GF(p^N) is never
+    built: the closed form needs only eta_N(a) and whether z = a^e is +-1,
+    e = (p^alpha - 1) (p^N - 1)/(p^g2 - 1) with g2 = gcd(2 alpha, N).
+
+    eta_N(a) = eta_d(a)^(N/d), as (p^N - 1)/(p^d - 1) = sum_(j < N/d) p^(dj)
+    is N/d mod 2.  Exponents of a count modulo p^d - 1, where p^i is
+    p^(i mod d).  With k = N/g2, (p^N - 1)/(p^g2 - 1) = sum_(j < k) p^(g2 j)
+    is k mod 2, and the residues g2 j mod d repeat with period
+    r = d/gcd(g2, d), which divides k as lcm(g2, d) divides N.  So
+    z = a^((p^(alpha mod d) - 1) (k/r) sum_(j < r) p^(g2 j mod d))."""
     if a.is_zero():
         raise ZeroCoefficient("monomial coefficient must be nonzero")
     if alpha < 0:
         raise InvalidInput("alpha must be >= 0")
     ctx = a.ctx
-    if ctx.d != N:
-        raise InvalidInput("coefficient must live in GF(p^N)")
-    p = ctx.p
+    if N < 1 or N % ctx.d:
+        raise InvalidInput(f"coefficient must live in a subfield of GF(p^{N})")
+    p, d = ctx.p, ctx.d
     v_n, v_a = valuation(N, 2), valuation(alpha, 2)
 
     if v_n <= v_a:
-        eta = elem_quadratic_character(a)
+        eta = elem_quadratic_character(a) ** (N // d % 2)
         t = eta * (-1) ** ((N - 1) % 2)
         prov = ({"step": "monomial_closed_form", "case": "i", "N": N, "t": t, "l": 0},)
         return ExpSumValue(p, N, 0, t, prov)
 
     g2 = gcd(2 * alpha, N)
-    expo = (p**alpha - 1) * (p**N - 1) // (p**g2 - 1)
-    z = a**expo
-    parity = (p**N - 1) // (p**g2 - 1) % 2
-    cond_val = -ctx.one() if parity else ctx.one()
+    k, r = N // g2, d // gcd(g2, d)
+    z = a ** ((p ** (alpha % d) - 1) * (k // r) * sum(p ** (g2 * j % d) for j in range(r)))
+    cond_val = -ctx.one() if k % 2 else ctx.one()
     l = g2 if z == cond_val else 0
     if v_n == v_a + 1:
         case = "ii"

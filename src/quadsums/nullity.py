@@ -234,22 +234,8 @@ class _Associate:
         return pp._mulmod(a, b, self.table, self.p)
 
     def nullity(self, a, b) -> int:
-        """dim ker(a - b) = deg gcd(ell, a - b), by Euclid on Python lists
-        (numpy's per-call cost dominates at these degrees)."""
-        p = self.p
-        u, v = self.ell.tolist(), ((a - b) % p).tolist()
-        while True:
-            while v and not v[-1]:
-                v.pop()
-            if not v:
-                return len(u) - 1
-            dv, inv = len(v) - 1, pow(v[-1], -1, p)
-            for i in range(len(u) - 1, dv - 1, -1):  # u <- u mod v
-                c = u[i] * inv % p
-                if c:
-                    for j in range(dv):
-                        u[i - dv + j] = (u[i - dv + j] - c * v[j]) % p
-            u, v = v, u[:dv]
+        """dim ker(a - b) = deg gcd(ell, a - b)."""
+        return pp.gcd_degree(self.ell.tolist(), ((a - b) % self.p).tolist(), self.p)
 
 
 class _CentralAction:

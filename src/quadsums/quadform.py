@@ -1,5 +1,5 @@
-"""Base-case type/nullity via Gram-matrix diagonalization, and the
-brute-force summation oracle.
+"""Base-case type and nullity from the Gram matrix, and the brute-force
+summation oracle.
 
 Tr_N(f(x)) is a quadratic form on GF(p)^N once GF(p^N) is identified with
 coordinate vectors.  For a term c x^(p^a + 1), Tr(x * c x^(p^a)) = x^T H
@@ -9,10 +9,12 @@ the :class:`FieldCtx`).  So the Gram matrix is G = sum_i H M_(c_i) F^(a_i)
 and B = (G + G^T)/2: three matrix products per term, reduced mod p after
 every sum and product, in the context's exact dtype (int64, or Python ints
 for large p; see :mod:`quadsums.fieldcore`), so B is exact for every p.
-Diagonalization is symmetric congruence reduction mod p, in
-``exact_dtype(p, 1)`` since it multiplies two residues at a time.  No
-nullity backend is called here: the evaluator checks the diagonalization's
-nullity against the closed-form profile (:mod:`quadsums.nullity`).
+Its rank and type come from the one elimination of :mod:`quadsums._linalg`
+by the pivot-minor rule (``diagonalize``): with P the pivot columns of B,
+B is congruent to B[P, P] plus a zero block, so the rank is |P| and the
+type legendre(det B[P, P]).  No nullity backend is called here: the
+evaluator checks this nullity against the closed-form profile
+(:mod:`quadsums.nullity`).
 
 The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from ._primepoly import exact_dtype
 from .cyclotomic import CyclotomicInt, cyc_from_trace_counts
 from .errors import InternalInconsistency, InvalidInput, NotSymmetric, TooLarge
@@ -58,20 +61,21 @@ def legendre(a: int, p: int) -> int:
 
 
 def elem_quadratic_character(a: FieldElem) -> int:
-    """Quadratic character of GF(p^d) evaluated by exact exponentiation."""
+    """Quadratic character of GF(p^d): a^((q-1)/2) = Norm(a)^((p-1)/2), and
+    Norm(a) = det M_a, so it is legendre(det M_a)."""
     if a.is_zero():
         return 0
-    r = a ** ((a.ctx.order - 1) // 2)
-    if r == a.ctx.one():
-        return 1
-    if r == -a.ctx.one():
-        return -1
-    raise InternalInconsistency("character value outside {+1,-1}")
+    t = legendre(_linalg.det(a.ctx.mult_mat(a), a.ctx.p), a.ctx.p)
+    if t == 0:
+        raise InternalInconsistency("nonzero element of norm zero")
+    return t
 
 
 def smallest_nonsquare(ctx: FieldCtx) -> FieldElem:
-    """Non-square of GF(p^d) with the smallest integer encoding."""
-    for code in range(1, ctx.order):
+    """Non-square of GF(p^d) with the smallest integer encoding.  For even d
+    every element of GF(p) (codes below p) is a square, so the scan starts
+    at code p."""
+    for code in range(ctx.p if ctx.d % 2 == 0 else 1, ctx.order):
         x = ctx.from_encoding(code)
         if elem_quadratic_character(x) == -1:
             return x
@@ -85,7 +89,7 @@ def _embedded_terms(f: QuadFunc, ctx_big: FieldCtx) -> list[tuple[FieldElem, int
     ]
 
 
-# -- Gram matrix and congruence diagonalization ---------------------------------
+# -- Gram matrix and its rank and type ------------------------------------------
 
 
 def gram_matrix(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> np.ndarray:
@@ -108,66 +112,39 @@ def gram_matrix(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadFormDiag:
-    """Result of congruence diagonalization: diagonal entries (zeros
-    included), rank, nullity, and type."""
+    """Rank, nullity and type of a symmetric form over GF(p)."""
 
     p: int
     dim: int
-    diag: tuple[int, ...]
     rank: int
     nullity: int
     type_: int
 
 
 def diagonalize(B: np.ndarray, p: int) -> QuadFormDiag:
-    """Symmetric congruence reduction of B mod p.
+    """Rank and type of the symmetric form B mod p, by the pivot-minor
+    rule: with P the pivot columns of ``row_echelon(B)``, the rank is |P|
+    and the type is legendre(det B[P, P]) (1 at rank 0).
 
-    Pivot policy (fixed for determinism): use the first nonzero diagonal
-    entry of the active block; if the whole active diagonal vanishes but
-    some off-diagonal entry M[u,v] does not, replace e_u by e_u + e_v to
-    expose 2*M[u,v] on the diagonal.  Only (rank, type) are contractual.
-    """
+    Proof: the columns P are a basis of the column space, so by symmetry
+    the rows P are a basis of the row space.  Every column is a combination
+    of the columns P, so B[P, :] = B[P, P] C for some C, and B[P, P] has
+    the rank |P| of B[P, :]: it is nonsingular.  So the span W of the unit
+    vectors e_i, i in P, meets the radical only in 0, and as dim W + dim
+    radical = N, the form is B[P, P] on W, orthogonal to the radical.  The
+    type, the character of the discriminant of the nondegenerate part, is
+    then legendre(det B[P, P])."""
     M = np.array(B, dtype=exact_dtype(p, 1)) % p
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("matrix is not square")
     if (M != M.T).any():
         raise NotSymmetric("matrix is not symmetric")
     N = M.shape[0]
-    diag: list[int] = []
-    i = 0
-    while i < N:
-        if M[i, i] == 0:
-            cand = np.nonzero(np.diag(M)[i:])[0]
-            if len(cand):
-                u = i + int(cand[0])
-                M[[i, u]] = M[[u, i]]
-                M[:, [i, u]] = M[:, [u, i]]
-            else:
-                uv = np.nonzero(np.triu(M[i:, i:], 1))
-                if len(uv[0]) == 0:
-                    break  # zero active block: remaining dims are radical
-                order = np.lexsort((uv[1], uv[0]))
-                u = i + int(uv[0][order[0]])
-                v = i + int(uv[1][order[0]])
-                M[u] = (M[u] + M[v]) % p
-                M[:, u] = (M[:, u] + M[:, v]) % p
-                if u != i:
-                    M[[i, u]] = M[[u, i]]
-                    M[:, [i, u]] = M[:, [u, i]]
-        d = int(M[i, i])
-        inv_d = pow(d, -1, p)
-        c = M[i + 1 :, i] * inv_d % p
-        M[i + 1 :, :] = (M[i + 1 :, :] - np.outer(c, M[i, :])) % p
-        M[:, i + 1 :] = (M[:, i + 1 :] - np.outer(M[:, i], c)) % p
-        diag.append(d)
-        i += 1
-    rank = len(diag)
-    full_diag = tuple(diag) + (0,) * (N - rank)
-    prod = 1
-    for d in diag:
-        prod = prod * d % p
-    t = 1 if rank == 0 else legendre(prod, p)
-    return QuadFormDiag(p=p, dim=N, diag=full_diag, rank=rank, nullity=N - rank, type_=t)
+    _, P, scale = _linalg.row_echelon(M, p)  # scale = det M when P is everything
+    t = legendre(scale if len(P) == N else _linalg.det(M[np.ix_(P, P)], p), p)
+    if t == 0:
+        raise InternalInconsistency("pivot minor of a symmetric matrix is singular")
+    return QuadFormDiag(p=p, dim=N, rank=len(P), nullity=N - len(P), type_=t)
 
 
 def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsums import cli, errors
+from quadsums import ExpSumValue, cli, errors
 from quadsums.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -184,3 +185,28 @@ def test_every_error_class_has_its_documented_exit_code(source, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "eval", raise_it)
         code, _ = run(["eval", "--p", "3", "--coeffs", "1", "--m", "1"])
         assert code == codes[0], exc_cls.__name__
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_value_past_float_range_prints():
+    # |S| = 5^500 overflows a float: the exact value prints, the complex
+    # approximation is infinite in text and null in JSON
+    argv = ["eval", "--p", "5", "--coeffs", "1,2,3,4,1", "--m", "1000"]
+    code, out = run(argv)
+    assert code == 0 and "value = -g^1000\n" in out and "complex ~ -inf" in out
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["value_exact"] == "-g^1000" and payload["value_complex"] is None
+    big = ExpSumValue(3, 1400, 2, 1)  # the monomial command would build GF(3^1400)
+    monomial = cli._value_json_monomial(argparse.Namespace(alpha=1, a="1"), big, "iii")
+    assert _strict_json(json.dumps(monomial))["value_complex"] is None
+    # within range the pair stays
+    code, out = run(argv[:-1] + ["2", "--format", "json"])
+    assert code == 0 and len(_strict_json(out)["value_complex"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,21 @@ def test_exact_str():
 def test_complex_value_matches_cyclotomic():
     for v in (ExpSumValue(3, 2, 1, -1), ExpSumValue(5, 3, 1, 1), ExpSumValue(7, 2, 0, -1)):
         assert abs(v.complex_value() - v.to_cyclotomic().complex_value()) < 1e-6
+
+
+def test_complex_value_axes_and_overflow():
+    # S is real or purely imaginary; past the float range its magnitude is inf
+    for p in (3, 5, 7, 13):
+        for N in range(1, 7):
+            for l in range(N + 1):
+                for t in (1, -1):
+                    v = ExpSumValue(p, N, l, t)
+                    z, ref = v.complex_value(), v.to_cyclotomic().complex_value()
+                    assert z.real == 0 or z.imag == 0
+                    assert abs(z - ref) < 1e-9 * abs(ref), (p, N, l, t)
+    assert ExpSumValue(5, 1000, 0, -1).complex_value() == complex(-math.inf, 0)
+    assert ExpSumValue(3, 3000, 1, 1).complex_value() == complex(0, -math.inf)  # i^2999
+    assert ExpSumValue(2**61 - 1, 40, 0, 1).complex_value() == complex(math.inf, 0)
 
 
 def test_expsum_validation():

@@ -169,3 +169,22 @@ def test_twist_nullity_check_raises(monkeypatch):
     monkeypatch.setattr(evaluator, "type_direct", corrupt_twist)
     with pytest.raises(InternalInconsistency, match="twist diagonalization nullity 1 != l_2N - l_N = 0 at N=1"):
         evaluate(F5_RUNNING, 2)
+
+
+def test_monomial_route_builds_no_field(monkeypatch):
+    # the closed form runs on the coefficient's own field, so m = 10^18 is
+    # answered without GF(p^N)
+    f3 = QuadFunc.from_dense(3, [0, 1])  # x^(p+1)
+    f25 = QuadFunc.from_dense(5, [(0, 0), (2, 1)], 2)
+
+    def no_build(*args):
+        raise AssertionError(f"built GF({args[0]}^{args[1]})")
+
+    monkeypatch.setattr("quadsums.evaluator.build_field_ctx", no_build)
+    # case iii with a = 1: l = gcd(2, N) = 2 and t = -(-1)^((N - 2)/2) = +1
+    for m in (3000, 10**18):
+        v = evaluate(f3, m)
+        assert (v.N, v.l, v.t) == (m, 2, 1)
+        assert v.provenance[0]["case"] == "iii"
+    v = evaluate(f25, 10**18)
+    assert v.N == 2 * 10**18 and v.l == nullity_profile(f25).nullity(v.N)

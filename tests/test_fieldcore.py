@@ -12,7 +12,7 @@ from quadsums import (
     embedding_roots,
     linearized_gcd_deg,
 )
-from quadsums import _primepoly as pp
+from tests import polyref
 from quadsums.fieldcore import _default_modulus
 from quadsums.errors import (
     DivisionByZero,
@@ -271,11 +271,11 @@ def test_poly_gcd_deg_rejects_zero():
 
 def _naive_gcd_deg(ints, p, m):
     """Oracle: materialize x^(p^m) - x and run a dense gcd."""
-    f = pp.make(ints, p)
+    f = polyref.make(ints, p)
     big = np.zeros(p**m + 1, dtype=np.int64)
     big[p**m] = 1
     big[1] = p - 1
-    return pp.deg(pp.gcd(f, big, p))
+    return polyref.deg(polyref.gcd(f, big, p))
 
 
 def test_sparse_path_matches_materialized_oracle():

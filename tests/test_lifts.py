@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from quadsums import (
     brute_force_sum,
     brute_force_sum_shifted,
     build_field_ctx,
+    embed_element,
     gcd_plus_minus,
     gcd_plus_plus,
     legendre,
@@ -380,3 +382,26 @@ def test_product_identity_shifted(rng):
         else:
             expected = CyclotomicInt.zeta_power(p, sh.phase) * (p ** (N + l))
             assert prod == expected
+
+
+def test_monomial_subfield_matches_embedded():
+    # a in GF(p^d), d | N: the closed form in the subfield equals the one
+    # on a embedded in GF(p^N), for all three cases
+    rng = random.Random(11)
+    cases = set()
+    for p, d, N_max in ((3, 1, 12), (3, 2, 12), (3, 3, 12), (5, 1, 8), (5, 2, 8), (7, 2, 6), (7, 3, 6), (11, 2, 6)):
+        sub = build_field_ctx(p, d)
+        for N in range(d, N_max + 1, d):
+            big = build_field_ctx(p, N)
+            for _ in range(6):
+                a = sub.from_encoding(rng.randrange(1, sub.order))
+                alpha = rng.randrange(5)
+                v = monomial_eval(a, alpha, N)
+                w = monomial_eval(embed_element(sub, big, a), alpha, N)
+                assert (v.N, v.l, v.t, v.provenance) == (w.N, w.l, w.t, w.provenance), (p, d, N, a, alpha)
+                cases.add(v.provenance[0]["case"])
+    assert cases == {"i", "ii", "iii"}
+    with pytest.raises(InvalidInput):
+        monomial_eval(build_field_ctx(3, 2).gen(), 1, 3)
+    with pytest.raises(InvalidInput):
+        monomial_eval(build_field_ctx(3, 1).one(), 1, 0)

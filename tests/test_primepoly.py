@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from quadsums import _primepoly as pp
+from tests import polyref
 from quadsums import build_field_ctx
+from quadsums.errors import DivisionByZero
 from quadsums.fieldcore import _default_modulus, _has_irreducible_binomial
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -17,8 +19,8 @@ def _x_power_ref(e, a, p):
     result, base = np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64)
     while e:
         if e & 1:
-            result = pp.rem(pp.mul(result, base, p), a, p)
-        base = pp.rem(pp.mul(base, base, p), a, p)
+            result = polyref.rem(polyref.mul(result, base, p), a, p)
+        base = polyref.rem(polyref.mul(base, base, p), a, p)
         e >>= 1
     return result
 
@@ -26,15 +28,15 @@ def _x_power_ref(e, a, p):
 def _rabin_ref(a, p):
     """Rabin's test with powmod to the exponents p^(d/q) and p^d: the
     reference the Frobenius-matrix test must agree with (int64, small p)."""
-    d = pp.deg(a)
+    d = polyref.deg(a)
     if d == 1:
         return True
     x = np.array([0, 1], dtype=np.int64)
     for q in pp.prime_divisors(d):
         h = _x_power_ref(p ** (d // q), a, p)
-        if pp.deg(pp.gcd(pp.sub(h, x, p), a, p)) != 0:
+        if polyref.deg(polyref.gcd(polyref.sub(h, x, p), a, p)) != 0:
             return False
-    return len(pp.sub(_x_power_ref(p**d, a, p), x, p)) == 0
+    return len(polyref.sub(_x_power_ref(p**d, a, p), x, p)) == 0
 
 
 def _monic_polys(p, d):
@@ -127,3 +129,31 @@ def test_no_binomial_block_does_not_hang():
     assert pp.is_irreducible(np.array(ctx.modulus, dtype=np.int64), p)
     for c in range(6):  # the codes between p and the modulus
         assert not pp.is_irreducible(np.array([c, 1, 0, 1], dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [3, 7, 2**61 - 1])
+def test_rem_and_gcd_degree_match_numpy_euclid(p, rng):
+    def rand_poly(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    for _ in range(40):
+        a, b = rand_poly(rng.randrange(0, 12)), rand_poly(rng.randrange(0, 8))
+        c = rand_poly(rng.randrange(0, 5))
+        ab = polyref.mul(polyref.make(a, p), polyref.make(b, p), p).tolist()
+        for u, v in ((a, b), (b, a), (ab, b), (ab, a + [0, 0])):
+            assert pp.rem(u, v, p) == polyref.rem(polyref.make(u, p), polyref.make(v, p), p).tolist()
+            common = polyref.gcd(polyref.make(u, p), polyref.make(v, p), p)
+            assert pp.gcd_degree(u, v, p) == polyref.deg(common)
+        # a divisor of the first argument: zero remainder, gcd the divisor
+        assert pp.rem(ab, b, p) == []
+        assert pp.gcd_degree(ab, b, p) == len(b) - 1
+        # a common factor c of both
+        ac = polyref.mul(polyref.make(a, p), polyref.make(c, p), p).tolist()
+        bc = polyref.mul(polyref.make(b, p), polyref.make(c, p), p).tolist()
+        assert pp.gcd_degree(ac, bc, p) == polyref.deg(polyref.gcd(polyref.make(ac, p), polyref.make(bc, p), p))
+        assert pp.gcd_degree(ac, bc, p) >= len(c) - 1
+        # a zero second argument: the remainder raises, the gcd is the first
+        assert pp.gcd_degree(a, [], p) == pp.gcd_degree(a, [0, 0], p) == len(a) - 1
+        with pytest.raises(DivisionByZero):
+            pp.rem(a, [0], p)
+    assert pp.gcd_degree([], [], p) == -1

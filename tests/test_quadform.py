@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadsums import (
     ExpSumValue,
@@ -18,11 +21,11 @@ from quadsums import (
     smallest_nonsquare,
     type_direct,
 )
-from quadsums import quadform
+from quadsums import _linalg, quadform
 from quadsums.cyclotomic import cyc_from_trace_counts
 from quadsums.errors import InternalInconsistency, NotSymmetric, TooLarge
 from quadsums.fieldcore import embed_element, is_prime
-from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts
+from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts, elem_quadratic_character
 from tests.conftest import random_quadfunc
 
 
@@ -281,3 +284,93 @@ def test_enumeration_tally_check_raises(monkeypatch):
     monkeypatch.setattr(quadform, "_digit_rows", lambda *args: digit_rows(*args)[:-1])
     with pytest.raises(InternalInconsistency, match="tallied"):
         brute_force_sum(QuadFunc.from_dense(3, [1, 1]), 3)
+
+
+def _enumerated_form_sum(B, p):
+    """sum over x in GF(p)^N of zeta^(x B x^T), one row per x: neither
+    elimination nor diagonalization."""
+    N = len(B)
+    X = np.array(list(itertools.product(range(p), repeat=N)), dtype=np.int64).reshape(-1, N)
+    values = np.einsum("xu,uv,xv->x", X, np.array(B, dtype=np.int64), X) % p
+    return cyc_from_trace_counts(p, np.bincount(values, minlength=p))
+
+
+def _random_symmetric(rng, p, N, kind):
+    if kind == "rank_deficient":  # C D C^T with C of width k < N
+        k = rng.randrange(N)
+        C = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(N)], dtype=np.int64).reshape(N, k)
+        D = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        return (C * D) @ C.T % p
+    A = np.array([[rng.randrange(p) for _ in range(N)] for _ in range(N)], dtype=np.int64)
+    B = (A + A.T) % p
+    if kind == "hyperbolic":
+        np.fill_diagonal(B, 0)
+    return B
+
+
+def test_diagonalize_matches_enumerated_sum(rng):
+    # the sum over GF(p)^N of zeta^Q(x) is t g^r p^(N-r) for the rank r and
+    # type t of Q: the pivot-minor rule against the definition
+    kinds = ("random", "hyperbolic", "rank_deficient")
+    seen = set()
+    for p in (3, 5, 7):
+        for N in range(1, 6):
+            for kind in kinds * 2:
+                B = _random_symmetric(rng, p, N, kind)
+                dg = diagonalize(B, p)
+                assert dg.rank + dg.nullity == N
+                expected = ExpSumValue(p, N, dg.nullity, dg.type_).to_cyclotomic()
+                assert _enumerated_form_sum(B, p) == expected, (p, kind, B.tolist())
+                seen.add((kind, dg.rank == N, dg.type_))
+    # each kind reached both types; zero diagonals both full and deficient rank
+    assert {(kind, t) for kind, _, t in seen} == {(k, t) for k in kinds for t in (1, -1)}
+    assert {("hyperbolic", True), ("hyperbolic", False), ("rank_deficient", False)} <= {k[:2] for k in seen}
+
+
+CHARACTER_FIELDS = ((3, 7), (5, 4), (7, 3), (2**31 - 1, 2), (P_PAST_INT64, 2))
+
+
+@given(st.sampled_from(CHARACTER_FIELDS), st.lists(st.integers(0, 2**64), min_size=7, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_elem_quadratic_character_is_euler(field, coords):
+    # the norm route against Euler's criterion a^((q-1)/2) = +-1 in the field
+    p, d = field
+    ctx = build_field_ctx(p, d)
+    a = ctx.elem([c % p for c in coords[:d]])
+    if a.is_zero():
+        assert elem_quadratic_character(a) == 0
+        return
+    r = a ** ((ctx.order - 1) // 2)
+    assert r in (ctx.one(), -ctx.one())
+    assert elem_quadratic_character(a) == (1 if r == ctx.one() else -1)
+
+
+def test_zero_norm_of_nonzero_element_raises(monkeypatch):
+    monkeypatch.setattr(_linalg, "det", lambda A, p: 0)
+    with pytest.raises(InternalInconsistency, match="norm zero"):
+        elem_quadratic_character(build_field_ctx(5, 2).gen())
+
+
+def _full_scan_nonsquare(ctx):
+    for code in range(1, ctx.order):
+        x = ctx.from_encoding(code)
+        if x ** ((ctx.order - 1) // 2) == -ctx.one():
+            return x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_smallest_nonsquare_equals_full_scan(p):
+    for d in (1, 2, 4):
+        ctx = build_field_ctx(p, d)
+        assert smallest_nonsquare(ctx) == _full_scan_nonsquare(ctx), (p, d)
+
+
+def test_smallest_nonsquare_skips_prime_field_in_even_degree(monkeypatch):
+    # every element of GF(p) is a square in GF(p^2): no character call for them
+    calls = []
+    character = quadform.elem_quadratic_character
+    monkeypatch.setattr(quadform, "elem_quadratic_character", lambda a: calls.append(a) or character(a))
+    ctx = build_field_ctx(1000003, 2)
+    beta = smallest_nonsquare(ctx)
+    assert beta.encoding >= ctx.p and character(beta) == -1
+    assert len(calls) < 100

@@ -53,6 +53,21 @@ def kernel_dim(A: np.ndarray, p: int) -> int:
     return A.shape[1] - len(row_echelon(A, p)[1])
 
 
+def kernel_basis(A: np.ndarray, p: int) -> list[list[int]]:
+    """Basis of the kernel of A mod p, one vector per free column f, in
+    increasing f: x[f] = 1, the other free entries 0, and x[c] = -R[r, f]
+    for the pivot c of row r."""
+    R, pivots, _ = row_echelon(A, p)
+    basis = []
+    for f in sorted(set(range(A.shape[1])) - set(pivots)):
+        x = [0] * A.shape[1]
+        x[f] = 1
+        for r, c in enumerate(pivots):
+            x[c] = -int(R[r, f]) % p
+        basis.append(x)
+    return basis
+
+
 def solve(A: np.ndarray, b, p: int) -> np.ndarray | None:
     """One solution of A x = b mod p with free variables set to 0,
     or None when the system is inconsistent."""

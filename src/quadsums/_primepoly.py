@@ -1,11 +1,15 @@
 """Polynomials over GF(p), coefficients ascending (constant term first).
 
-``rem`` and ``gcd_degree`` are the one Euclid over GF(p), on lists of
-Python-int residues; the zero polynomial is [].  The closed-form profile
-(n = 1), the skew-gcd ladder over GF(p) and Rabin's gcd checks all use
-them: at these degrees numpy's per-call cost would dominate.  The numpy
-helpers back modulus construction, the irreducibility test and the exact
-matrices of fieldcore.
+``rem``, ``gcd_degree`` and ``inverse`` are the one Euclid over GF(p), on
+lists of Python-int residues; the zero polynomial is [].  The closed-form
+profile (n = 1), the skew-gcd ladder over GF(p) and Rabin's gcd checks use
+the first two: at these degrees numpy's per-call cost would dominate.  The
+same Euclid also inverts: ``inverse`` carries the cofactors of the
+remainders through the same reduction step, and ``FieldElem.inverse`` runs
+it against the modulus of GF(p^d), O(d^2) residue operations instead of
+the 2 log2(p^d) field multiplications of a^(p^d - 2).  The numpy helpers
+back modulus construction, the irreducibility test and the exact matrices
+of fieldcore.
 
 ``is_irreducible`` is Rabin's test on the Frobenius matrix.  For a monic a
 of degree d, z -> z^p is GF(p)-linear on GF(p)[x]/(a); its matrix is
@@ -20,7 +24,8 @@ Exactness: ``is_irreducible`` and ``frobenius_matrix`` form no sum of more
 than d products of two residues, so they compute in int64 while
 d*(p-1)^2 < 2^63 and in Python ints (numpy ``dtype=object``) beyond that
 (``exact_dtype``); their decisions and matrices are exact for every p.
-Python ints are exact throughout, so ``rem`` and ``gcd_degree`` are too.
+Python ints are exact throughout, so ``rem``, ``gcd_degree`` and
+``inverse`` are too.
 """
 
 from __future__ import annotations
@@ -44,14 +49,22 @@ def trim(a: list) -> list:
     return a
 
 
-def _reduce(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b in place of a, for b trimmed and nonzero."""
+def _reduce(a: list[int], b: list[int], p: int, sa: list[int] | None = None,
+            sb: list[int] | None = None) -> list[int]:
+    """a mod b in place of a, for b trimmed and nonzero.  Given cofactors,
+    each step a -= c x^k b also takes sa -= c x^k sb, in place of sa: if
+    a = sa * u and b = sb * u modulo some m before, a = sa * u after."""
     db, inv = len(b) - 1, pow(b[-1], -1, p)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] * inv % p
         if c:
+            k = i - db
             for j in range(db):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+                a[k + j] = (a[k + j] - c * b[j]) % p
+            if sa is not None:
+                sa.extend([0] * (k + len(sb) - len(sa)))
+                for j, v in enumerate(sb):
+                    sa[k + j] = (sa[k + j] - c * v) % p
     del a[db:]
     return trim(a)
 
@@ -70,6 +83,21 @@ def gcd_degree(a: list[int], b: list[int], p: int) -> int:
     while b:
         a, b = b, _reduce(a, b, p)
     return len(a) - 1
+
+
+def inverse(a: list[int], m: list[int], p: int) -> list[int]:
+    """u with a * u = 1 mod m, deg u < deg m, by the extended Euclid: each
+    remainder r of the sequence carries its cofactor s with r = s * a mod m.
+    Raises DivisionByZero when gcd(a, m) is not constant (a = 0 included)."""
+    r0, r1 = trim(list(m)), rem(a, m, p)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        r0 = _reduce(r0, r1, p, s0, s1)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        raise DivisionByZero("not invertible modulo the polynomial")
+    inv = pow(r1[0], -1, p)
+    return trim([c * inv % p for c in s1])
 
 
 def exact_dtype(p: int, d: int):

@@ -20,6 +20,14 @@ Coefficients are dense by default (--coeffs a0,a1,...,ak meaning exponents
 with the i-th exponent and zero coefficients are rejected.  Over extension
 bases (n > 1) each coefficient is a comma-separated residue vector and
 terms are separated by semicolons.
+
+Exact cyclotomic coordinates are printed only while their decimal digits
+stay within the interpreter's int-to-string limit
+(``sys.get_int_max_str_digits()``; 0 lifts it).  Past it, text output reads
+``cyclotomic coords = omitted (~K digits)`` and JSON writes null for them,
+as for a non-finite ``value_complex``.  The digit count is estimated from
+|S| = p^((N+l)/2) before any coordinate is computed, so a huge m answers at
+once.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from . import errors
 from .cyclotomic import ExpSumValue
 from .evaluator import evaluate, verify
-from .fieldcore import build_field_ctx
+from .fieldcore import FieldCtx, build_field_ctx
 from .lifts import monomial_eval, shift_linear
 from .nullity import QuadFunc, nullity_profile
 from .quadform import DEFAULT_CAP
@@ -144,10 +153,30 @@ def _value_json(f: QuadFunc, m: int, v: ExpSumValue) -> dict:
         "l": v.l,
         "t": v.t,
         "value_exact": v.exact_str(),
-        "value_cyclotomic": list(v.to_cyclotomic().coords),
+        "value_cyclotomic": _coords(v, v.to_cyclotomic),
         "value_complex": _complex_json(v),
         "provenance": list(v.provenance),
     }
+
+
+def _coord_digits(v: ExpSumValue) -> int:
+    """Upper bound on the decimal digits of a coordinate of v, whose
+    coordinates are at most 2 p^((N+l)/2) in size."""
+    return int(math.log10(2) + (v.N + v.l) / 2 * math.log10(v.p)) + 1
+
+
+def _coords(v: ExpSumValue, cyclotomic):
+    """cyclotomic().coords as a list, for a value of the size of v; None
+    when they would pass the int-to-string limit (see the module docstring)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and _coord_digits(v) > limit:
+        return None
+    return list(cyclotomic().coords)
+
+
+def _coords_line(v: ExpSumValue, coords) -> str:
+    shown = f"omitted (~{_coord_digits(v)} digits)" if coords is None else coords
+    return f"cyclotomic coords = {shown}\n"
 
 
 def _complex_json(v: ExpSumValue):
@@ -161,12 +190,11 @@ def _print_value(f: QuadFunc, m: int, v: ExpSumValue, fmt: str, out):
         json.dump(_value_json(f, m, v), out, indent=2)
         out.write("\n")
         return
-    cyc = v.to_cyclotomic()
     z = v.complex_value()
     out.write(f"p={v.p} n={f.n} m={m} N={v.N}  modulus={_mod_str(f)}\n")
     out.write(f"t={v.t:+d}  l={v.l}\n")
     out.write(f"value = {v.exact_str()}\n")
-    out.write(f"cyclotomic coords = {list(cyc.coords)}\n")
+    out.write(_coords_line(v, _coords(v, v.to_cyclotomic)))
     out.write(f"complex ~ {z.real:.6f} {z.imag:+.6f}i\n")
     out.write("provenance:\n")
     for step in v.provenance:
@@ -250,7 +278,7 @@ def _cmd_shift(args, out) -> int:
                 "zero": sh.zero,
                 "phase": None if sh.zero else sh.phase,
                 "base": _value_json(f, args.m, value),
-                "cyclotomic": list(sh.to_cyclotomic().coords),
+                "cyclotomic": _coords(value, sh.to_cyclotomic),
             },
             out,
             indent=2,
@@ -260,13 +288,17 @@ def _cmd_shift(args, out) -> int:
         out.write("0 (the shifted sum vanishes)\n")
     else:
         out.write(f"zeta^(-{sh.phase}) * ({value.exact_str()})\n")
-        out.write(f"cyclotomic coords = {list(sh.to_cyclotomic().coords)}\n")
+        out.write(_coords_line(value, _coords(value, sh.to_cyclotomic)))
     return EXIT_OK
 
 
 def _cmd_monomial(args, out) -> int:
-    ctx = build_field_ctx(args.p, args.N, _parse_modulus(args))
-    a = _parse_elem_flexible(ctx, args.a)
+    # A residue lies in GF(p), which monomial_eval takes as it is: GF(p^N)
+    # is built only for a coordinate vector or to check a given modulus.
+    if "," not in args.a and args.modulus is None:
+        a = FieldCtx(args.p, 1).elem(int(args.a))
+    else:
+        a = _parse_elem_flexible(build_field_ctx(args.p, args.N, _parse_modulus(args)), args.a)
     v = monomial_eval(a, args.alpha, args.N)
     case = v.provenance[0]["case"]
     if args.format == "json":
@@ -274,11 +306,11 @@ def _cmd_monomial(args, out) -> int:
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:
-        cyc = v.to_cyclotomic()
         out.write(f"value = {v.exact_str()}  (case {case})\n")
-        if not any(cyc.coords[1:]):
-            out.write(f"integer value = {cyc.coords[0]}\n")
-        out.write(f"cyclotomic coords = {list(cyc.coords)}\n")
+        coords = _coords(v, v.to_cyclotomic)
+        if coords is not None and not any(coords[1:]):
+            out.write(f"integer value = {coords[0]}\n")
+        out.write(_coords_line(v, coords))
     return EXIT_OK
 
 
@@ -292,7 +324,7 @@ def _value_json_monomial(args, v: ExpSumValue, case: str) -> dict:
         "t": v.t,
         "case": case,
         "value_exact": v.exact_str(),
-        "value_cyclotomic": list(v.to_cyclotomic().coords),
+        "value_cyclotomic": _coords(v, v.to_cyclotomic),
         "value_complex": _complex_json(v),
     }
 

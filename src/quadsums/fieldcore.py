@@ -35,6 +35,19 @@ d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``) beyond that
 (``_primepoly.exact_dtype``).  Nothing here is float64; only the oracle's
 enumeration is, under its own enforced bound.
 
+Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
+lie in the subfield K = GF(p^n), the kernel of F^n - I for F the Frobenius
+matrix.  ``_find_root`` splits g by Cantor-Zassenhaus with shifts in K
+outside GF(p) and the exponent (p^n - 1)/2, so no power of size p^N is
+taken; the proof is in its docstring.  The sorted root set, and so the
+default embedding (the smallest-encoding root), does not depend on which
+root the splitting finds.
+
+Inverses.  ``FieldElem.inverse`` runs the extended Euclid of
+:mod:`quadsums._primepoly` against the modulus, O(d^2) residue operations
+(``pow(a, -1, p)`` for d = 1), instead of a^(p^d - 2).  Polynomial gcds,
+monic scaling and division over GF(p^d) use it.
+
 The module also houses the skew-gcd ladder behind ``nullity_at``, the
 single-degree nullity that checks the first entry l_n of every closed-form
 profile: ``linearized_gcd_deg`` returns log_p deg gcd(L, x^(p^m) - x) for a
@@ -52,6 +65,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _linalg
 from . import _primepoly as pp
 from ._numtheory import is_prime, prime_divisors
 from .errors import (
@@ -386,9 +400,14 @@ class FieldElem:
         return result
 
     def inverse(self) -> "FieldElem":
+        """By the extended Euclid against the modulus; pow(a, -1, p) for d = 1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return self ** (self.ctx.order - 2)
+        ctx = self.ctx
+        if ctx.d == 1:
+            return FieldElem(ctx, (pow(self.coeffs[0], -1, ctx.p),))
+        u = pp.inverse(self.coeffs, ctx.modulus, ctx.p)
+        return FieldElem(ctx, tuple(u) + (0,) * (ctx.d - len(u)))
 
     def frobenius(self, j: int) -> "FieldElem":
         """j-fold p-power map x^(p^j): the coordinates applied to the cached
@@ -446,25 +465,52 @@ class FieldElem:
 
 
 def _find_root(g: "Poly") -> FieldElem:
-    """Deterministic root extraction for a monic polynomial known to split
-    into distinct linear factors over its context."""
+    """A root of the monic g of degree n >= 2 whose n distinct roots all lie
+    in K = GF(p^n), inside its context GF(p^N): Cantor-Zassenhaus splitting
+    with shifts drawn from K.
+
+    K is the kernel of F^n - I, F the Frobenius matrix of GF(p^N).  Column
+    0 of F^n - I is zero (1 is fixed), so the first vector of the echelon
+    kernel basis is 1, and the shifts whose codes (coordinates in that basis)
+    are below p are exactly GF(p).  For c in K, (r + c)^((p^n - 1)/2) is the
+    quadratic character eta_K(r + c), so gcd(g, (x + c)^((p^n - 1)/2) - 1)
+    collects the roots r with r + c a nonzero square.
+
+    - A shift c in GF(p) never splits g: the roots are the conjugates
+      r^(p^j), and r^(p^j) + c = (r + c)^(p^j) has the character of r + c.
+      The codes therefore start at p.
+    - For two distinct roots r and r + delta, sum_(u in K) eta(u) eta(u +
+      delta) = -1 is a sum of p^n - 2 terms +-1 and two zeros, so exactly
+      (p^n - 1)/2 shifts c give r + c and r + delta + c opposite nonzero
+      characters, and each separates the two.
+    - The factor kept after a shift lies on one side of that shift, and a
+      shift that splits nothing leaves every factor whole; so no code
+      already tried splits the current factor, and one pass over the codes
+      ends at a linear factor.  NoRootFound after it means a corrupt
+      context."""
     ctx = g.ctx
-    q = ctx.order
+    p, n = ctx.p, g.degree
+    M = (ctx.frob_mat_power(n) - np.eye(ctx.d, dtype=np.int64)) % p
+    basis = _linalg.kernel_basis(M, p)
+    if len(basis) != n:
+        raise NoRootFound(f"the fixed field of z -> z^(p^{n}) has dimension {len(basis)}; corrupt context")
     one = Poly(ctx, (ctx.one(),))
-    while g.degree > 1:
-        progressed = False
-        for code in range(4 * ctx.d + 32):
-            c = ctx.from_encoding(code)
-            base = Poly(ctx, (c, ctx.one()))
-            w = base.powmod((q - 1) // 2, g) - one
-            h = g.gcd(w)
-            if 0 < h.degree < g.degree:
-                other = g // h
-                g = h if h.degree <= other.degree else other
-                progressed = True
-                break
-        if not progressed:
-            raise NoRootFound("splitting never separated the roots; corrupt context")
+    e = (p**n - 1) // 2
+    for code in range(p, p**n):
+        if g.degree == 1:
+            break
+        c, rest = [0] * ctx.d, code
+        for vec in basis:
+            rest, digit = divmod(rest, p)
+            if digit:
+                c = [a + digit * v for a, v in zip(c, vec)]
+        w = Poly(ctx, (ctx.elem(c), ctx.one())).powmod(e, g) - one
+        h = g.gcd(w)
+        if 0 < h.degree < g.degree:
+            other = g // h
+            g = h if h.degree <= other.degree else other
+    if g.degree != 1:
+        raise NoRootFound("splitting never separated the roots; corrupt context")
     return -(g.coeffs[0] / g.coeffs[1])
 
 

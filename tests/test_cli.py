@@ -210,3 +210,76 @@ def test_value_past_float_range_prints():
     # within range the pair stays
     code, out = run(argv[:-1] + ["2", "--format", "json"])
     assert code == 0 and len(_strict_json(out)["value_complex"]) == 2
+
+
+def test_monomial_residue_builds_no_field(monkeypatch):
+    # a residue lies in GF(p): GF(3^1400) would take minutes to find a modulus
+    def no_field(*args, **kwargs):
+        raise AssertionError("build_field_ctx called for a residue")
+
+    monkeypatch.setattr(cli, "build_field_ctx", no_field)
+    code, out = run(["monomial", "--p", "3", "--a", "1", "--alpha", "1", "--N", "1400", "--format", "json"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["value_exact"] == "g^1398*p^2" and payload["case"] == "iii"
+    assert len(payload["value_cyclotomic"]) == 2
+
+
+def test_monomial_vector_parses_in_the_big_field():
+    residue = run(["monomial", "--p", "3", "--a", "2", "--alpha", "1", "--N", "4"])
+    vector = run(["monomial", "--p", "3", "--a", "2,0,0,0", "--alpha", "1", "--N", "4"])
+    assert residue == vector and residue[0] == 0
+    code, out = run(["monomial", "--p", "3", "--a", "0,1,0,0", "--alpha", "1", "--N", "4"])
+    assert code == 0 and "case iii" in out
+
+
+@pytest.mark.parametrize("m", [20000, 10**18])
+def test_huge_value_omits_coordinates(m):
+    # |S| = 3^((m+2)/2) has more digits than str(int) will print by default
+    argv = ["eval", "--p", "3", "--coeffs", "0,1", "--m", str(m)]
+    code, out = run(argv)
+    assert code == 0
+    assert f"value = g^{m - 2}*p^2\n" in out
+    assert re.search(r"^cyclotomic coords = omitted \(~\d+ digits\)$", out, re.M)
+    assert "provenance:" in out
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["value_exact"] == f"g^{m - 2}*p^2"
+    assert payload["value_cyclotomic"] is None and payload["value_complex"] is None
+    mono = ["monomial", "--p", "3", "--a", "1", "--alpha", "1", "--N", str(m)]
+    code, out = run(mono)
+    assert code == 0 and "omitted" in out and "integer value" not in out
+    code, out = run(mono + ["--format", "json"])
+    assert code == 0 and _strict_json(out)["value_cyclotomic"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p", "5", "--coeffs", "1,2,3,4,1", "--m", "4"],
+    ["verify", "--p", "5", "--coeffs", "1,2,3,4,1", "--m", "4"],
+    ["shift", "--p", "5", "--coeffs", "1,2,3,4,1", "--m", "4", "--b", "1"],
+    ["monomial", "--p", "5", "--a", "2", "--alpha", "1", "--N", "4"],
+])
+def test_every_command_follows_the_digit_limit(argv, monkeypatch):
+    # these values have a few digits; a limit of one digit omits them.  The
+    # verify report prints the enumerated sum, at most the cap in size.
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 1)
+    code, out = run(argv)
+    assert code == 0
+    assert ("exact-equal" if argv[0] == "verify" else "cyclotomic coords = omitted (~") in out
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    payload = _strict_json(out)
+    value = payload.get("value") or payload.get("base") or payload
+    assert value["value_cyclotomic"] is None
+    if argv[0] == "shift":
+        assert payload["cyclotomic"] is None
+
+
+def test_coordinate_digit_bound():
+    for p in (3, 5, 7, 13):
+        for N in range(1, 9):
+            for l in range(N + 1):
+                v = ExpSumValue(p, N, l, 1)
+                longest = max(len(str(abs(c))) for c in v.to_cyclotomic().coords)
+                assert longest <= cli._coord_digits(v) <= longest + 1, (p, N, l)

@@ -13,7 +13,8 @@ from quadsums import (
     linearized_gcd_deg,
 )
 from tests import polyref
-from quadsums.fieldcore import _default_modulus
+from quadsums import _primepoly as pp
+from quadsums.fieldcore import _default_modulus, _find_root
 from quadsums.errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -242,6 +243,136 @@ def test_exposed_traces_independent_of_embedding_root(rng):
         t0 = embed_element(f9, f81, x, root=r0).trace()
         t1 = embed_element(f9, f81, x, root=r1).trace()
         assert t0 == t1
+
+
+# Embedding roots, as integer encodings, of the pairs the benchmark
+# workloads embed: found with the earlier Cantor-Zassenhaus loop over all of
+# GF(p^N), with exponent (p^N - 1)/2.  The sorted root set does not depend
+# on the root the splitting finds first.
+PINNED_ROOTS = {
+    (3, 2, 6): [129, 231],
+    (3, 2, 8): [828, 1629],
+    (3, 2, 18): [2799995, 3821146],
+    (3, 3, 9): [1629, 1630, 1631],
+    (5, 2, 10): [3082203, 9124802],
+    (5, 3, 15): [1133884850, 6765401245, 25610984180],
+    (7, 2, 14): [16313538264, 96723640200],
+    (7, 3, 21): [112629330812346548, 213855005030637902, 336518168089516562],
+}
+
+
+@pytest.mark.parametrize("p,n,N", sorted(PINNED_ROOTS))
+def test_embedding_roots_pinned(p, n, N):
+    roots = embedding_roots(build_field_ctx(p, n), build_field_ctx(p, N))
+    assert [r.encoding for r in roots] == PINNED_ROOTS[(p, n, N)]
+
+
+# Every n | N with n >= 2 and p^N <= 2 * 10^4.
+ENUMERATED_PAIRS = [
+    (3, 2, 6), (3, 3, 6), (3, 6, 6), (3, 2, 8), (3, 4, 8), (3, 8, 8),
+    (5, 2, 4), (5, 4, 4), (5, 2, 6), (5, 3, 6), (5, 6, 6), (7, 2, 4), (7, 4, 4),
+]
+
+
+@pytest.mark.parametrize("p,n,N", ENUMERATED_PAIRS)
+def test_embedding_roots_match_enumeration(p, n, N):
+    # oracle: every x of GF(p^N) with g(x) = 0; all roots of g lie in
+    # GF(p^n), where x^(p^n) = x, so the other elements are skipped unevaluated
+    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
+    g = Poly.from_ints(dst, src.modulus)
+    expect = [x for x in dst.elements() if x.frobenius(n) == x and g(x).is_zero()]
+    assert len(expect) == n
+    assert list(embedding_roots(src, dst)) == expect
+
+
+@pytest.mark.parametrize("p,n,N", [(3, 2, 8), (5, 3, 6), (7, 2, 14), (7, 3, 21)])
+def test_prime_field_shift_never_splits(p, n, N):
+    # the roots are conjugates r^(p^j), and r^(p^j) + c = (r + c)^(p^j) for
+    # c in GF(p): all have the character of r + c
+    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
+    g = Poly.from_ints(dst, src.modulus)
+    one = Poly(dst, (dst.one(),))
+    for c in range(p):
+        w = Poly(dst, (dst.elem(c), dst.one())).powmod((p**n - 1) // 2, g) - one
+        assert g.gcd(w).degree in (0, n)
+
+
+@pytest.mark.parametrize("p,n,N", [(3, 2, 8), (5, 3, 15), (7, 3, 21)])
+def test_find_root_takes_no_large_power(monkeypatch, p, n, N):
+    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
+    g = Poly.from_ints(dst, src.modulus)
+    elem_pow, poly_powmod = FieldElem.__pow__, Poly.powmod
+
+    def small_pow(x, e):
+        if abs(e) >= p**n:
+            raise AssertionError(f"power {e} >= p^n taken")
+        return elem_pow(x, e)
+
+    def small_powmod(x, e, modulus):
+        if e >= p**n:
+            raise AssertionError(f"power {e} >= p^n taken")
+        return poly_powmod(x, e, modulus)
+
+    monkeypatch.setattr(FieldElem, "__pow__", small_pow)
+    monkeypatch.setattr(Poly, "powmod", small_powmod)
+    root = _find_root(g)
+    monkeypatch.undo()
+    assert g(root).is_zero()
+
+
+INVERSE_FIELDS = [(3, 7), (7, 21), (3, 81), (2**31 - 1, 2), (2**61 - 1, 3), (P_PAST_INT64, 2)]
+
+
+def _square_and_multiply(x, e):
+    result, base = x.ctx.one(), x
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,d", INVERSE_FIELDS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_inverse_is_fermat_power(p, d, data):
+    ctx = build_field_ctx(p, d)
+    x = ctx.elem([data.draw(st.integers(0, p - 1)) for _ in range(d)])
+    if x.is_zero():
+        x = ctx.gen()
+    inv = x.inverse()
+    assert x * inv == ctx.one()
+    assert inv == _square_and_multiply(x, ctx.order - 2)
+    assert x / x == ctx.one() and x ** -1 == inv
+
+
+@pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
+def test_prime_field_inverse(p):
+    ctx = build_field_ctx(p, 1)
+    for a in (1, 2, p - 1, p // 2):
+        assert ctx.elem(a).inverse() == ctx.elem(pow(a, p - 2, p))
+    with pytest.raises(DivisionByZero):
+        ctx.zero().inverse()
+
+
+@pytest.mark.parametrize("p,d", INVERSE_FIELDS)
+def test_inverse_of_zero_raises(p, d):
+    with pytest.raises(DivisionByZero):
+        build_field_ctx(p, d).zero().inverse()
+
+
+def test_polynomial_inverse_needs_a_unit():
+    # (x + 1) shares a factor with (x + 1)(x + 2) over GF(5); a constant
+    # inverts to its own inverse
+    m = [2, 3, 1]
+    with pytest.raises(DivisionByZero):
+        pp.inverse([1, 1], m, 5)
+    with pytest.raises(DivisionByZero):
+        pp.inverse([0, 0], m, 5)
+    assert pp.inverse([3], m, 5) == [2]
+    # (x^2 + 2)(3x^2 + 3x + 2) = 1 mod x^3 + x + 1
+    assert pp.inverse([2, 0, 1], [1, 1, 0, 1], 5) == [2, 3, 3]
 
 
 def test_poly_gcd_deg_running_example():

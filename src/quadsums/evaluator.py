@@ -34,7 +34,7 @@ from .lifts import (
     valuation,
 )
 from .nullity import QuadFunc, nullity_profile
-from .quadform import DEFAULT_CAP, brute_force_sum, type_direct
+from .quadform import DEFAULT_CAP, brute_force_sum, enumeration_size, type_direct
 
 DIRECT_LIMIT = 256
 CROSS_CHECK_LIMIT = 64
@@ -198,7 +198,9 @@ class VerifyReport:
 
 
 def verify(f: QuadFunc, m: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """Compare the closed form with the enumeration oracle, exactly."""
+    """Compare the closed form with the enumeration oracle, exactly.  An
+    input past the enumeration's budget raises TooLarge before evaluation."""
+    enumeration_size(f.p, m * f.n, cap)
     value = evaluate(f, m)
     closed = value.to_cyclotomic()
     brute = brute_force_sum(f, m, cap)

@@ -18,9 +18,17 @@ evaluator checks this nullity against the closed-form profile
 
 The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
-with G built entry by entry from scalar field arithmetic (Frobenius, product,
-trace), never from the Gram-matrix route.  The enumeration is blocked: with
-x = (lo, hi), lo the first k = N // 2 coordinates,
+with G[u, v] = Tr(x^u y_v), y_v = sum_i c_i (x^v)^(p^(a_i)).  The trace is
+GF(p)-linear, so Tr(x^u y) = sum_w y_w Tr(x^(u+w)): each term adds Hc Y^T,
+with Hc[u, w] = Tr(x^(u+w)) a Hankel matrix of conjugate sums and Y[v] the
+coordinates of c (x^v)^(p^a) (scalar Frobenius and product), and a shifted
+sum's linear vector is Hc b.  All of it is in the exact dtype, reduced mod p
+after every product and sum.  The oracle reads none of the Gram route's
+``trace_form`` (Newton's identities), ``mult_mat``, ``frob_mat_power`` or
+``gram_matrix``.
+
+The enumeration is blocked: with x = (lo, hi), lo the first k = N // 2
+coordinates,
 
     Q(x) = Q(lo) + Q(hi) + lo C hi^T,    C = G_lh + G_hl^T,
 
@@ -28,9 +36,11 @@ and the linear term of a shifted sum splits the same way.  Each block of
 values is one outer sum of Q(lo) and Q(hi) plus one float64 matrix product,
 and digits are decoded for p^k + p^(N-k) rows only.  This is the only
 float64 arithmetic in the package.  Every partial product is reduced mod p
-before the next one, so every summand is below N*p^2; under DEFAULT_CAP
-(p^N <= 2*10^7) that is at most 4*10^14, far below 2^53, where float64
-stops being exact.  Enumerations past that bound raise TooLarge.
+before the next one, so every summand is an integer below N*p^2; under
+DEFAULT_CAP (p^N <= 2*10^7) that is at most 4*10^14, far below 2^53, where
+float64 stops being exact.  A block's values are reduced mod p as int64
+before they are tallied.  Enumerations past either bound raise TooLarge
+(``enumeration_size``, which ``verify`` calls before it evaluates).
 """
 
 from __future__ import annotations
@@ -158,17 +168,27 @@ def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, 
 # -- brute-force oracle ----------------------------------------------------------
 
 
-def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx) -> np.ndarray:
-    """G with Tr(f(sum x_u b_u)) = x G x^T, entries Tr(a_i b_u b_v^(p^a_i))
-    computed by scalar field arithmetic on the power basis."""
-    N = ctx_big.d
-    basis = [ctx_big.from_encoding(ctx_big.p**u) for u in range(N)]
-    G = np.zeros((N, N), dtype=exact_dtype(ctx_big.p, 1))
+def _trace_hankel(ctx: FieldCtx) -> np.ndarray:
+    """Hc[u, w] = Tr(x^(u+w)): ``basis_traces`` for u + w < N, and the
+    ``trace`` of x^N, ..., x^(2N-2) by N - 1 multiplications by x."""
+    N = ctx.d
+    s = list(ctx.basis_traces())
+    x, xk = ctx.gen(), ctx.from_encoding(ctx.p ** (N - 1))
+    for _ in range(N - 1):
+        xk = xk * x
+        s.append(xk.trace())
+    return np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
+
+
+def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarray:
+    """G with Tr(f(sum x_u b_u)) = x G x^T on the power basis b_u: per term,
+    Hc Y^T mod p with Y[v] = c b_v^(p^a) (see the module docstring)."""
+    p, N = ctx_big.p, ctx_big.d
+    basis = [ctx_big.from_encoding(p**v) for v in range(N)]
+    G = np.zeros((N, N), dtype=Hc.dtype)
     for c, a in _embedded_terms(f, ctx_big):
-        ys = [c * b.frobenius(a) for b in basis]
-        for u, bu in enumerate(basis):
-            for v, yv in enumerate(ys):
-                G[u, v] = (G[u, v] + (bu * yv).trace()) % ctx_big.p
+        Y = np.array([(c * b.frobenius(a)).coeffs for b in basis], dtype=Hc.dtype)
+        G = (G + Hc @ Y.T % p) % p
     return G
 
 
@@ -185,24 +205,30 @@ def _block_form(X: np.ndarray, B: np.ndarray, w: np.ndarray, p: int) -> np.ndarr
     return np.mod((np.mod(X @ B, p) * X).sum(axis=1) + X @ w, p)
 
 
-def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
-    N = m * f.n
-    p = f.p
+def enumeration_size(p: int, N: int, cap: int) -> int:
+    """p^N, the number of elements the oracle enumerates over GF(p^N);
+    TooLarge past the cap or where N*p^2 leaves the exact float64 range."""
     size = p**N
     if size > cap:
         raise TooLarge(f"p^N = {size} exceeds cap {cap}")
     if N * p * p >= 2**53:
         raise TooLarge(f"N*p^2 = {N * p * p} is past the exact float64 range of the enumeration")
+    return size
+
+
+def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
+    N = m * f.n
+    p = f.p
+    size = enumeration_size(p, N, cap)
     ctx_big = build_field_ctx(p, N)
-    G = _bilinear_matrix(f, ctx_big).astype(np.float64)
+    Hc = _trace_hankel(ctx_big)
+    G = _bilinear_matrix(f, ctx_big, Hc).astype(np.float64)
     lin = np.zeros(N)
     if linear is not None:
         linear = ctx_big.elem(linear) if not isinstance(linear, FieldElem) else linear
         if linear.ctx.key != ctx_big.key:
             linear = embed_element(linear.ctx, ctx_big, linear)
-        lin = np.array(
-            [(linear * ctx_big.from_encoding(p**u)).trace() for u in range(N)], dtype=np.float64
-        )
+        lin = (Hc @ np.array(linear.coeffs, dtype=Hc.dtype) % p).astype(np.float64)
     # x = (lo, hi): Q(x) = Q(lo) + Q(hi) + lo C hi^T with C = G_lh + G_hl^T
     k = N // 2
     C = np.mod(G[:k, k:] + G[k:, :k].T, p)
@@ -217,7 +243,7 @@ def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
         step = max(1, _CHUNK // len(hi))
         for l0 in range(0, len(lo), step):
             tr = lo_C[l0 : l0 + step] @ hi.T + q_lo[l0 : l0 + step, None] + q_hi
-            tally = np.bincount(np.mod(tr, p).astype(np.int64).ravel())
+            tally = np.bincount((tr.astype(np.int64) % p).ravel())
             counts[: len(tally)] += tally
     if counts.sum() != size:
         raise InternalInconsistency(f"tallied {counts.sum()} elements of {size}")

@@ -8,7 +8,8 @@ from quadsums import (
     plan,
     verify,
 )
-from quadsums.errors import InvalidInput, Unsupported
+from quadsums import evaluator
+from quadsums.errors import InvalidInput, TooLarge, Unsupported
 from tests.conftest import random_quadfunc
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -188,3 +189,22 @@ def test_monomial_route_builds_no_field(monkeypatch):
         assert v.provenance[0]["case"] == "iii"
     v = evaluate(f25, 10**18)
     assert v.N == 2 * 10**18 and v.l == nullity_profile(f25).nullity(v.N)
+
+
+def test_verify_checks_enumeration_budget_before_evaluating(monkeypatch):
+    # GF(3^243) is past the cap: verify must refuse before building it for
+    # the closed form
+    def no_evaluate(*args):
+        raise AssertionError("verify evaluated an input past the enumeration budget")
+
+    monkeypatch.setattr(evaluator, "evaluate", no_evaluate)
+    f = QuadFunc.from_dense(3, [1, 1])
+    with pytest.raises(TooLarge, match="exceeds cap"):
+        verify(f, 243)
+    with pytest.raises(TooLarge, match="exceeds cap"):
+        verify(f, 3, cap=26)
+    with pytest.raises(TooLarge, match="float64"):
+        verify(QuadFunc.from_dense(100000007, [1]), 1, cap=10**9)
+    monkeypatch.undo()
+    with pytest.raises(InvalidInput):
+        verify(f, 0)

@@ -24,8 +24,15 @@ from quadsums import (
 from quadsums import _linalg, quadform
 from quadsums.cyclotomic import cyc_from_trace_counts
 from quadsums.errors import InternalInconsistency, NotSymmetric, TooLarge
-from quadsums.fieldcore import embed_element, is_prime
-from quadsums.quadform import DEFAULT_CAP, _embedded_terms, _trace_counts, elem_quadratic_character
+from quadsums.fieldcore import FieldCtx, embed_element, embedding_roots, is_prime
+from quadsums.quadform import (
+    DEFAULT_CAP,
+    _bilinear_matrix,
+    _embedded_terms,
+    _trace_counts,
+    _trace_hankel,
+    elem_quadratic_character,
+)
 from tests.conftest import random_quadfunc
 
 
@@ -175,11 +182,9 @@ P_PAST_INT64 = 9223372036854775837
 
 
 def _symmetrized_oracle(f, ctx):
-    """(G + G^T)/2 of the oracle's scalar-arithmetic G, in Python ints."""
-    from quadsums.quadform import _bilinear_matrix
-
+    """(G + G^T)/2 of the oracle's G, in Python ints."""
     p = ctx.p
-    G = _bilinear_matrix(f, ctx).tolist()
+    G = _bilinear_matrix(f, ctx, _trace_hankel(ctx)).tolist()
     N = len(G)
     return [[(G[u][v] + G[v][u]) * pow(2, -1, p) % p for v in range(N)] for u in range(N)]
 
@@ -204,6 +209,91 @@ def test_gram_matrix_matches_bilinear_oracle_past_int64(rng):
         for _ in range(2):
             f = random_quadfunc(rng, p)
             assert gram_matrix(f, N, ctx).tolist() == _symmetrized_oracle(f, ctx), (f, N)
+
+
+def _bilinear_reference(f, ctx):
+    """G[u, v] = Tr(x^u sum_i c_i (x^v)^(p^a_i)), one scalar product and
+    trace per entry."""
+    N = ctx.d
+    basis = [ctx.from_encoding(ctx.p**u) for u in range(N)]
+    G = [[0] * N for _ in range(N)]
+    for c, a in _embedded_terms(f, ctx):
+        ys = [c * b.frobenius(a) for b in basis]
+        for u, bu in enumerate(basis):
+            for v, yv in enumerate(ys):
+                G[u][v] = (G[u][v] + (bu * yv).trace()) % ctx.p
+    return G
+
+
+def _hankel_cases(rng):
+    """(f, ctx) over GF(3^12), GF(5^8), GF(7^6), a GF(9) function read in
+    GF(3^8), and primes past 2^31, 2^61 and 2^63 at N <= 3."""
+    for p, N in ((3, 12), (5, 8), (7, 6)):
+        yield random_quadfunc(rng, p), build_field_ctx(p, N)
+    base = build_field_ctx(3, 2)
+    coeffs = [base.from_encoding(rng.randrange(1, 9)) for _ in range(3)]
+    yield QuadFunc.from_terms(base, [(c, a) for a, c in enumerate(coeffs)]), build_field_ctx(3, 8)
+    for p in (2**31 - 1, 2**61 - 1, P_PAST_INT64):
+        for N, modulus in ((1, None), (2, (p - 2, 0, 1) if p == P_PAST_INT64 else None), (3, None)):
+            yield random_quadfunc(rng, p), build_field_ctx(p, N, modulus)
+
+
+def test_bilinear_matrix_matches_per_entry_reference(rng):
+    # one Hankel product per term against N^2 scalar products and traces;
+    # Hc b against Tr(b x^u) one entry at a time
+    for f, ctx in _hankel_cases(rng):
+        Hc = _trace_hankel(ctx)
+        assert _bilinear_matrix(f, ctx, Hc).tolist() == _bilinear_reference(f, ctx), (f, ctx)
+        b = ctx.from_encoding(rng.randrange(1, ctx.order))
+        lin = (Hc @ np.array(b.coeffs, dtype=Hc.dtype) % ctx.p).tolist()
+        assert lin == [(b * ctx.from_encoding(ctx.p**u)).trace() for u in range(ctx.d)], (b, ctx)
+
+
+def test_oracle_reads_no_gram_route(monkeypatch):
+    # the oracle stays independent of the route it checks: with the trace
+    # form, multiplication and Frobenius matrices and gram_matrix all raising,
+    # it still gives the per-element tallies
+    rng = random.Random(11)
+    base9 = build_field_ctx(3, 2)
+    coeffs = [base9.from_encoding(rng.randrange(1, 9)) for _ in range(3)]
+    cases = [(random_quadfunc(rng, p), m) for p, m in ((3, 5), (5, 3), (7, 2))]
+    cases.append((QuadFunc.from_terms(base9, [(c, a) for a, c in enumerate(coeffs)]), 2))
+    expected = []
+    for f, m in cases:
+        b = f.ctx.from_encoding(rng.randrange(1, f.ctx.order))
+        if f.n > 1:  # _find_root reads frob_mat_power
+            embedding_roots(f.ctx, build_field_ctx(f.p, m * f.n))
+        expected.append((b, *_reference_counts(f, m, b)))
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the oracle read the Gram route")
+
+    for name in ("trace_form", "mult_mat", "frob_mat_power"):
+        monkeypatch.setattr(FieldCtx, name, banned)
+    monkeypatch.setattr(quadform, "gram_matrix", banned)
+    for (f, m), (b, plain, shifted) in zip(cases, expected):
+        assert brute_force_sum(f, m) == cyc_from_trace_counts(f.p, plain), (f, m)
+        assert brute_force_sum_shifted(f, b, m) == cyc_from_trace_counts(f.p, shifted), (f, m, b)
+
+
+def test_enumeration_matches_binary_form_counts_at_large_prime():
+    # p = 2003, N = 2: the lo C hi products reach about p^2.  A nondegenerate
+    # binary form with discriminant det B takes each value r exactly
+    # p + v(r) eta(-det B) times, v(0) = p - 1 and v(r) = -1 otherwise
+    # (Lidl and Niederreiter, Thm 6.26)
+    p = 2003
+    etas = set()
+    for coeffs in ([3, 5], [1, 7], [2, 0, 9]):
+        f = QuadFunc.from_dense(p, coeffs)
+        B = gram_matrix(f, 2)
+        det = _linalg.det(B, p)
+        assert det, coeffs
+        eta = legendre(-det, p)
+        etas.add(eta)
+        counts = _trace_counts(f, 2, DEFAULT_CAP)
+        assert counts[0] == p + (p - 1) * eta, coeffs
+        assert (counts[1:] == p - eta).all(), coeffs
+    assert etas == {1, -1}
 
 
 def test_type_direct_exact_at_large_prime():

@@ -21,13 +21,14 @@ with the i-th exponent and zero coefficients are rejected.  Over extension
 bases (n > 1) each coefficient is a comma-separated residue vector and
 terms are separated by semicolons.
 
-Exact cyclotomic coordinates are printed only while their decimal digits
-stay within the interpreter's int-to-string limit
-(``sys.get_int_max_str_digits()``; 0 lifts it).  Past it, text output reads
-``cyclotomic coords = omitted (~K digits)`` and JSON writes null for them,
-as for a non-finite ``value_complex``.  The digit count is estimated from
-|S| = p^((N+l)/2) before any coordinate is computed, so a huge m answers at
-once.
+Exact cyclotomic coordinates are printed only while their decimal digits,
+p - 1 coordinates of at most K digits each, stay within the interpreter's
+int-to-string limit (``sys.get_int_max_str_digits()``; 0 lifts it).  Past
+it, text output reads ``cyclotomic coords = omitted (~K digits)`` and JSON
+writes null for them, as for a non-finite ``value_complex``; verify's
+report line and its JSON coordinates follow the same rule.  K is estimated
+from |S| = p^((N+l)/2) before any coordinate is computed, so a huge m or p
+answers at once.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _coords(v: ExpSumValue, cyclotomic):
     """cyclotomic().coords as a list, for a value of the size of v; None
     when they would pass the int-to-string limit (see the module docstring)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and _coord_digits(v) > limit:
+    if limit and (v.p - 1) * _coord_digits(v) > limit:
         return None
     return list(cyclotomic().coords)
 
@@ -248,18 +249,23 @@ def _cmd_table(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     f = _parse_func(args)
     rep = verify(f, args.m, cap=args.cap)
+    v = rep.value
+    closed = _coords(v, lambda: rep.closed_form)
     if args.format == "json":
         json.dump(
             {
                 "equal": rep.equal,
-                "closed_form": list(rep.closed_form.coords),
-                "brute_force": list(rep.brute.coords),
-                "value": _value_json(f, args.m, rep.value),
+                "closed_form": closed,
+                "brute_force": _coords(v, lambda: rep.brute),
+                "value": _value_json(f, args.m, v),
             },
             out,
             indent=2,
         )
         out.write("\n")
+    elif closed is None:
+        out.write(f"{'exact-equal' if rep.equal else 'MISMATCH'}: {v.exact_str()}\n")
+        out.write(_coords_line(v, None))
     else:
         out.write(str(rep) + "\n")
     return EXIT_OK if rep.equal else EXIT_INTERNAL

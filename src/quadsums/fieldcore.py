@@ -22,18 +22,20 @@ basis under z -> z^(p^j) for each j asked for (one x ** p**j and d
 multiplications) and Tr(x^u) for u < d (the sum of the d conjugates of
 each basis element, checked to lie in GF(p)).  ``FieldElem.frobenius`` is
 then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
-product.  The brute-force oracle uses these scalar maps alone.
+product.  The brute-force oracle uses these scalar maps alone, and only it
+reads a trace through the O(d^4) conjugate sums.
 
 The matrix route is separate and equally exact: ``frob_mat_power`` (powers
 of Q transposed), ``mult_mat`` and ``trace_form`` (the Hankel matrix of the
-power sums Tr(x^k), from Newton's identities on the modulus) back the Gram
-matrix in :mod:`quadsums.quadform` and the radical's linear map in
-:mod:`quadsums.nullity`.  Their entries are residues mod p, and every sum
-and product is reduced mod p before the next, so no intermediate exceeds a
-sum of d products of residues: the matrices are int64 while
-d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``) beyond that
-(``_primepoly.exact_dtype``).  Nothing here is float64; only the oracle's
-enumeration is, under its own enforced bound.
+power sums Tr(x^k), O(d^2) by Newton's identities on the modulus) back the
+Gram matrix in :mod:`quadsums.quadform`, the radical's linear map in
+:mod:`quadsums.nullity` and, by row 0, the phase of ``lifts.shift_linear``.
+Their entries are residues mod p, and every sum and product is reduced mod
+p before the next, so no intermediate exceeds a sum of d products of
+residues: the matrices are int64 while d*(p-1)^2 < 2^63 and Python ints
+(numpy ``dtype=object``) beyond that (``_primepoly.exact_dtype``).
+Nothing here is float64; only the oracle's enumeration is, under its own
+enforced bound.
 
 Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
 lie in the subfield K = GF(p^n), the kernel of F^n - I for F the Frobenius
@@ -237,7 +239,8 @@ class FieldCtx:
 
     def basis_traces(self) -> tuple[int, ...]:
         """Tr(x^u) for u < d, each summed over the d conjugates of x^u; every
-        sum must lie in GF(p)."""
+        sum must lie in GF(p).  The oracle's definitional trace, O(d^4);
+        production reads row 0 of ``trace_form`` instead."""
         traces = self._cache.get("basis_traces")
         if traces is None:
             p, d = self.p, self.d
@@ -427,7 +430,8 @@ class FieldElem:
         return FieldElem(ctx, tuple(v % p for v in out))
 
     def trace(self) -> int:
-        """Tr down to GF(p): the coordinates dotted with Tr(x^u), O(d)."""
+        """Tr down to GF(p): the coordinates dotted with ``basis_traces``,
+        O(d) once those are cached.  The oracle's definitional trace."""
         ctx = self.ctx
         return sum(c * t for c, t in zip(self.coeffs, ctx.basis_traces())) % ctx.p
 

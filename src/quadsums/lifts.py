@@ -300,4 +300,6 @@ def shift_linear(f: QuadFunc, b: FieldElem, N: int, value: ExpSumValue) -> Shift
     for c, a in f.terms:
         cE = c if ctx_big.key == f.ctx.key else embed_element(f.ctx, ctx_big, c)
         fx0 = fx0 + cE * x0 ** (f.p**a + 1)
-    return ShiftedSum(zero=False, phase=fx0.trace(), base=value)
+    # Tr(x^u) is row 0 of the trace form, from Newton's identities
+    phase = sum(c * int(t) for c, t in zip(fx0.coeffs, ctx_big.trace_form()[0])) % f.p
+    return ShiftedSum(zero=False, phase=phase, base=value)

@@ -10,18 +10,21 @@ are those fixed by A^k, so
     l_(kn) = dim ker(A^k - I),    s = n * ord(A),
 
 where s, the splitting exponent, is the least multiple of n with
-l_s = 2*alpha, and l_m = l_gcd(m, s) for every other multiple m of n.
-This is the effective way to compute the nullity for all m at once.
+l_s = 2*alpha, and l_m = l_gcd(m, s) for every other multiple m of n.  This
+is the effective way to compute the nullity for all m: ``NullityProfile``
+answers l_m with one power, A^(gcd(m, s)/n), memoized per exponent, and
+lists the pairs (m, l_m) over the divisors of s, which are tens of
+thousands when p - 1 is smooth, only when they are read.
 
-A is not built on V.  With R = GF(p^n)[T; sigma] the skew polynomials
+One action for every n.  With R = GF(p^n)[T; sigma] the skew polynomials
 (T a = a^p T, composition of p-polynomials), left multiplication by the
-central T^n on R/RL is GF(p^n)-linear and similar to A over GF(p^n).  For
-n = 1 it is multiplication by x on GF(p)[x]/(ell), where
-ell(x) = sum c_j x^j is the conventional associate of L: then
-l_m = deg gcd(ell, x^m - 1) and s is the order of ell (Lidl and
-Niederreiter, Finite Fields, Thm 3.62 and Sec. 3.1).  For n > 1 the
-action is written over GF(p) as a 2*alpha*n square matrix, n copies of A,
-and its kernels are divided by n.
+central T^n on R/RL is GF(p^n)-linear and similar to A over GF(p^n); over
+GF(p) it is a 2*alpha*n square matrix, n copies of A, so its kernels are
+divided by n.  For n = 1, R = GF(p)[T] and column i is T^(1+i) mod ell, for
+ell(x) = sum c_j x^j the conventional associate of L: the companion matrix
+C of ell/lead(ell).  Column 0 of y(C) is y mod ell and dim ker y(C) =
+deg gcd(ell, y), so there a kernel is one gcd over GF(p) (Lidl and
+Niederreiter, Finite Fields, Thm 3.62 and Sec. 3.1).
 
 The order: every eigenvalue of degree k over GF(p) lies in GF(p^k)^*.  The
 degrees come from dim ker(A^(p^k) - A), the count of Jordan blocks whose
@@ -29,8 +32,8 @@ eigenvalue lies in GF(p^k) (a distinct-degree split; for n = 1, gcds with
 x^(p^k) - x).  The semisimple part's order divides lcm(p^k - 1) over those
 degrees and is found prime by prime from the factored p^k - 1; the
 unipotent part adds a factor p^t, found by at most log_p(2*alpha) + 1
-power checks.  The profile's first entry l_n is checked against the
-independent skew-gcd ladder (``nullity_at``).
+power checks.  ``nullity_profile`` checks l_n against the independent
+skew-gcd ladder (``nullity_at``) and l_s against 2*alpha.
 """
 
 from __future__ import annotations
@@ -212,44 +215,20 @@ def nullity_at(f: QuadFunc, m: int) -> int:
 def splitting_exponent(f: QuadFunc) -> int:
     """Least multiple s of n with l_s = 2*alpha; GF(p^s) is the splitting
     field of the radical polynomial."""
-    return _closed_form(f)[0]
+    return NullityProfile(f).s
 
 
-class _Associate:
-    """GF(p)[x]/(ell) for n = 1, ell = sum c_j x^j the conventional
-    associate of the radical polynomial; x acts as the companion matrix of
-    ell.  Residues are length-2*alpha coefficient arrays."""
-
-    def __init__(self, f: QuadFunc):
-        p = self.p = f.p
-        ell = [c.coeffs[0] for c in radical_poly(f).coeffs]
-        self.dim = len(ell) - 1
-        self.ell = pp.monic(np.array(ell, dtype=pp.exact_dtype(p, self.dim)), p)
-        self.table = pp._reduction_table(self.ell, p)
-        self.one = np.zeros(self.dim, dtype=self.ell.dtype)
-        self.one[0] = 1
-        self.gen = np.roll(self.one, 1)
-
-    def mul(self, a, b):
-        return pp._mulmod(a, b, self.table, self.p)
-
-    def nullity(self, a, b) -> int:
-        """dim ker(a - b) = deg gcd(ell, a - b)."""
-        return pp.gcd_degree(self.ell.tolist(), ((a - b) % self.p).tolist(), self.p)
-
-
-class _CentralAction:
-    """Phi_p for n > 1: left multiplication by T^n on R/RL over GF(p), with
-    R = GF(p^n)[T; sigma] and L the radical polynomial.  T^n is central, so
-    Phi is GF(p^n)-linear, and its block (j, i) is mult_mat of the T^j
-    coefficient of T^(n+i) mod L (right remainder).  Phi_p is similar to n
-    copies of z -> z^(p^n) on the 2*alpha-dimensional root space of L, so
-    its kernels are n times theirs."""
+class _Action:
+    """Left multiplication by T^n on R/RL over GF(p), n copies of A (see the
+    module docstring): block (j, i) of ``gen`` is mult_mat of the T^j
+    coefficient of T^(n+i) mod L (right remainder), so for n = 1 column i
+    is T^(1+i) mod ell and ``gen`` is the companion matrix of ell/lead(ell)."""
 
     def __init__(self, f: QuadFunc):
         ctx, n, p = f.ctx, f.n, f.p
         L = list(radical_poly(f).coeffs)
         self.p, self.n, self.dim = p, n, len(L) - 1
+        self.ell = [c.coeffs[0] for c in L] if n == 1 else None
         size = self.dim * n
         dtype = pp.exact_dtype(p, size)
         self.one = np.eye(size, dtype=dtype)
@@ -259,11 +238,14 @@ class _CentralAction:
             for j, c in enumerate(rem):
                 self.gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
 
-    def mul(self, a, b):
-        return a @ b % self.p
-
     def nullity(self, a, b) -> int:
-        k = _linalg.kernel_dim((a - b) % self.p, self.p)
+        """dim ker(a - b) on the root space.  For n = 1, a - b = y(C), whose
+        column 0 is y mod ell (none when ell is constant), and the kernel
+        has dimension deg gcd(ell, y)."""
+        d = (a - b) % self.p
+        if self.n == 1:
+            return pp.gcd_degree(self.ell, d[:, 0].tolist() if self.dim else [], self.p)
+        k = _linalg.kernel_dim(d, self.p)
         if k % self.n:
             raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
         return k // self.n
@@ -273,10 +255,10 @@ def _power(act, a, e: int):
     out = act.one
     while e:
         if e & 1:
-            out = act.mul(out, a)
+            out = out @ a % act.p
         e >>= 1
         if e:
-            a = act.mul(a, a)
+            a = a @ a % act.p
     return out
 
 
@@ -358,43 +340,48 @@ def _expand(fac) -> int:
     return prod(q**v for q, v in fac)
 
 
-def _closed_form(f: QuadFunc) -> tuple[int, list[tuple[int, int]]]:
-    """(s, [(m, l_m) for every divisor m of s with n | m]) from the order
-    of the action; powers along the divisor lattice, one prime at a time."""
-    n = f.n
-    if f.top_alpha == 0:  # L is a nonzero constant: no radical anywhere
-        return n, [(n, 0)]
-    act = _Associate(f) if n == 1 else _CentralAction(f)
-    order = _order(act)
-    powers = [(1, act.gen)]
-    for q, v in order.items():
-        walk = []
-        for k, y in powers:
-            for i in range(v + 1):
-                walk.append((k * q**i, y))
-                if i < v:
-                    y = _power(act, y, q)
-        powers = walk
-    return n * _expand(order.items()), sorted((n * k, act.nullity(y, act.one)) for k, y in powers)
-
-
-@dataclass(frozen=True)
 class NullityProfile:
-    """l_m for every divisor m of s that is a multiple of n; any other m is
-    answered through gcd with s."""
+    """l_m of f for every m, from the action A and its factored order
+    ``order``, with s = n * ord(A).  ``nullity(m)`` is
+    dim ker(A^(gcd(m, s)/n) - I), one power of A, memoized per exponent;
+    ``entries``, the pairs (m, l_m) for every divisor m of s with n | m, is
+    built when first read."""
 
-    func: QuadFunc
-    s: int
-    entries: tuple[tuple[int, int], ...]
+    def __init__(self, f: QuadFunc):
+        self.func = f
+        self._act = _Action(f)
+        self.order = _order(self._act)
+        self.s = f.n * _expand(self.order.items())
+        self._memo: dict[int, int] = {}
+
+    def nullity(self, m: int) -> int:
+        n = self.func.n
+        if m < 1 or m % n:
+            raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
+        k = gcd(m, self.s) // n
+        if k not in self._memo:
+            act = self._act
+            self._memo[k] = act.nullity(_power(act, act.gen, k), act.one)
+        return self._memo[k]
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """Powers of A along the divisor lattice of ord(A), prime by prime."""
+        act = self._act
+        powers = [(1, act.gen)]
+        for q, v in self.order.items():
+            walk = []
+            for k, y in powers:
+                for i in range(v + 1):
+                    walk.append((k * q**i, y))
+                    if i < v:
+                        y = _power(act, y, q)
+            powers = walk
+        return tuple(sorted((self.func.n * k, act.nullity(y, act.one)) for k, y in powers))
 
     @property
     def entry_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def nullity(self, m: int) -> int:
-        if m < 1 or m % self.func.n:
-            raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={self.func.n}")
-        return self.entry_dict[gcd(m, self.s)]
 
     def to_json_dict(self) -> dict:
         f = self.func
@@ -413,13 +400,13 @@ class NullityProfile:
 
 @functools.lru_cache(maxsize=512)
 def nullity_profile(f: QuadFunc) -> NullityProfile:
-    s, entries = _closed_form(f)
-    ladder = nullity_at(f, f.n)
-    if entries[0][1] != ladder:
-        raise InternalInconsistency(f"closed form gives l_{f.n} = {entries[0][1]}, the ladder {ladder}")
-    prof = NullityProfile(f, s, tuple(entries))
-    if prof.entry_dict[s] != 2 * f.top_alpha:
-        raise InternalInconsistency(f"profile ends at l_{s} = {prof.entry_dict[s]}, not 2*alpha")
+    prof = NullityProfile(f)
+    l_n, ladder = prof.nullity(f.n), nullity_at(f, f.n)
+    if l_n != ladder:
+        raise InternalInconsistency(f"closed form gives l_{f.n} = {l_n}, the ladder {ladder}")
+    l_s = prof.nullity(prof.s)
+    if l_s != 2 * f.top_alpha:
+        raise InternalInconsistency(f"profile ends at l_{prof.s} = {l_s}, not 2*alpha")
     return prof
 
 

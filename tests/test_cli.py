@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsums import ExpSumValue, cli, errors
+from quadsums import ExpSumValue, cli, cyclotomic, errors
 from quadsums.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -274,6 +274,34 @@ def test_every_command_follows_the_digit_limit(argv, monkeypatch):
     assert value["value_cyclotomic"] is None
     if argv[0] == "shift":
         assert payload["cyclotomic"] is None
+
+
+@pytest.mark.parametrize("coeffs", ["1,5,1", "1,5,7,1"])
+def test_large_prime_builds_no_coordinates(coeffs, monkeypatch):
+    # p - 1 coordinates of 19 digits each pass the limit in all, so the
+    # bound answers before any coordinate is built
+    def no_coords(v):
+        raise AssertionError("coordinates built")
+
+    monkeypatch.setattr(cyclotomic, "expsum_to_cyclotomic", no_coords)
+    argv = ["eval", "--p", str(2**61 - 1), "--coeffs", coeffs, "--m", "2"]
+    code, out = run(argv)
+    assert code == 0 and "value = g^2\n" in out
+    assert "cyclotomic coords = omitted (~19 digits)\n" in out
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0 and _strict_json(out)["value_cyclotomic"] is None
+
+
+def test_verify_bounds_its_coordinates_by_count():
+    # 1,000,002 coordinates of a few digits each: the report stays short
+    argv = ["verify", "--p", "1000003", "--coeffs", "654321", "--m", "1"]
+    code, out = run(argv)
+    assert code == 0 and out == "exact-equal: -g\ncyclotomic coords = omitted (~4 digits)\n"
+    code, out = run(argv + ["--format", "json"])
+    payload = _strict_json(out)
+    assert code == 0 and payload["equal"] is True
+    assert payload["closed_form"] is None and payload["brute_force"] is None
+    assert payload["value"]["value_cyclotomic"] is None
 
 
 def test_coordinate_digit_bound():

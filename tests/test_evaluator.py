@@ -1,11 +1,14 @@
 import pytest
 
 from quadsums import (
+    NullityProfile,
     QuadFunc,
     build_field_ctx,
     evaluate,
+    matrix_kernel_nullity,
     nullity_profile,
     plan,
+    type_direct,
     verify,
 )
 from quadsums import evaluator
@@ -59,6 +62,34 @@ def test_evaluate_running_example():
         v = evaluate(F5_RUNNING, m)
         assert (v.t, v.l) == (t, l), m
     assert evaluate(F5_RUNNING, 13).exact_str() == "-g^9*p^4"
+
+
+def test_evaluate_never_lists_the_divisors(monkeypatch):
+    # every nullity evaluate needs is one power of the profile's action
+    ctx = build_field_ctx(3, 2)
+    tower = QuadFunc.from_terms(ctx, [(ctx.elem([1, 1]), 0), (ctx.elem([0, 1]), 1), (ctx.one(), 2)])
+    want = {m: evaluate(tower, m) for m in (1, 2, 6, 12)}
+
+    def no_walk(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(NullityProfile, "entries", property(no_walk))
+    nullity_profile.cache_clear()
+    assert evaluate(F5_RUNNING, 13).exact_str() == "-g^9*p^4"
+    for m, v in want.items():
+        got = evaluate(tower, m)
+        assert (got.N, got.l, got.t) == (v.N, v.l, v.t), m
+
+
+@pytest.mark.parametrize("coeffs", [[1, 5, 7, 1], [1, 5, 7, 9, 1], [1, 5, 1]])
+def test_evaluate_where_s_has_many_divisors(coeffs):
+    # p - 1 = 2 3^2 5^2 7 11 13 31 41 61 151 331 1321 is smooth, so s has up
+    # to 761,856 divisors; evaluate reads only the few nullities it needs
+    f = QuadFunc.from_dense(2**61 - 1, coeffs)
+    v = evaluate(f, 2)
+    assert v.exact_str() == "g^2"
+    assert type_direct(f, 2) == (v.t, v.l)
+    assert matrix_kernel_nullity(f, 2) == v.l
 
 
 def test_evaluate_base_cases():

@@ -364,6 +364,24 @@ def test_shift_exact_at_large_prime(p, rng):
     assert shift_linear(f, r.frobenius(1), 2, value).zero
 
 
+def test_shift_phase_reads_no_conjugate_sums(monkeypatch):
+    # the phase comes from the trace form (Newton's identities); the
+    # conjugate sums of basis_traces are left to the oracle
+    p, N = 3, 9
+    f = QuadFunc.from_dense(p, [1, 1])
+    ctx = build_field_ctx(p, N)
+    y = ctx.from_encoding(4321)
+    want = (y ** 2 + y ** (p + 1)).trace()
+
+    def no_conjugate_sums(self):
+        raise AssertionError("basis_traces read")
+
+    monkeypatch.setattr(type(ctx), "basis_traces", no_conjugate_sums)
+    b = radical_poly(f)(y).frobenius(N - f.top_alpha)
+    sh = shift_linear(f, b, N, ExpSumValue(p, N, 0, 1))
+    assert not sh.zero and sh.phase == want
+
+
 def test_product_identity_shifted(rng):
     # S(f,N) * conj(S(f+bx,N)) is p^(N+l) * zeta^(Tr f(x0)) or 0
     for _ in range(25):

@@ -194,10 +194,11 @@ def test_radical_separability_check_raises(monkeypatch):
 
 
 def test_profile_endpoint_check_raises(monkeypatch):
-    # a closed form that stops short of nullity 2*alpha; the uncached
-    # function runs, so no corrupted profile enters the cache
-    monkeypatch.setattr(nullity, "_closed_form", lambda f: (2, [(1, 0), (2, 0)]))
-    with pytest.raises(InternalInconsistency, match="profile ends"):
+    # an order that stops short of the splitting exponent 56, so l_s falls
+    # short of 2*alpha; the uncached function runs, so no corrupted profile
+    # enters the cache
+    monkeypatch.setattr(nullity, "_order", lambda act: {2: 1})
+    with pytest.raises(InternalInconsistency, match="profile ends at l_2 = 1"):
         nullity_profile.__wrapped__(F7_SMALL)
 
 
@@ -261,3 +262,42 @@ def test_closed_form_on_special_actions():
     for func in (g, h, k):
         for m in range(2, 25, 2):
             assert nullity_profile.__wrapped__(func).nullity(m) == nullity_at(func, m)
+
+
+@pytest.mark.parametrize("p,n", CLOSED_FORM_BASES)
+def test_on_demand_nullity_matches_divisor_walk(rng, p, n):
+    for alpha in range(5):
+        f = _random_func(rng, p, n, alpha)
+        prof = nullity_profile.__wrapped__(f)
+        for m, l in prof.entries:
+            assert prof.nullity(m) == l, (f, m)
+        assert [m for m, _ in prof.entries] == [m for m in range(n, prof.s + 1, n) if prof.s % m == 0]
+
+
+def test_prime_base_action_is_the_companion_matrix():
+    # column i of gen is x^(1+i) mod ell, for ell = L's associate made monic
+    p = 7
+    f = QuadFunc.from_dense(p, [5, 6, 3])
+    ell = [c.coeffs[0] for c in radical_poly(f).coeffs]
+    assert ell[-1] != 1
+    inv = pow(ell[-1], -1, p)
+    monic_ell = [c * inv % p for c in ell]
+    d = len(ell) - 1
+    C = [[0] * d for _ in range(d)]
+    for i in range(d - 1):
+        C[i + 1][i] = 1
+    for j in range(d):
+        C[j][d - 1] = -monic_ell[j] % p
+    assert nullity._Action(f).gen.tolist() == C
+
+
+def test_profile_answers_without_the_divisor_walk(monkeypatch):
+    # each l_m is one power of A; the divisor list is never read
+    def no_walk(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(nullity.NullityProfile, "entries", property(no_walk))
+    prof = nullity_profile.__wrapped__(F5_RUNNING)
+    assert prof.s == 26 and prof.nullity(13) == 4 and prof.nullity(52) == 8
+    with pytest.raises(AssertionError, match="entries read"):
+        prof.entry_dict

@@ -38,7 +38,7 @@ for a in (1, 2, 3):
 # Odd primes multiply the type by (q/3)^(l at the current base).
 print()
 for a in (1, 2):
-    base = TypeState(3, 2**a, prof.nullity(2**a), (-1) ** (a + 1), f)
+    base = TypeState(3, 2**a, prof.nullity(2**a), (-1) ** (a + 1))
     for q in (5, 7):
         st = lift_odd_prime(base, q, 1, prof.nullity(2**a * q))
         print(f"t at 2^{a} * {q} = {st.t:+d}   (equals (-1)^{a+1} * ({q}/3) = {(-1)**(a+1) * legendre(q, 3):+d})")

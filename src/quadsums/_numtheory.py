@@ -135,6 +135,17 @@ def factor_power_minus_one(p: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+def digits(code: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of code, lowest first: the little-endian
+    encoding of coefficient vectors (default moduli, field elements, table
+    rows).  Digits past the k-th are dropped."""
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return out
+
+
 def prime_divisors(n: int) -> list[int]:
     return list(factor(n))
 

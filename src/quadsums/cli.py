@@ -19,16 +19,17 @@ Coefficients are dense by default (--coeffs a0,a1,...,ak meaning exponents
 0..k); --alphas switches to sparse input where the i-th coefficient pairs
 with the i-th exponent and zero coefficients are rejected.  Over extension
 bases (n > 1) each coefficient is a comma-separated residue vector and
-terms are separated by semicolons.
+terms are separated by semicolons.  Every subcommand takes --format text
+or json; profile and table also take csv, which is table's default.
 
 Exact cyclotomic coordinates are printed only while their decimal digits,
-p - 1 coordinates of at most K digits each, stay within the interpreter's
-int-to-string limit (``sys.get_int_max_str_digits()``; 0 lifts it).  Past
-it, text output reads ``cyclotomic coords = omitted (~K digits)`` and JSON
-writes null for them, as for a non-finite ``value_complex``; verify's
-report line and its JSON coordinates follow the same rule.  K is estimated
-from |S| = p^((N+l)/2) before any coordinate is computed, so a huge m or p
-answers at once.
+C = p - 1 coordinates of at most K digits each, stay within the
+interpreter's int-to-string limit (``sys.get_int_max_str_digits()``; 0
+lifts it).  Past it, text output reads ``cyclotomic coords = omitted (~K
+digits) in each of C coordinates`` and JSON writes null for them, as for a
+non-finite ``value_complex``; verify's report line and its JSON
+coordinates follow the same rule.  K is estimated from |S| = p^((N+l)/2)
+before any coordinate is computed, so a huge m or p answers at once.
 """
 
 from __future__ import annotations
@@ -63,21 +64,21 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="quadsums", description="Exact exponential sums of quadratic functions over GF(p^n)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, coeffs=True):
+    def common(sp):
         sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
         sp.add_argument("--n", type=int, default=1, help="base extension degree")
         sp.add_argument("--modulus", help="base modulus, comma-separated residues, constant first")
-        if coeffs:
-            sp.add_argument("--coeffs", required=True, help="coefficients (dense unless --alphas)")
-            sp.add_argument("--alphas", help="sparse exponent list a1,a2,...")
-        sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        sp.add_argument("--coeffs", required=True, help="coefficients (dense unless --alphas)")
+        sp.add_argument("--alphas", help="sparse exponent list a1,a2,...")
 
     sp = sub.add_parser("eval", help="exact value of the full-field sum")
     common(sp)
     sp.add_argument("--m", type=int, required=True, help="extension multiplier")
+    sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("profile", help="splitting exponent and nullity table")
     common(sp)
+    sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     sp = sub.add_parser("table", help="regenerate a nullity table")
     sp.add_argument("--p", type=int, required=True)
@@ -91,11 +92,13 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("shift", help="reduce the linearly shifted sum to the unshifted one")
     common(sp)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--b", required=True, help="shift coefficient in GF(p^(m*n))")
+    sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("monomial", help="closed form for a single-term function")
     sp.add_argument("--p", type=int, required=True)
@@ -108,32 +111,24 @@ def _build_parser() -> _Parser:
 
 
 def _parse_func(args) -> QuadFunc:
-    ctx = build_field_ctx(args.p, args.n, _parse_modulus(args))
+    modulus = _parse_modulus(args)
+    ctx = build_field_ctx(args.p, args.n, modulus)
     if args.n > 1:
-        coeff_strs = args.coeffs.split(";")
-        coeffs = [ctx.parse_elem(s) for s in coeff_strs]
+        coeffs = [ctx.parse_elem(s) for s in args.coeffs.split(";")]
     else:
         coeffs = [ctx.elem(int(t)) for t in args.coeffs.split(",")]
-    alphas = getattr(args, "alphas", None)
-    if alphas:
-        exps = [int(t) for t in alphas.split(",")]
+    if args.alphas:
+        exps = [int(t) for t in args.alphas.split(",")]
         if len(exps) != len(coeffs):
-            raise errors.InvalidInput(
-                f"{len(coeffs)} coefficients but {len(exps)} exponents"
-            )
+            raise errors.InvalidInput(f"{len(coeffs)} coefficients but {len(exps)} exponents")
         if any(c.is_zero() for c in coeffs):
             raise errors.InvalidInput("sparse terms must have nonzero coefficients")
         return QuadFunc.from_terms(ctx, list(zip(coeffs, exps)))
-    if not coeffs or coeffs[-1].is_zero():
-        raise errors.InvalidInput("top dense coefficient must be nonzero")
-    return QuadFunc.from_terms(ctx, [(c, j) for j, c in enumerate(coeffs)])
+    return QuadFunc.from_dense(args.p, coeffs, args.n, modulus)
 
 
 def _parse_modulus(args):
-    mod = getattr(args, "modulus", None)
-    if mod is None:
-        return None
-    return tuple(int(t) for t in mod.split(","))
+    return None if args.modulus is None else tuple(int(t) for t in args.modulus.split(","))
 
 
 def _parse_elem_flexible(ctx, text: str):
@@ -145,19 +140,24 @@ def _parse_elem_flexible(ctx, text: str):
     return ctx.parse_elem(text)
 
 
-def _value_json(f: QuadFunc, m: int, v: ExpSumValue) -> dict:
+def _value_fields(v: ExpSumValue) -> dict:
+    """The JSON fields of a value that every subcommand writes alike."""
     return {
-        "p": v.p,
-        "n": f.n,
-        "m": m,
-        "N": v.N,
         "l": v.l,
         "t": v.t,
         "value_exact": v.exact_str(),
         "value_cyclotomic": _coords(v, v.to_cyclotomic),
         "value_complex": _complex_json(v),
-        "provenance": list(v.provenance),
     }
+
+
+def _value_json(f: QuadFunc, m: int, v: ExpSumValue) -> dict:
+    return {"p": v.p, "n": f.n, "m": m, "N": v.N, **_value_fields(v), "provenance": list(v.provenance)}
+
+
+def _dump(obj, out):
+    json.dump(obj, out, indent=2)
+    out.write("\n")
 
 
 def _coord_digits(v: ExpSumValue) -> int:
@@ -176,8 +176,9 @@ def _coords(v: ExpSumValue, cyclotomic):
 
 
 def _coords_line(v: ExpSumValue, coords) -> str:
-    shown = f"omitted (~{_coord_digits(v)} digits)" if coords is None else coords
-    return f"cyclotomic coords = {shown}\n"
+    if coords is None:
+        coords = f"omitted (~{_coord_digits(v)} digits) in each of {v.p - 1} coordinates"
+    return f"cyclotomic coords = {coords}\n"
 
 
 def _complex_json(v: ExpSumValue):
@@ -188,8 +189,7 @@ def _complex_json(v: ExpSumValue):
 
 def _print_value(f: QuadFunc, m: int, v: ExpSumValue, fmt: str, out):
     if fmt == "json":
-        json.dump(_value_json(f, m, v), out, indent=2)
-        out.write("\n")
+        _dump(_value_json(f, m, v), out)
         return
     z = v.complex_value()
     out.write(f"p={v.p} n={f.n} m={m} N={v.N}  modulus={_mod_str(f)}\n")
@@ -217,8 +217,7 @@ def _cmd_profile(args, out) -> int:
     f = _parse_func(args)
     prof = nullity_profile(f)
     if args.format == "json":
-        json.dump(prof.to_json_dict(), out, indent=2)
-        out.write("\n")
+        _dump(prof.to_json_dict(), out)
     elif args.format == "csv":
         pairs = " ".join(f"({m},{l})" for m, l in prof.entries)
         coeffs = " ".join(str(c.coeffs[0]) if f.n == 1 else str(c) for c in f.dense_coeffs())
@@ -252,7 +251,7 @@ def _cmd_verify(args, out) -> int:
     v = rep.value
     closed = _coords(v, lambda: rep.closed_form)
     if args.format == "json":
-        json.dump(
+        _dump(
             {
                 "equal": rep.equal,
                 "closed_form": closed,
@@ -260,9 +259,7 @@ def _cmd_verify(args, out) -> int:
                 "value": _value_json(f, args.m, v),
             },
             out,
-            indent=2,
         )
-        out.write("\n")
     elif closed is None:
         out.write(f"{'exact-equal' if rep.equal else 'MISMATCH'}: {v.exact_str()}\n")
         out.write(_coords_line(v, None))
@@ -279,7 +276,7 @@ def _cmd_shift(args, out) -> int:
     value = evaluate(f, args.m)
     sh = shift_linear(f, b, N, value)
     if args.format == "json":
-        json.dump(
+        _dump(
             {
                 "zero": sh.zero,
                 "phase": None if sh.zero else sh.phase,
@@ -287,9 +284,7 @@ def _cmd_shift(args, out) -> int:
                 "cyclotomic": _coords(value, sh.to_cyclotomic),
             },
             out,
-            indent=2,
         )
-        out.write("\n")
     elif sh.zero:
         out.write("0 (the shifted sum vanishes)\n")
     else:
@@ -308,9 +303,7 @@ def _cmd_monomial(args, out) -> int:
     v = monomial_eval(a, args.alpha, args.N)
     case = v.provenance[0]["case"]
     if args.format == "json":
-        payload = _value_json_monomial(args, v, case)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _dump({"p": v.p, "N": v.N, "alpha": args.alpha, "a": args.a, "case": case, **_value_fields(v)}, out)
     else:
         out.write(f"value = {v.exact_str()}  (case {case})\n")
         coords = _coords(v, v.to_cyclotomic)
@@ -318,21 +311,6 @@ def _cmd_monomial(args, out) -> int:
             out.write(f"integer value = {coords[0]}\n")
         out.write(_coords_line(v, coords))
     return EXIT_OK
-
-
-def _value_json_monomial(args, v: ExpSumValue, case: str) -> dict:
-    return {
-        "p": v.p,
-        "N": v.N,
-        "alpha": args.alpha,
-        "a": args.a,
-        "l": v.l,
-        "t": v.t,
-        "case": case,
-        "value_exact": v.exact_str(),
-        "value_cyclotomic": _coords(v, v.to_cyclotomic),
-        "value_complex": _complex_json(v),
-    }
 
 
 _COMMANDS = {
@@ -350,8 +328,6 @@ def main(argv=None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "format", None) == "csv" and args.command in ("eval", "verify", "shift"):
-            raise errors.InvalidInput("csv output is only available for table and profile")
         return _COMMANDS[args.command](args, out)
     except (errors.Unsupported, errors.TooLarge, errors.SearchBudgetExceeded) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

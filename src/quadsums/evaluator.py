@@ -29,6 +29,7 @@ from .lifts import (
     lift_p,
     lift_two,
     monomial_eval,
+    p_power_bound,
     twist,
     type_balanced,
     valuation,
@@ -70,7 +71,7 @@ def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
     c = fac.pop(p, 0)
     steps: list[tuple] = []
     base = f.n
-    if c and min(valuation(al, p) for al in f.alphas) - valuation(f.n, p) >= c:
+    if c and p_power_bound(f, f.n) >= c:
         steps.append(("direct", base))
         steps.append(("p_power_lift", c))
     else:
@@ -106,7 +107,7 @@ def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState
             l_profile = profile.nullity(base)
             if l != l_profile:
                 raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
-            state = TypeState(p, base, l, t, f)
+            state = TypeState(p, base, l, t)
             prov.append({"step": "direct_diagonalization", "N": base, "t": t, "l": l})
         elif kind == "p_power_lift":
             c = step[1]
@@ -122,7 +123,7 @@ def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState
                 raise InternalInconsistency(
                     f"twist diagonalization nullity {lt_diag} != l_2N - l_N = {lt_profile} at N={state.N}"
                 )
-            st_tilde = TypeState(p, state.N, lt_diag, tt, ft)
+            st_tilde = TypeState(p, state.N, lt_diag, tt)
             l_target = profile.nullity(2**a * state.N)
             state = lift_two(state, st_tilde, a, l_target)
             prov.append(

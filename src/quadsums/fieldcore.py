@@ -62,14 +62,13 @@ powering costs O(deg_p L) field operations instead of O(deg L).
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _linalg
 from . import _primepoly as pp
-from ._numtheory import is_prime, prime_divisors
+from ._numtheory import digits, is_prime, prime_divisors
 from .errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -89,19 +88,12 @@ def _has_irreducible_binomial(p: int, d: int) -> bool:
 
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
     # Codes 0..p-1 are the binomials x^d + c; skip them when none is irreducible.
-    start = 0 if _has_irreducible_binomial(p, d) else p
     dtype = pp.exact_dtype(p, d)
-    for code in itertools.count(start):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        if c:
-            raise ModulusReducible(f"no irreducible of degree {d} over GF({p})")
-        cand = np.array(coeffs + [1], dtype=dtype)
-        if pp.is_irreducible(cand, p):
-            return tuple(coeffs) + (1,)
+    for code in range(0 if _has_irreducible_binomial(p, d) else p, p**d):
+        coeffs = tuple(digits(code, p, d)) + (1,)
+        if pp.is_irreducible(np.array(coeffs, dtype=dtype), p):
+            return coeffs
+    raise ModulusReducible(f"no irreducible of degree {d} over GF({p})")
 
 
 class FieldCtx:
@@ -174,11 +166,7 @@ class FieldCtx:
     def from_encoding(self, code: int) -> "FieldElem":
         if not 0 <= code < self.order:
             raise InvalidInput("encoding out of range")
-        coeffs = []
-        for _ in range(self.d):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, tuple(digits(code, self.p, self.d)))
 
     def elements(self) -> Iterable["FieldElem"]:
         for code in range(self.order):
@@ -503,9 +491,8 @@ def _find_root(g: "Poly") -> FieldElem:
     for code in range(p, p**n):
         if g.degree == 1:
             break
-        c, rest = [0] * ctx.d, code
-        for vec in basis:
-            rest, digit = divmod(rest, p)
+        c = [0] * ctx.d
+        for digit, vec in zip(digits(code, p, n), basis):
             if digit:
                 c = [a + digit * v for a, v in zip(c, vec)]
         w = Poly(ctx, (ctx.elem(c), ctx.one())).powmod(e, g) - one
@@ -555,7 +542,7 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
     if x.ctx.key != src.key:
         raise InvalidInput("element does not belong to src")
     if src.key == dst.key:
-        return dst.elem(x.coeffs)
+        return FieldElem(dst, x.coeffs)
     if src.d == 1:
         return dst.elem(x.coeffs[0])
     if root is None:

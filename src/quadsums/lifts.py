@@ -3,9 +3,10 @@
 Given the type at a base degree and nullities from the profile, these
 operations transport the type up the extension tower: odd-prime-power
 steps, two-power steps (via the nonsquare twist of f), p-power steps
-(under a p-adic condition on the exponents), the balanced explicit form
-(all alpha_i of equal 2-adic order, exceeded by that of N), the monomial
-closed form, and the linear-shift reduction.
+(at most ``p_power_bound(f, N)`` = min nu_p(alpha_i) - nu_p(N) of them
+from degree N; the planner and ``lift_p`` both read that one bound), the
+balanced explicit form (all alpha_i of equal 2-adic order, exceeded by
+that of N), the monomial closed form, and the linear-shift reduction.
 
 Nullities are inputs here, never recomputed: violated congruences raise
 instead of being repaired, since they can only mean an upstream bug.
@@ -87,7 +88,6 @@ class TypeState:
     N: int
     l: int
     t: int
-    func: QuadFunc | None = None
 
     def __post_init__(self):
         if self.t not in (-1, 1) or not 0 <= self.l <= self.N:
@@ -117,7 +117,7 @@ def lift_odd_prime(state: TypeState, q: int, s: int, l_target: int) -> TypeState
         raise ParityViolation(f"order of p mod {q} is {o}, which must divide {dl}")
     sign = (-1) ** (((p - 1) * dl // 4 + dl // o) % 2)
     t_new = state.t * legendre(q, p) ** ((s * state.l) % 2) * sign
-    return TypeState(p, q**s * state.N, l_target, t_new, state.func)
+    return TypeState(p, q**s * state.N, l_target, t_new)
 
 
 def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
@@ -147,11 +147,7 @@ def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
 def twist_with(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
     if elem_quadratic_character(beta) != -1:
         raise InvalidInput("beta must be a nonsquare")
-    pairs = []
-    for c, a in f.terms:
-        cE = c if ctx.key == f.ctx.key else embed_element(f.ctx, ctx, c)
-        pairs.append((cE * beta ** ((f.p**a + 1) // 2), a))
-    return QuadFunc.from_terms(ctx, pairs)
+    return QuadFunc.from_terms(ctx, [(c * beta ** ((f.p**a + 1) // 2), a) for c, a in f.terms_in(ctx)])
 
 
 def lift_two(state_f: TypeState, state_tilde: TypeState, s: int, l_target: int) -> TypeState:
@@ -173,24 +169,31 @@ def lift_two(state_f: TypeState, state_tilde: TypeState, s: int, l_target: int) 
     t = state_f.t * state_tilde.t
     if (l - lt) % 2:
         t *= (-1) ** (((p * p - 1) // 8 * s) % 2)
-    return TypeState(p, 2**s * state_f.N, l_target, t, state_f.func)
+    return TypeState(p, 2**s * state_f.N, l_target, t)
+
+
+def p_power_bound(f: QuadFunc, N: int) -> int | float:
+    """The most p-power steps ``lift_p`` takes from degree N:
+    min nu_p(alpha_i) - nu_p(N), where alpha_i = 0 contributes nu_p = inf.
+    The evaluator's planner chooses the p-power lift by the same bound."""
+    return min(valuation(a, f.p) for a in f.alphas) - valuation(N, f.p)
 
 
 def lift_p(state: TypeState, f: QuadFunc, steps: int) -> TypeState:
-    """Type and nullity at p^steps * N: nullity multiplies by p^steps, type
-    is unchanged, valid while steps <= min nu_p(alpha_i) - nu_p(N)
-    (alpha_i = 0 contributes nu_p = inf)."""
+    """Type and nullity at p^steps * N: the nullity multiplies by p^steps
+    and the type is unchanged, valid while steps <= p_power_bound(f, N);
+    past it ConditionViolated."""
     if steps < 0:
         raise InvalidInput("steps must be >= 0")
     if steps == 0:
         return state
     p = state.p
-    bound = min(valuation(a, p) for a in f.alphas) - valuation(state.N, p)
+    bound = p_power_bound(f, state.N)
     if steps > bound:
         raise ConditionViolated(
             f"p-power lift needs steps <= {bound} at N={state.N} for exponents {f.alphas}"
         )
-    return TypeState(p, p**steps * state.N, p**steps * state.l, state.t, state.func)
+    return TypeState(p, p**steps * state.N, p**steps * state.l, state.t)
 
 
 def lift_p_value(value: ExpSumValue) -> CyclotomicInt:
@@ -287,8 +290,7 @@ def shift_linear(f: QuadFunc, b: FieldElem, N: int, value: ExpSumValue) -> Shift
     if N % f.n:
         raise InvalidInput("N must be a multiple of the base degree")
     ctx_big = build_field_ctx(f.p, N) if b.ctx.d != N else b.ctx
-    if b.ctx.key != ctx_big.key:
-        b = embed_element(b.ctx, ctx_big, b)
+    b = embed_element(b.ctx, ctx_big, b)
     L = radical_poly(f)
     M = L.linear_map_matrix(ctx_big)
     rhs_elem = b.frobenius(f.top_alpha)
@@ -297,9 +299,8 @@ def shift_linear(f: QuadFunc, b: FieldElem, N: int, value: ExpSumValue) -> Shift
         return ShiftedSum(zero=True, phase=0, base=value)
     x0 = ctx_big.elem([int(c) for c in sol])
     fx0 = ctx_big.zero()
-    for c, a in f.terms:
-        cE = c if ctx_big.key == f.ctx.key else embed_element(f.ctx, ctx_big, c)
-        fx0 = fx0 + cE * x0 ** (f.p**a + 1)
+    for c, a in f.terms_in(ctx_big):
+        fx0 = fx0 + c * x0 ** (f.p**a + 1)
     # Tr(x^u) is row 0 of the trace form, from Newton's identities
     phase = sum(c * int(t) for c, t in zip(fx0.coeffs, ctx_big.trace_form()[0])) % f.p
     return ShiftedSum(zero=False, phase=phase, base=value)

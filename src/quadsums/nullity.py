@@ -128,6 +128,11 @@ class QuadFunc:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
+    def terms_in(self, ctx: FieldCtx) -> list[tuple[FieldElem, int]]:
+        """The terms with each coefficient embedded in ctx, a field that
+        contains GF(p^n) (the default embedding; ctx may be GF(p^n))."""
+        return [(embed_element(self.ctx, ctx, c), a) for c, a in self.terms]
+
     def dense_coeffs(self) -> list[FieldElem]:
         out = [self.ctx.zero()] * (self.top_alpha + 1)
         for c, a in self.terms:
@@ -174,8 +179,7 @@ class LinearizedPoly:
         acc = x.ctx.zero()
         for j, c in enumerate(self.coeffs):
             if not c.is_zero():
-                cc = c if c.ctx.key == x.ctx.key else embed_element(self.ctx, x.ctx, c)
-                acc = acc + cc * x.frobenius(j)
+                acc = acc + embed_element(self.ctx, x.ctx, c) * x.frobenius(j)
         return acc
 
     def linear_map_matrix(self, ctx_big: FieldCtx):
@@ -186,7 +190,7 @@ class LinearizedPoly:
         for j, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            cE = c if ctx_big.key == self.ctx.key else embed_element(self.ctx, ctx_big, c)
+            cE = embed_element(self.ctx, ctx_big, c)
             M = (M + ctx_big.mult_mat(cE) @ ctx_big.frob_mat_power(j) % p) % p
         return M
 

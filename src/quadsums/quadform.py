@@ -92,13 +92,6 @@ def smallest_nonsquare(ctx: FieldCtx) -> FieldElem:
     raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
 
 
-def _embedded_terms(f: QuadFunc, ctx_big: FieldCtx) -> list[tuple[FieldElem, int]]:
-    return [
-        (c if ctx_big.key == f.ctx.key else embed_element(f.ctx, ctx_big, c), a)
-        for c, a in f.terms
-    ]
-
-
 # -- Gram matrix and its rank and type ------------------------------------------
 
 
@@ -114,7 +107,7 @@ def gram_matrix(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> np.ndarray:
     p = f.p
     H = ctx_big.trace_form()
     G = 0
-    for c, a in _embedded_terms(f, ctx_big):
+    for c, a in f.terms_in(ctx_big):
         y = ctx_big.mult_mat(c) @ ctx_big.frob_mat_power(a) % p  # z -> c z^(p^a)
         G = (G + H @ y % p) % p
     return (G + G.T) % p * pow(2, -1, p) % p
@@ -186,7 +179,7 @@ def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarr
     p, N = ctx_big.p, ctx_big.d
     basis = [ctx_big.from_encoding(p**v) for v in range(N)]
     G = np.zeros((N, N), dtype=Hc.dtype)
-    for c, a in _embedded_terms(f, ctx_big):
+    for c, a in f.terms_in(ctx_big):
         Y = np.array([(c * b.frobenius(a)).coeffs for b in basis], dtype=Hc.dtype)
         G = (G + Hc @ Y.T % p) % p
     return G
@@ -225,9 +218,8 @@ def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
     G = _bilinear_matrix(f, ctx_big, Hc).astype(np.float64)
     lin = np.zeros(N)
     if linear is not None:
-        linear = ctx_big.elem(linear) if not isinstance(linear, FieldElem) else linear
-        if linear.ctx.key != ctx_big.key:
-            linear = embed_element(linear.ctx, ctx_big, linear)
+        linear = linear if isinstance(linear, FieldElem) else ctx_big.elem(linear)
+        linear = embed_element(linear.ctx, ctx_big, linear)
         lin = (Hc @ np.array(linear.coeffs, dtype=Hc.dtype) % p).astype(np.float64)
     # x = (lo, hi): Q(x) = Q(lo) + Q(hi) + lo C hi^T with C = G_lh + G_hl^T
     k = N // 2

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
+from ._numtheory import digits
 from .errors import InvalidInput, MalformedReference
 from .nullity import QuadFunc, nullity_profile
 
@@ -40,25 +41,21 @@ def enumerate_functions(p: int, alpha_max: int) -> Iterator[tuple[tuple[int, ...
         raise InvalidInput("alpha_max must be >= 0")
     for k in range(alpha_max + 1):
         for code in range(p**k):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            coeffs.append(1)
-            yield tuple(coeffs), QuadFunc.from_dense(p, coeffs)
+            coeffs = tuple(digits(code, p, k)) + (1,)
+            yield coeffs, QuadFunc.from_dense(p, coeffs)
 
 
-def _row_for(args) -> TableRow:
-    p, coeffs = args
-    prof = nullity_profile(QuadFunc.from_dense(p, coeffs))
-    return TableRow(coeffs=tuple(coeffs), s=prof.s, pairs=prof.entries)
+def _row_for(item: tuple[tuple[int, ...], QuadFunc]) -> TableRow:
+    coeffs, f = item
+    prof = nullity_profile(f)
+    return TableRow(coeffs=coeffs, s=prof.s, pairs=prof.entries)
 
 
 def generate_table(p: int, alpha_max: int, jobs: int = 1) -> list[TableRow]:
     """All rows for base GF(p); embarrassingly parallel, output order fixed
-    by the enumeration regardless of jobs."""
-    work = [(p, coeffs) for coeffs, _ in enumerate_functions(p, alpha_max)]
+    by the enumeration regardless of jobs (functions reach the workers by
+    pickling, through ``FieldCtx`` and ``FieldElem.__reduce__``)."""
+    work = enumerate_functions(p, alpha_max)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_row_for, work, chunksize=8))

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import re
@@ -49,6 +48,27 @@ def test_eval_json_schema():
     assert doc["value_exact"] == "-g^9*p^4"
     assert doc["l"] == 4 and doc["t"] == -1
     assert len(doc["value_cyclotomic"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p", "5", "--coeffs", "1,1", "--m", "2"],
+    ["verify", "--p", "5", "--coeffs", "1,1", "--m", "2"],
+    ["shift", "--p", "5", "--coeffs", "1,1", "--m", "2", "--b", "1"],
+    ["monomial", "--p", "5", "--a", "2", "--alpha", "1", "--N", "2"],
+])
+def test_csv_format_only_where_offered(argv, capsys):
+    assert run(argv)[0] == 0
+    code, out = run(argv + ["--format", "csv"])
+    assert code == 1 and out == ""
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_profile_csv_is_the_table_row():
+    from quadsums.tabulate import generate_table
+
+    code, out = run(["profile", "--p", "3", "--coeffs", "2,0,1", "--format", "csv"])
+    row = next(r for r in generate_table(3, 2) if r.coeffs == (2, 0, 1))
+    assert code == 0 and out == row.csv_line() + "\n"
 
 
 def test_profile_running_example():
@@ -204,9 +224,8 @@ def test_value_past_float_range_prints():
     assert code == 0
     payload = _strict_json(out)
     assert payload["value_exact"] == "-g^1000" and payload["value_complex"] is None
-    big = ExpSumValue(3, 1400, 2, 1)  # the monomial command would build GF(3^1400)
-    monomial = cli._value_json_monomial(argparse.Namespace(alpha=1, a="1"), big, "iii")
-    assert _strict_json(json.dumps(monomial))["value_complex"] is None
+    big = ExpSumValue(3, 1400, 2, 1)  # the value fields every command writes
+    assert _strict_json(json.dumps(cli._value_fields(big)))["value_complex"] is None
     # within range the pair stays
     code, out = run(argv[:-1] + ["2", "--format", "json"])
     assert code == 0 and len(_strict_json(out)["value_complex"]) == 2
@@ -240,7 +259,7 @@ def test_huge_value_omits_coordinates(m):
     code, out = run(argv)
     assert code == 0
     assert f"value = g^{m - 2}*p^2\n" in out
-    assert re.search(r"^cyclotomic coords = omitted \(~\d+ digits\)$", out, re.M)
+    assert re.search(r"^cyclotomic coords = omitted \(~\d+ digits\) in each of 2 coordinates$", out, re.M)
     assert "provenance:" in out
     code, out = run(argv + ["--format", "json"])
     assert code == 0
@@ -287,7 +306,7 @@ def test_large_prime_builds_no_coordinates(coeffs, monkeypatch):
     argv = ["eval", "--p", str(2**61 - 1), "--coeffs", coeffs, "--m", "2"]
     code, out = run(argv)
     assert code == 0 and "value = g^2\n" in out
-    assert "cyclotomic coords = omitted (~19 digits)\n" in out
+    assert "cyclotomic coords = omitted (~19 digits) in each of 2305843009213693950 coordinates\n" in out
     code, out = run(argv + ["--format", "json"])
     assert code == 0 and _strict_json(out)["value_cyclotomic"] is None
 
@@ -296,7 +315,7 @@ def test_verify_bounds_its_coordinates_by_count():
     # 1,000,002 coordinates of a few digits each: the report stays short
     argv = ["verify", "--p", "1000003", "--coeffs", "654321", "--m", "1"]
     code, out = run(argv)
-    assert code == 0 and out == "exact-equal: -g\ncyclotomic coords = omitted (~4 digits)\n"
+    assert code == 0 and out == "exact-equal: -g\ncyclotomic coords = omitted (~4 digits) in each of 1000002 coordinates\n"
     code, out = run(argv + ["--format", "json"])
     payload = _strict_json(out)
     assert code == 0 and payload["equal"] is True

@@ -12,7 +12,8 @@ from quadsums import (
     verify,
 )
 from quadsums import evaluator
-from quadsums.errors import InvalidInput, TooLarge, Unsupported
+from quadsums.errors import ConditionViolated, InvalidInput, TooLarge, Unsupported
+from quadsums.lifts import TypeState, lift_p
 from tests.conftest import random_quadfunc
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -49,6 +50,25 @@ def test_plan_p_power_lift_applies():
     f = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
     assert plan(f, 3).steps == (("direct", 1), ("p_power_lift", 1))
     assert plan(f, 9).steps == (("direct", 9),)  # second step fails the order test
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_plan_takes_the_p_power_lift_exactly_when_lift_p_accepts(p):
+    # min nu_p(alpha_i) from 0 to 3 (alpha = 0 counts as infinite), odd N so
+    # no balanced route, nu_p(n) from 0 to 1 and nu_p(m) from 0 to 4
+    for alphas in ((0, 1), (1, 2), (0, p), (p, 2 * p), (0, p * p), (p**3, 2 * p**3)):
+        for n in (1, p):
+            f = QuadFunc.from_terms(build_field_ctx(p, n), [(1, a) for a in alphas])
+            for c in range(5):
+                try:
+                    takes = ("p_power_lift", c) in plan(f, p**c).steps
+                except Unsupported:
+                    takes = False
+                try:
+                    accepts = lift_p(TypeState(p, n, 0, 1), f, c).N == n * p**c
+                except ConditionViolated:
+                    accepts = False
+                assert takes == (c > 0 and accepts), (p, alphas, n, c)
 
 
 def test_plan_rejects_bad_m():

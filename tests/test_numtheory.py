@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadsums._numtheory import (
+    digits,
     divisors,
     euler_phi,
     factor,
@@ -14,6 +15,7 @@ from quadsums._numtheory import (
     prime_divisors,
 )
 from quadsums.errors import InvalidInput
+from quadsums.fieldcore import build_field_ctx
 
 
 def _sieve(n):
@@ -79,3 +81,17 @@ def test_factor_product_and_primality(n):
     fac = factor(n)
     assert math.prod(q**e for q, e in fac.items()) == n
     assert all(is_prime(q) for q in fac) and list(fac) == sorted(fac)
+
+
+def test_digits_round_trip_the_field_encoding():
+    # digits is the inverse of FieldElem.encoding and the map behind
+    # from_encoding, lowest digit first
+    for p, d in ((3, 1), (3, 4), (5, 3), (7, 2)):
+        ctx = build_field_ctx(p, d)
+        for code in range(ctx.order):
+            x = ctx.from_encoding(code)
+            assert list(x.coeffs) == digits(code, p, d) and x.encoding == code
+    p = 2**61 - 1
+    for code in (0, p - 1, p, 12345 * p * p + 678 * p + 9, p**3 - 1):
+        ds = digits(code, p, 3)
+        assert all(0 <= c < p for c in ds) and sum(c * p**i for i, c in enumerate(ds)) == code

@@ -28,7 +28,6 @@ from quadsums.fieldcore import FieldCtx, embed_element, embedding_roots, is_prim
 from quadsums.quadform import (
     DEFAULT_CAP,
     _bilinear_matrix,
-    _embedded_terms,
     _trace_counts,
     _trace_hankel,
     elem_quadratic_character,
@@ -81,7 +80,7 @@ def test_gram_reproduces_trace_form(rng):
         for _ in range(40):
             x = ctx.from_encoding(rng.randrange(ctx.order))
             val = ctx.zero()
-            for c, a in _embedded_terms(f, ctx):
+            for c, a in f.terms_in(ctx):
                 val = val + c * x * x.frobenius(a)
             xv = np.array(x.coeffs)
             assert int(xv @ B @ xv % p) == val.trace()
@@ -217,7 +216,7 @@ def _bilinear_reference(f, ctx):
     N = ctx.d
     basis = [ctx.from_encoding(ctx.p**u) for u in range(N)]
     G = [[0] * N for _ in range(N)]
-    for c, a in _embedded_terms(f, ctx):
+    for c, a in f.terms_in(ctx):
         ys = [c * b.frobenius(a) for b in basis]
         for u, bu in enumerate(basis):
             for v, yv in enumerate(ys):
@@ -324,9 +323,8 @@ def _reference_counts(f, m, b):
     """Tallies of Tr(f(x)) and of Tr(f(x) + b*x) over GF(p^(mn)), one element
     at a time."""
     ctx = build_field_ctx(f.p, m * f.n)
-    terms = _embedded_terms(f, ctx)
-    if b.ctx.key != ctx.key:
-        b = embed_element(b.ctx, ctx, b)
+    terms = f.terms_in(ctx)
+    b = embed_element(b.ctx, ctx, b)
     plain, shifted = [0] * f.p, [0] * f.p
     for x in ctx.elements():
         y = ctx.zero()

@@ -7,7 +7,6 @@ odd primes then enter through the quadratic character.
 
 from quadsums import (
     QuadFunc,
-    TypeState,
     brute_force_sum,
     ExpSumValue,
     legendre,
@@ -32,13 +31,13 @@ print(f"twist base: t~_1 = {tt:+d}, l~_1 = {lt}   (parities of l and l~ differ)"
 
 # Two-power heights: t alternates because (p^2-1)/8 = 1 is odd for p = 3.
 for a in (1, 2, 3):
-    st = lift_two(TypeState(3, 1, l1, t1), TypeState(3, 1, lt, tt), a, prof.nullity(2**a))
+    st = lift_two(ExpSumValue(3, 1, l1, t1), ExpSumValue(3, 1, lt, tt), a, prof.nullity(2**a))
     print(f"t at 2^{a} = {st.t:+d}   l = {st.l}")
 
 # Odd primes multiply the type by (q/3)^(l at the current base).
 print()
 for a in (1, 2):
-    base = TypeState(3, 2**a, prof.nullity(2**a), (-1) ** (a + 1))
+    base = ExpSumValue(3, 2**a, prof.nullity(2**a), (-1) ** (a + 1))
     for q in (5, 7):
         st = lift_odd_prime(base, q, 1, prof.nullity(2**a * q))
         print(f"t at 2^{a} * {q} = {st.t:+d}   (equals (-1)^{a+1} * ({q}/3) = {(-1)**(a+1) * legendre(q, 3):+d})")

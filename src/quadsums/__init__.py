@@ -39,7 +39,6 @@ from .fieldcore import (
 )
 from .lifts import (
     ShiftedSum,
-    TypeState,
     gcd_plus_minus,
     gcd_plus_plus,
     lift_odd_prime,
@@ -98,7 +97,6 @@ __all__ = [
     "QuadFunc",
     "ShiftedSum",
     "TableRow",
-    "TypeState",
     "VerifyReport",
     "brute_force_sum",
     "brute_force_sum_shifted",

@@ -19,8 +19,9 @@ Coefficients are dense by default (--coeffs a0,a1,...,ak meaning exponents
 0..k); --alphas switches to sparse input where the i-th coefficient pairs
 with the i-th exponent and zero coefficients are rejected.  Over extension
 bases (n > 1) each coefficient is a comma-separated residue vector and
-terms are separated by semicolons.  Every subcommand takes --format text
-or json; profile and table also take csv, which is table's default.
+terms are separated by semicolons.  Every subcommand but table takes
+--format text or json, and profile also takes csv; table takes csv (its
+default) or json.
 
 Exact cyclotomic coordinates are printed only while their decimal digits,
 C = p - 1 coordinates of at most K digits each, stay within the
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--diff", help="reference CSV to compare against (or 'table1'/'table2')")
     sp.add_argument("--out", help="write CSV/JSON here instead of stdout")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--format", choices=["text", "json", "csv"], default="csv")
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = sub.add_parser("verify", help="closed form vs brute-force enumeration")
     common(sp)

@@ -184,7 +184,8 @@ class ExpSumValue:
 
     N is the total extension degree, l the nullity of the associated
     quadratic form, t its type.  `provenance` records the formula steps
-    that produced t, for auditability.
+    that produced t, for auditability, one entry per step; a step that
+    yields a value appends its entry through :meth:`record`.
     """
 
     p: int
@@ -198,6 +199,12 @@ class ExpSumValue:
             raise InvalidInput("type must be +1 or -1")
         if not 0 <= self.l <= self.N:
             raise InvalidInput("nullity out of range")
+
+    def record(self, step: str, **detail) -> "ExpSumValue":
+        """This value with the entry {step, **detail, N, t, l}, in that key
+        order, appended to its provenance: the step that produced it."""
+        entry = {"step": step, **detail, "N": self.N, "t": self.t, "l": self.l}
+        return ExpSumValue(self.p, self.N, self.l, self.t, self.provenance + (entry,))
 
     def to_cyclotomic(self) -> CyclotomicInt:
         return expsum_to_cyclotomic(self)

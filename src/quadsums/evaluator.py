@@ -8,15 +8,18 @@ two-power stage, then odd primes in increasing order).  Odd primes are
 ordered purely so provenance is reproducible; results are order
 independent.
 
-Every nullity comes from the one closed-form profile of f.  The
-diagonalizations at the direct base and of the twist are checked against
-it: l_base(f) = profile.nullity(base), and l_N(f~) = l_2N(f) - l_N(f) for
-the twist at base N (proved in :func:`quadsums.lifts.twist`).
+One loop runs the plan's steps; each step yields an ExpSumValue that
+records its own provenance entry.  Every nullity comes from the one
+closed-form profile of f.  The diagonalizations at the direct base and of
+the twist are checked against it: l_base(f) = profile.nullity(base), and
+l_N(f~) = l_2N(f) - l_N(f) for the twist at base N (proved in
+:func:`quadsums.lifts.twist`); the value the route reaches must have
+(N, l) = (N, profile.nullity(N)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 
 from ._numtheory import factor as _factor
@@ -24,7 +27,6 @@ from .cyclotomic import CyclotomicInt, ExpSumValue
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 from .fieldcore import build_field_ctx
 from .lifts import (
-    TypeState,
     lift_odd_prime,
     lift_p,
     lift_two,
@@ -95,90 +97,61 @@ def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
     return EvalPlan(f, m, f.n * m, tuple(steps))
 
 
-def _execute_composition(f: QuadFunc, pln: EvalPlan, profile) -> tuple[TypeState, list[dict]]:
-    prov: list[dict] = []
-    state: TypeState | None = None
+def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
+    """The value the plan's steps reach, each step recording itself in its
+    provenance.  The balanced step is cross-checked against the composed
+    route while N <= CROSS_CHECK_LIMIT and that route is supported."""
     p = f.p
+    v: ExpSumValue | None = None
     for step in pln.steps:
         kind = step[0]
-        if kind == "direct":
+        if kind == "monomial":
+            v = monomial_eval(*f.terms[0], pln.N)
+        elif kind == "balanced":
+            l = profile.nullity(pln.N)
+            v = ExpSumValue(p, pln.N, l, type_balanced(f, pln.N, l)).record("balanced_explicit_form")
+            try:
+                alt = _composition_plan(f, pln.m) if pln.N <= CROSS_CHECK_LIMIT else None
+            except Unsupported:
+                alt = None
+            if alt is not None:
+                composed = _run(f, alt, profile)
+                if (composed.t, composed.l) != (v.t, v.l):
+                    raise InternalInconsistency("balanced and composed routes disagree")
+                v = replace(v, provenance=v.provenance + ({"step": "composition_cross_check", "t": composed.t},))
+        elif kind == "direct":
             base = step[1]
             t, l = type_direct(f, base // f.n)
             l_profile = profile.nullity(base)
             if l != l_profile:
                 raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
-            state = TypeState(p, base, l, t)
-            prov.append({"step": "direct_diagonalization", "N": base, "t": t, "l": l})
+            v = ExpSumValue(p, base, l, t).record("direct_diagonalization")
         elif kind == "p_power_lift":
-            c = step[1]
-            state = lift_p(state, f, c)
-            prov.append({"step": "p_power_lift", "count": c, "N": state.N, "t": state.t, "l": state.l})
+            v = lift_p(v, f, step[1])
         elif kind == "two_power_lift":
-            a = step[1]
-            ctx_base = f.ctx if state.N == f.n else build_field_ctx(p, state.N)
-            ft = twist(f, ctx_base)
+            ft = twist(f, f.ctx if v.N == f.n else build_field_ctx(p, v.N))
             tt, lt_diag = type_direct(ft, 1)
-            lt_profile = profile.nullity(2 * state.N) - profile.nullity(state.N)
+            lt_profile = profile.nullity(2 * v.N) - profile.nullity(v.N)
             if lt_diag != lt_profile:
                 raise InternalInconsistency(
-                    f"twist diagonalization nullity {lt_diag} != l_2N - l_N = {lt_profile} at N={state.N}"
+                    f"twist diagonalization nullity {lt_diag} != l_2N - l_N = {lt_profile} at N={v.N}"
                 )
-            st_tilde = TypeState(p, state.N, lt_diag, tt)
-            l_target = profile.nullity(2**a * state.N)
-            state = lift_two(state, st_tilde, a, l_target)
-            prov.append(
-                {
-                    "step": "two_power_lift",
-                    "height": a,
-                    "twist_t": tt,
-                    "twist_l": lt_diag,
-                    "N": state.N,
-                    "t": state.t,
-                    "l": state.l,
-                }
-            )
+            v = lift_two(v, ExpSumValue(p, v.N, lt_diag, tt), step[1], profile.nullity(2 ** step[1] * v.N))
         else:
             q, e = step[1], step[2]
-            l_target = profile.nullity(q**e * state.N)
-            state = lift_odd_prime(state, q, e, l_target)
-            prov.append({"step": "odd_prime_lift", "q": q, "power": e, "N": state.N, "t": state.t, "l": state.l})
-    return state, prov
+            v = lift_odd_prime(v, q, e, profile.nullity(q**e * v.N))
+    return v
 
 
 def evaluate(f: QuadFunc, m: int) -> ExpSumValue:
     """Exact S(f, m*n) as t * g_p^(N-l) * p^l with full provenance."""
     pln = plan(f, m)
     profile = nullity_profile(f)
-    N = pln.N
-    l = profile.nullity(N)
-
-    if pln.steps[0][0] == "monomial":
-        v = monomial_eval(*f.terms[0], N)
-        if v.l != l:
-            raise InternalInconsistency(f"monomial nullity {v.l} != profile nullity {l}")
-        return v
-
-    if pln.steps[0][0] == "balanced":
-        t = type_balanced(f, N, l)
-        prov = [{"step": "balanced_explicit_form", "N": N, "t": t, "l": l}]
-        if N <= CROSS_CHECK_LIMIT:
-            try:
-                alt = _composition_plan(f, m)
-            except Unsupported:
-                alt = None
-            if alt is not None:
-                state, _ = _execute_composition(f, alt, profile)
-                if (state.t, state.l) != (t, l):
-                    raise InternalInconsistency("balanced and composed routes disagree")
-                prov.append({"step": "composition_cross_check", "t": state.t})
-        return ExpSumValue(f.p, N, l, t, tuple(prov))
-
-    state, prov = _execute_composition(f, pln, profile)
-    if state.N != N:
-        raise InternalInconsistency(f"composition reached {state.N}, wanted {N}")
-    if state.l != l:
-        raise InternalInconsistency(f"composed nullity {state.l} != profile nullity {l}")
-    return ExpSumValue(f.p, N, l, state.t, tuple(prov))
+    v = _run(f, pln, profile)
+    l = profile.nullity(pln.N)
+    if (v.N, v.l) != (pln.N, l):
+        raise InternalInconsistency(f"route reached (N, l) = ({v.N}, {v.l}), profile gives ({pln.N}, {l})")
+    return v
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Relative and explicit type formulas.
 
-Given the type at a base degree and nullities from the profile, these
-operations transport the type up the extension tower: odd-prime-power
-steps, two-power steps (via the nonsquare twist of f), p-power steps
-(at most ``p_power_bound(f, N)`` = min nu_p(alpha_i) - nu_p(N) of them
-from degree N; the planner and ``lift_p`` both read that one bound), the
-balanced explicit form (all alpha_i of equal 2-adic order, exceeded by
-that of N), the monomial closed form, and the linear-shift reduction.
+Given the value at a base degree and nullities from the profile, these
+operations transport it up the extension tower: odd-prime-power steps,
+two-power steps (via the nonsquare twist of f), p-power steps (at most
+``p_power_bound(f, N)`` = min nu_p(alpha_i) - nu_p(N) of them from degree
+N; the planner and ``lift_p`` both read that one bound), the balanced
+explicit form (all alpha_i of equal 2-adic order, exceeded by that of N),
+the monomial closed form, and the linear-shift reduction.  Each lift maps
+an ExpSumValue to an ExpSumValue and appends its own provenance entry, as
+``monomial_eval`` records its case.
 
 Nullities are inputs here, never recomputed: violated congruences raise
 instead of being repaired, since they can only mean an upstream bug.
@@ -80,44 +82,30 @@ def gcd_plus_minus(p: int, a: int, b: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class TypeState:
-    """Type and nullity of the trace form at total degree N."""
-
-    p: int
-    N: int
-    l: int
-    t: int
-
-    def __post_init__(self):
-        if self.t not in (-1, 1) or not 0 <= self.l <= self.N:
-            raise InvalidInput("malformed type state")
-
-
-def lift_odd_prime(state: TypeState, q: int, s: int, l_target: int) -> TypeState:
-    """Type at q^s * N from the type at N, q an odd prime != p.
+def lift_odd_prime(v: ExpSumValue, q: int, s: int, l_target: int) -> ExpSumValue:
+    """Value at q^s * N from the value at N, q an odd prime != p.
 
     The nullity increment must be even and divisible by the order of p mod
     q; violations mean the supplied nullities are wrong and raise.
     """
-    p = state.p
+    p = v.p
     if not is_prime(q) or q == 2 or q == p:
         raise InvalidInput(f"q={q} must be an odd prime different from p={p}")
     if s < 0:
         raise InvalidInput("s must be >= 0")
     if s == 0:
-        if l_target != state.l:
+        if l_target != v.l:
             raise ParityViolation("s=0 step cannot change the nullity")
-        return state
-    dl = l_target - state.l
+        return v
+    dl = l_target - v.l
     if dl < 0 or dl % 2:
         raise ParityViolation(f"nullity increment {dl} must be even and nonnegative")
     o = multiplicative_order(p, q)
     if dl % o:
         raise ParityViolation(f"order of p mod {q} is {o}, which must divide {dl}")
     sign = (-1) ** (((p - 1) * dl // 4 + dl // o) % 2)
-    t_new = state.t * legendre(q, p) ** ((s * state.l) % 2) * sign
-    return TypeState(p, q**s * state.N, l_target, t_new)
+    t_new = v.t * legendre(q, p) ** ((s * v.l) % 2) * sign
+    return ExpSumValue(p, q**s * v.N, l_target, t_new, v.provenance).record("odd_prime_lift", q=q, power=s)
 
 
 def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
@@ -150,26 +138,28 @@ def twist_with(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
     return QuadFunc.from_terms(ctx, [(c * beta ** ((f.p**a + 1) // 2), a) for c, a in f.terms_in(ctx)])
 
 
-def lift_two(state_f: TypeState, state_tilde: TypeState, s: int, l_target: int) -> TypeState:
-    """Type at 2^s * N from the types of f and its twist at N (s >= 1).
+def lift_two(v: ExpSumValue, v_tilde: ExpSumValue, s: int, l_target: int) -> ExpSumValue:
+    """Value at 2^s * N from the values of f and its twist at N (s >= 1).
 
     l_target is the nullity of f at 2^s * N; the parity constraint of the
-    lift (l + l~ + l_target even) is verified and must hold.
+    lift (l + l~ + l_target even) is verified and must hold.  The result
+    extends v's provenance; the twist enters it as twist_t and twist_l.
     """
     if s < 1:
         raise InvalidInput("two-power lift needs s >= 1")
-    if state_f.N != state_tilde.N or state_f.p != state_tilde.p:
-        raise InvalidInput("states must sit at the same base")
-    p = state_f.p
-    l, lt = state_f.l, state_tilde.l
+    if v.N != v_tilde.N or v.p != v_tilde.p:
+        raise InvalidInput("values must sit at the same base")
+    p = v.p
+    l, lt = v.l, v_tilde.l
     if (l + lt + l_target) % 2:
         raise InternalInconsistency(
             f"parity violation: l={l}, l~={lt}, l_target={l_target} must have even sum"
         )
-    t = state_f.t * state_tilde.t
+    t = v.t * v_tilde.t
     if (l - lt) % 2:
         t *= (-1) ** (((p * p - 1) // 8 * s) % 2)
-    return TypeState(p, 2**s * state_f.N, l_target, t)
+    lifted = ExpSumValue(p, 2**s * v.N, l_target, t, v.provenance)
+    return lifted.record("two_power_lift", height=s, twist_t=v_tilde.t, twist_l=lt)
 
 
 def p_power_bound(f: QuadFunc, N: int) -> int | float:
@@ -179,21 +169,21 @@ def p_power_bound(f: QuadFunc, N: int) -> int | float:
     return min(valuation(a, f.p) for a in f.alphas) - valuation(N, f.p)
 
 
-def lift_p(state: TypeState, f: QuadFunc, steps: int) -> TypeState:
-    """Type and nullity at p^steps * N: the nullity multiplies by p^steps
-    and the type is unchanged, valid while steps <= p_power_bound(f, N);
-    past it ConditionViolated."""
+def lift_p(v: ExpSumValue, f: QuadFunc, steps: int) -> ExpSumValue:
+    """Value at p^steps * N: the nullity multiplies by p^steps and the type
+    is unchanged, valid while steps <= p_power_bound(f, N); past it
+    ConditionViolated."""
     if steps < 0:
         raise InvalidInput("steps must be >= 0")
     if steps == 0:
-        return state
-    p = state.p
-    bound = p_power_bound(f, state.N)
+        return v
+    p = v.p
+    bound = p_power_bound(f, v.N)
     if steps > bound:
         raise ConditionViolated(
-            f"p-power lift needs steps <= {bound} at N={state.N} for exponents {f.alphas}"
+            f"p-power lift needs steps <= {bound} at N={v.N} for exponents {f.alphas}"
         )
-    return TypeState(p, p**steps * state.N, p**steps * state.l, state.t)
+    return ExpSumValue(p, p**steps * v.N, p**steps * v.l, v.t, v.provenance).record("p_power_lift", count=steps)
 
 
 def lift_p_value(value: ExpSumValue) -> CyclotomicInt:
@@ -246,8 +236,7 @@ def monomial_eval(a: FieldElem, alpha: int, N: int) -> ExpSumValue:
     if v_n <= v_a:
         eta = elem_quadratic_character(a) ** (N // d % 2)
         t = eta * (-1) ** ((N - 1) % 2)
-        prov = ({"step": "monomial_closed_form", "case": "i", "N": N, "t": t, "l": 0},)
-        return ExpSumValue(p, N, 0, t, prov)
+        return ExpSumValue(p, N, 0, t).record("monomial_closed_form", case="i")
 
     g2 = gcd(2 * alpha, N)
     k, r = N // g2, d // gcd(g2, d)
@@ -263,8 +252,7 @@ def monomial_eval(a: FieldElem, alpha: int, N: int) -> ExpSumValue:
     if l_val != l:
         raise InternalInconsistency("case split and nullity criterion disagree")
     t = sigma * (-1) ** (((p - 1) ** 2 // 4 * (N - l) // 2) % 2)
-    prov = ({"step": "monomial_closed_form", "case": case, "N": N, "t": t, "l": l},)
-    return ExpSumValue(p, N, l, t, prov)
+    return ExpSumValue(p, N, l, t).record("monomial_closed_form", case=case)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import pytest
 from quadsums import (
     ExpSumValue,
     QuadFunc,
-    TypeState,
     brute_force_sum,
     brute_force_sum_shifted,
     build_field_ctx,
@@ -251,7 +250,7 @@ def test_criterion_10_invariant_suites():
         for beta_code in (2, 3):
             ft = twist_with(f, f.ctx, f.ctx.elem(beta_code))
             tt, lt = type_direct(ft, 1)
-            st = lift_two(TypeState(5, 1, l1, t1), TypeState(5, 1, lt, tt), 1, prof.nullity(2))
+            st = lift_two(ExpSumValue(5, 1, l1, t1), ExpSumValue(5, 1, lt, tt), 1, prof.nullity(2))
             results.add(st.t)
         ok = ok and len(results) == 1
 

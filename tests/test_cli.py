@@ -63,6 +63,13 @@ def test_csv_format_only_where_offered(argv, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_table_has_no_text_format(capsys):
+    # text would print the same CSV as the default
+    code, out = run(["table", "--p", "3", "--alpha-max", "1", "--format", "text"])
+    assert code == 1 and out == ""
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_profile_csv_is_the_table_row():
     from quadsums.tabulate import generate_table
 

@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from quadsums import (
+    ExpSumValue,
     NullityProfile,
     QuadFunc,
     build_field_ctx,
@@ -13,7 +17,7 @@ from quadsums import (
 )
 from quadsums import evaluator
 from quadsums.errors import ConditionViolated, InvalidInput, TooLarge, Unsupported
-from quadsums.lifts import TypeState, lift_p
+from quadsums.lifts import lift_p
 from tests.conftest import random_quadfunc
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -65,7 +69,7 @@ def test_plan_takes_the_p_power_lift_exactly_when_lift_p_accepts(p):
                 except Unsupported:
                     takes = False
                 try:
-                    accepts = lift_p(TypeState(p, n, 0, 1), f, c).N == n * p**c
+                    accepts = lift_p(ExpSumValue(p, n, 0, 1), f, c).N == n * p**c
                 except ConditionViolated:
                     accepts = False
                 assert takes == (c > 0 and accepts), (p, alphas, n, c)
@@ -124,6 +128,58 @@ def test_evaluate_provenance_is_auditable():
     assert v.provenance[-1]["q"] == 13
 
 
+F3_MONOMIAL = QuadFunc.from_dense(3, [0, 1])  # x^(p+1)
+DIRECT = ("step", "direct_diagonalization")
+
+
+@pytest.mark.parametrize("f, m, expected", [
+    (F3_MONOMIAL, 1, [[("step", "monomial_closed_form"), ("case", "i"), ("N", 1), ("t", 1), ("l", 0)]]),
+    (F3_MONOMIAL, 2, [[("step", "monomial_closed_form"), ("case", "ii"), ("N", 2), ("t", 1), ("l", 0)]]),
+    (F3_MONOMIAL, 4, [[("step", "monomial_closed_form"), ("case", "iii"), ("N", 4), ("t", 1), ("l", 2)]]),
+    (QuadFunc.from_terms(build_field_ctx(5, 1), [(3, 1), (1, 3)]), 4, [
+        [("step", "balanced_explicit_form"), ("N", 4), ("t", -1), ("l", 2)],
+        [("step", "composition_cross_check"), ("t", -1)],
+    ]),
+    (QuadFunc.from_dense(3, [[1, 0], 0, 0, [0, 1]], 2), 3, [  # exponents (0, 3) over GF(3^2)
+        [DIRECT, ("N", 2), ("t", -1), ("l", 0)],
+        [("step", "p_power_lift"), ("count", 1), ("N", 6), ("t", -1), ("l", 0)],
+    ]),
+    (F5_RUNNING, 26, [
+        [DIRECT, ("N", 1), ("t", 1), ("l", 0)],
+        [("step", "two_power_lift"), ("height", 1), ("twist_t", -1), ("twist_l", 0), ("N", 2), ("t", -1), ("l", 0)],
+        [("step", "odd_prime_lift"), ("q", 13), ("power", 1), ("N", 26), ("t", -1), ("l", 8)],
+    ]),
+    (QuadFunc.from_dense(3, [1, 1]), 3, [[DIRECT, ("N", 3), ("t", -1), ("l", 0)]]),  # direct base n * p^c
+])
+def test_provenance_golden(f, m, expected):
+    # every entry, key order included, as the CLI's JSON prints it
+    assert [list(e.items()) for e in evaluate(f, m).provenance] == expected
+
+
+def _off_by_one(real):
+    def corrupt(*args):
+        v = real(*args)
+        return replace(v, l=v.l - 1 if v.l else 1)
+
+    return corrupt
+
+
+@pytest.mark.parametrize("name, f, m, reached", [
+    ("monomial_eval", F3_MONOMIAL, 4, "(4, 1), profile gives (4, 2)"),
+    ("lift_p", QuadFunc.from_dense(3, [1, 0, 0, 1]), 3, "(3, 1), profile gives (3, 0)"),
+    ("lift_two", F5_RUNNING, 2, "(2, 1), profile gives (2, 0)"),
+    ("lift_odd_prime", F5_RUNNING, 26, "(26, 7), profile gives (26, 8)"),
+])
+def test_final_nullity_check_raises(monkeypatch, name, f, m, reached):
+    # the last step of the route returns a wrong l: the one check of the
+    # reached (N, l) against the profile catches it
+    from quadsums.errors import InternalInconsistency
+
+    monkeypatch.setattr(evaluator, name, _off_by_one(getattr(evaluator, name)))
+    with pytest.raises(InternalInconsistency, match=re.escape(f"route reached (N, l) = {reached}")):
+        evaluate(f, m)
+
+
 def test_verify_examples():
     assert verify(QuadFunc.from_dense(3, [1, 2, 2, 2, 1]), 1).equal
     rep = verify(QuadFunc.from_dense(3, [1, 1]), 2)
@@ -149,7 +205,7 @@ def test_route_independence_balanced_vs_composition(rng):
     import math
 
     from quadsums import type_balanced
-    from quadsums.evaluator import _composition_plan, _execute_composition
+    from quadsums.evaluator import _composition_plan, _run
     from quadsums.lifts import valuation
 
     checked = 0
@@ -165,8 +221,8 @@ def test_route_independence_balanced_vs_composition(rng):
             continue
         prof = nullity_profile(f)
         t_bal = type_balanced(f, m, prof.nullity(m))
-        state, _ = _execute_composition(f, _composition_plan(f, m), prof)
-        assert (state.t, state.l) == (t_bal, prof.nullity(m))
+        composed = _run(f, _composition_plan(f, m), prof)
+        assert (composed.t, composed.l) == (t_bal, prof.nullity(m))
         checked += 1
     assert checked >= 5
 
@@ -183,7 +239,7 @@ def test_norm_invariant_on_outputs(rng):
 
 def test_evaluate_commutes_with_odd_lift_order(rng):
     # composite square-free odd m: explicit reversed-order composition
-    from quadsums import TypeState, lift_odd_prime, type_direct
+    from quadsums import lift_odd_prime, type_direct
 
     for f in (QuadFunc.from_dense(3, [1, 2, 2, 2, 1]), QuadFunc.from_dense(5, [1, 2, 3, 4, 1])):
         p = f.p
@@ -192,7 +248,7 @@ def test_evaluate_commutes_with_odd_lift_order(rng):
         prof = nullity_profile(f)
         v = evaluate(f, m)
         t0, l0 = type_direct(f, 1)
-        st = TypeState(p, 1, l0, t0)
+        st = ExpSumValue(p, 1, l0, t0)
         for q in reversed(qs):
             st = lift_odd_prime(st, q, 1, prof.nullity(st.N * q))
         assert (st.t, st.l) == (v.t, v.l)

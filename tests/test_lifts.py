@@ -8,7 +8,6 @@ from quadsums import (
     CyclotomicInt,
     ExpSumValue,
     QuadFunc,
-    TypeState,
     brute_force_sum,
     brute_force_sum_shifted,
     build_field_ctx,
@@ -96,12 +95,12 @@ def test_gcd_helpers_vs_direct_gcd(p):
 
 
 def test_lift_odd_prime_running_example():
-    st = lift_odd_prime(TypeState(5, 1, 0, 1), 13, 1, 4)
+    st = lift_odd_prime(ExpSumValue(5, 1, 0, 1), 13, 1, 4)
     assert (st.N, st.l, st.t) == (13, 4, -1)
 
 
 def test_lift_odd_prime_identity_at_s0():
-    st = TypeState(5, 2, 0, -1)
+    st = ExpSumValue(5, 2, 0, -1)
     assert lift_odd_prime(st, 13, 0, 0) == st
     with pytest.raises(ParityViolation):
         lift_odd_prime(st, 13, 0, 2)
@@ -109,13 +108,13 @@ def test_lift_odd_prime_identity_at_s0():
 
 def test_lift_odd_prime_congruence_guards():
     with pytest.raises(ParityViolation):
-        lift_odd_prime(TypeState(5, 1, 0, 1), 13, 1, 3)  # odd increment
+        lift_odd_prime(ExpSumValue(5, 1, 0, 1), 13, 1, 3)  # odd increment
     with pytest.raises(ParityViolation):
-        lift_odd_prime(TypeState(5, 1, 0, 1), 13, 1, 2)  # o_13(5)=4 does not divide 2
+        lift_odd_prime(ExpSumValue(5, 1, 0, 1), 13, 1, 2)  # o_13(5)=4 does not divide 2
     with pytest.raises(InvalidInput):
-        lift_odd_prime(TypeState(5, 1, 0, 1), 2, 1, 0)
+        lift_odd_prime(ExpSumValue(5, 1, 0, 1), 2, 1, 0)
     with pytest.raises(InvalidInput):
-        lift_odd_prime(TypeState(5, 1, 0, 1), 5, 1, 0)
+        lift_odd_prime(ExpSumValue(5, 1, 0, 1), 5, 1, 0)
 
 
 def test_lift_odd_prime_tower_multiplier():
@@ -126,13 +125,13 @@ def test_lift_odd_prime_tower_multiplier():
         base_l = prof.nullity(2**a)
         t_base = (-1) ** (a + 1)
         for q in (5, 7):
-            st = lift_odd_prime(TypeState(3, 2**a, base_l, t_base), q, 1, prof.nullity(2**a * q))
+            st = lift_odd_prime(ExpSumValue(3, 2**a, base_l, t_base), q, 1, prof.nullity(2**a * q))
             assert st.t == (-1) ** (a + 1) * legendre(q, 3)
 
 
 def test_odd_lift_commutativity():
     prof = nullity_profile(F3_TOWER)
-    base = TypeState(3, 1, prof.nullity(1), -1)
+    base = ExpSumValue(3, 1, prof.nullity(1), -1)
     ab = lift_odd_prime(lift_odd_prime(base, 5, 1, prof.nullity(5)), 7, 1, prof.nullity(35))
     ba = lift_odd_prime(lift_odd_prime(base, 7, 1, prof.nullity(7)), 5, 1, prof.nullity(35))
     assert ab == ba
@@ -156,15 +155,15 @@ def test_double_twist_is_scaling_substitution(rng):
 def test_lift_two_examples():
     prof = nullity_profile(F5_RUNNING)
     for a in (1, 2, 3):
-        st = lift_two(TypeState(5, 1, 0, 1), TypeState(5, 1, 0, -1), a, prof.nullity(2**a))
+        st = lift_two(ExpSumValue(5, 1, 0, 1), ExpSumValue(5, 1, 0, -1), a, prof.nullity(2**a))
         assert st.t == -1
     prof3 = nullity_profile(F3_TOWER)
     for a in (1, 2, 3):
-        st = lift_two(TypeState(3, 1, 0, -1), TypeState(3, 1, 1, 1), a, prof3.nullity(2**a))
+        st = lift_two(ExpSumValue(3, 1, 0, -1), ExpSumValue(3, 1, 1, 1), a, prof3.nullity(2**a))
         assert st.t == (-1) ** (a + 1)
     prof7 = nullity_profile(F7_SMALL)
     for a in (1, 2):
-        st = lift_two(TypeState(7, 1, 0, -1), TypeState(7, 1, 1, 1), a, prof7.nullity(2**a))
+        st = lift_two(ExpSumValue(7, 1, 0, -1), ExpSumValue(7, 1, 1, 1), a, prof7.nullity(2**a))
         assert st.t == -1
 
 
@@ -183,7 +182,7 @@ def test_lift_two_beta_independence(rng):
         for beta in nonsquares:
             ft = twist_with(f, f.ctx, beta)
             tt, lt = type_direct(ft, 1)
-            st = lift_two(TypeState(p, 1, l1, t1), TypeState(p, 1, lt, tt), 2, prof.nullity(4))
+            st = lift_two(ExpSumValue(p, 1, l1, t1), ExpSumValue(p, 1, lt, tt), 2, prof.nullity(4))
             results.add(st.t)
         assert len(results) == 1
 
@@ -223,19 +222,19 @@ def test_lift_two_parity_guard():
     from quadsums.errors import InternalInconsistency
 
     with pytest.raises(InternalInconsistency):
-        lift_two(TypeState(3, 1, 0, 1), TypeState(3, 1, 0, 1), 1, 1)
+        lift_two(ExpSumValue(3, 1, 0, 1), ExpSumValue(3, 1, 0, 1), 1, 1)
 
 
 def test_lift_p_table_row():
     f = QuadFunc.from_dense(3, [0, 0, 0, 1])  # x^(3^3+1)
     t1, l1 = type_direct(f, 1)
-    st = lift_p(TypeState(3, 1, l1, t1), f, 1)
+    st = lift_p(ExpSumValue(3, 1, l1, t1), f, 1)
     assert (st.N, st.l, st.t) == (3, 0, t1)
     assert brute_force_sum(f, 3) == ExpSumValue(3, 3, st.l, st.t).to_cyclotomic()
 
 
 def test_lift_p_identity_and_condition():
-    st = TypeState(3, 1, 0, 1)
+    st = ExpSumValue(3, 1, 0, 1)
     f = QuadFunc.from_dense(3, [1, 1])
     assert lift_p(st, f, 0) == st
     with pytest.raises(ConditionViolated):
@@ -243,11 +242,36 @@ def test_lift_p_identity_and_condition():
     # alpha = 0 terms have infinite p-adic order and do not restrict the lift
     f0 = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
     t1, l1 = type_direct(f0, 1)
-    st3 = lift_p(TypeState(3, 1, l1, t1), f0, 1)
+    st3 = lift_p(ExpSumValue(3, 1, l1, t1), f0, 1)
     assert (st3.N, st3.l) == (3, 3 * l1)
     assert nullity_at(f0, 3) == 3 * l1
     with pytest.raises(ConditionViolated):
-        lift_p(TypeState(3, 1, l1, t1), f0, 2)  # second step needs nu_3 >= 2
+        lift_p(ExpSumValue(3, 1, l1, t1), f0, 2)  # second step needs nu_3 >= 2
+
+
+def test_lifts_append_exactly_one_provenance_entry():
+    def items(v):
+        return [list(e.items()) for e in v.provenance]
+
+    base = ExpSumValue(5, 1, 0, 1).record("direct_diagonalization")
+    odd = lift_odd_prime(base, 13, 1, 4)
+    assert items(odd) == items(base) + [
+        [("step", "odd_prime_lift"), ("q", 13), ("power", 1), ("N", 13), ("t", -1), ("l", 4)]
+    ]
+    two = lift_two(base, ExpSumValue(5, 1, 0, -1), 1, 0)
+    assert items(two) == items(base) + [
+        [("step", "two_power_lift"), ("height", 1), ("twist_t", -1), ("twist_l", 0), ("N", 2), ("t", -1), ("l", 0)]
+    ]
+    f0 = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
+    t1, l1 = type_direct(f0, 1)
+    base3 = ExpSumValue(3, 1, l1, t1).record("direct_diagonalization")
+    lifted = lift_p(base3, f0, 1)
+    assert items(lifted) == items(base3) + [
+        [("step", "p_power_lift"), ("count", 1), ("N", 3), ("t", t1), ("l", 3 * l1)]
+    ]
+    # zero-step lifts return the input itself, provenance included
+    assert lift_odd_prime(base, 13, 0, base.l) is base
+    assert lift_p(base3, f0, 0) is base3
 
 
 def test_lift_p_value_identity_on_applicable_rows():

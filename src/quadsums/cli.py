@@ -31,6 +31,8 @@ digits) in each of C coordinates`` and JSON writes null for them, as for a
 non-finite ``value_complex``; verify's report line and its JSON
 coordinates follow the same rule.  K is estimated from |S| = p^((N+l)/2)
 before any coordinate is computed, so a huge m or p answers at once.
+profile bounds its pairs alike (``NullityProfile.to_json_dict``): text reads
+``pairs = omitted (C pairs)`` and the factored order, JSON null, csv none.
 """
 
 from __future__ import annotations
@@ -217,15 +219,20 @@ def _cmd_eval(args, out) -> int:
 def _cmd_profile(args, out) -> int:
     f = _parse_func(args)
     prof = nullity_profile(f)
+    doc = prof.to_json_dict()
+    pairs = None if doc["entries"] is None else " ".join(f"({m},{l})" for m, l in doc["entries"])
     if args.format == "json":
-        _dump(prof.to_json_dict(), out)
+        _dump(doc, out)
     elif args.format == "csv":
-        pairs = " ".join(f"({m},{l})" for m, l in prof.entries)
         coeffs = " ".join(str(c.coeffs[0]) if f.n == 1 else str(c) for c in f.dense_coeffs())
-        out.write(f"{coeffs};{prof.s};{pairs}\n")
+        out.write(f"{coeffs};{prof.s};{pairs or ''}\n")
     else:
         out.write(f"s = {prof.s}\n")
-        out.write("pairs: " + " ".join(f"({m},{l})" for m, l in prof.entries) + "\n")
+        if pairs is None:
+            order = " * ".join(f"{q}^{v}" if v > 1 else str(q) for q, v in sorted(prof.order.items()))
+            out.write(f"pairs = omitted ({prof.pair_count} pairs)\norder = {order}\n")
+        else:
+            out.write(f"pairs: {pairs}\n")
     return EXIT_OK
 
 

@@ -14,7 +14,8 @@ l_s = 2*alpha, and l_m = l_gcd(m, s) for every other multiple m of n.  This
 is the effective way to compute the nullity for all m: ``NullityProfile``
 answers l_m with one power, A^(gcd(m, s)/n), memoized per exponent, and
 lists the pairs (m, l_m) over the divisors of s, which are tens of
-thousands when p - 1 is smooth, only when they are read.
+thousands when p - 1 is smooth, only when they are read.  Powers square
+from the top bit of the exponent down and take no product with I.
 
 One action for every n.  With R = GF(p^n)[T; sigma] the skew polynomials
 (T a = a^p T, composition of p-polynomials), left multiplication by the
@@ -22,9 +23,12 @@ central T^n on R/RL is GF(p^n)-linear and similar to A over GF(p^n); over
 GF(p) it is a 2*alpha*n square matrix, n copies of A, so its kernels are
 divided by n.  For n = 1, R = GF(p)[T] and column i is T^(1+i) mod ell, for
 ell(x) = sum c_j x^j the conventional associate of L: the companion matrix
-C of ell/lead(ell).  Column 0 of y(C) is y mod ell and dim ker y(C) =
-deg gcd(ell, y), so there a kernel is one gcd over GF(p) (Lidl and
-Niederreiter, Finite Fields, Thm 3.62 and Sec. 3.1).
+C of ell/lead(ell), written down from ell's coefficients.  Column 0 of y(C)
+is y mod ell and dim ker y(C) = deg gcd(ell, y), so there a kernel is one
+gcd over GF(p) (Lidl and Niederreiter, Finite Fields, Thm 3.62 and
+Sec. 3.1).  For n > 1 column 0 is one right remainder, T^n mod L, and each
+next column is T times the last, reduced by one left multiple of L: RL is
+a left ideal, so T (T^(n+i) mod L) is T^(n+i+1) mod L.
 
 The order: every eigenvalue of degree k over GF(p) lies in GF(p^k)^*.  The
 degrees come from dim ker(A^(p^k) - A), the count of Jordan blocks whose
@@ -39,6 +43,7 @@ skew-gcd ladder (``nullity_at``) and l_s against 2*alpha.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -223,10 +228,11 @@ def splitting_exponent(f: QuadFunc) -> int:
 
 
 class _Action:
-    """Left multiplication by T^n on R/RL over GF(p), n copies of A (see the
-    module docstring): block (j, i) of ``gen`` is mult_mat of the T^j
-    coefficient of T^(n+i) mod L (right remainder), so for n = 1 column i
-    is T^(1+i) mod ell and ``gen`` is the companion matrix of ell/lead(ell)."""
+    """Left multiplication by T^n on R/RL over GF(p), n copies of A, built
+    as the module docstring says: block (j, i) of ``gen`` is mult_mat of the
+    T^j coefficient of r_i = T^(n+i) mod L, where r_(i+1) = T r_i - q L,
+    T sum c_j T^j = sum c_j^p T^(j+1) and q = lead(T r_i)/lead(L).  ``gen``
+    and ``one`` are read-only, as ``_power`` may return either."""
 
     def __init__(self, f: QuadFunc):
         ctx, n, p = f.ctx, f.n, f.p
@@ -236,11 +242,24 @@ class _Action:
         size = self.dim * n
         dtype = pp.exact_dtype(p, size)
         self.one = np.eye(size, dtype=dtype)
-        self.gen = np.zeros((size, size), dtype=dtype)
-        for i in range(self.dim):
-            rem = _rrem_elem(ctx, [ctx.zero()] * (n + i) + [ctx.one()], L)
-            for j, c in enumerate(rem):
-                self.gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
+        if n == 1:  # the companion matrix of ell/lead(ell)
+            self.gen = np.eye(size, k=-1, dtype=dtype)
+            inv = pow(self.ell[-1], -1, p)
+            if size:
+                self.gen[:, -1] = [-c * inv % p for c in self.ell[:-1]]
+        else:
+            self.gen = np.zeros((size, size), dtype=dtype)
+            r = _rrem_elem(ctx, [ctx.zero()] * n + [ctx.one()], L)
+            r += [ctx.zero()] * (self.dim - len(r))
+            lead_inv = L[-1].inverse()
+            for i in range(self.dim):
+                for j, c in enumerate(r):
+                    self.gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
+                r = [ctx.zero()] + [c.frobenius(1) for c in r]
+                q = r[-1] * lead_inv
+                r = [c - q * b for c, b in zip(r[:-1], L)]
+        self.gen.setflags(write=False)
+        self.one.setflags(write=False)
 
     def nullity(self, a, b) -> int:
         """dim ker(a - b) on the root space.  For n = 1, a - b = y(C), whose
@@ -256,13 +275,15 @@ class _Action:
 
 
 def _power(act, a, e: int):
-    out = act.one
-    while e:
-        if e & 1:
+    """a^e, squaring from the top bit of e down: no product with ``one``,
+    which is returned only for e = 0 (and a itself for e = 1)."""
+    if not e:
+        return act.one
+    out = a
+    for bit in bin(e)[3:]:
+        out = out @ out % act.p
+        if bit == "1":
             out = out @ a % act.p
-        e >>= 1
-        if e:
-            a = a @ a % act.p
     return out
 
 
@@ -387,18 +408,28 @@ class NullityProfile:
     def entry_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
+    @property
+    def pair_count(self) -> int:
+        """len(entries), the number of divisors of ord(A), read off ``order``."""
+        return prod(v + 1 for v in self.order.values())
+
     def to_json_dict(self) -> dict:
+        """The profile as JSON, with entries None, never walked, when
+        pair_count pairs of up to len(" (s,2*alpha)") characters would pass
+        the int-to-string limit (sys.get_int_max_str_digits(); 0 lifts it)."""
         f = self.func
         if f.n == 1:
             coeffs = [c.coeffs[0] for c in f.dense_coeffs()]
         else:
             coeffs = [list(c.coeffs) for c in f.dense_coeffs()]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        listed = not limit or self.pair_count * len(f" ({self.s},{2 * f.top_alpha})") <= limit
         return {
             "p": f.p,
             "n": f.n,
             "coeffs": coeffs,
             "s": self.s,
-            "entries": [list(e) for e in self.entries],
+            "entries": [list(e) for e in self.entries] if listed else None,
         }
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsums import ExpSumValue, cli, cyclotomic, errors
+from quadsums import ExpSumValue, cli, cyclotomic, errors, nullity
 from quadsums.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -316,6 +316,34 @@ def test_large_prime_builds_no_coordinates(coeffs, monkeypatch):
     assert "cyclotomic coords = omitted (~19 digits) in each of 2305843009213693950 coordinates\n" in out
     code, out = run(argv + ["--format", "json"])
     assert code == 0 and _strict_json(out)["value_cyclotomic"] is None
+
+
+def test_profile_with_many_divisors_omits_its_pairs(monkeypatch):
+    # ord(A) has 73,728 divisors; the count, read off the factored order,
+    # passes the int-to-string limit, so the divisor walk never runs
+    def no_walk(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(nullity.NullityProfile, "entries", property(no_walk))
+    argv = ["profile", "--p", str(2**61 - 1), "--coeffs", "1,5,7,1"]
+    code, out = run(argv)
+    s_line, pairs_line, order_line = out.splitlines()
+    assert code == 0 and re.fullmatch(r"s = \d{50,}", s_line)
+    assert pairs_line == "pairs = omitted (73728 pairs)"
+    assert order_line.startswith("order = 2 * 3^2 * 5^2 * 11 * 13 * ")
+    code, out = run(argv + ["--format", "json"])
+    doc = _strict_json(out)
+    assert code == 0 and doc["entries"] is None and f"s = {doc['s']}" == s_line
+    code, out = run(argv + ["--format", "csv"])
+    assert code == 0 and out == f"1 5 7 1;{doc['s']};\n"
+
+
+@pytest.mark.parametrize("limit,shown", [(1, False), (0, True)])
+def test_profile_pairs_follow_the_digit_limit(limit, shown, monkeypatch):
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
+    code, out = run(["profile", "--p", "5", "--coeffs", "1,2,3,4,1"])
+    want = "pairs: (1,0) (2,0) (13,4) (26,8)\n" if shown else "pairs = omitted (4 pairs)\norder = 2 * 13\n"
+    assert code == 0 and out == "s = 26\n" + want
 
 
 def test_verify_bounds_its_coordinates_by_count():

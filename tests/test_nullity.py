@@ -1,6 +1,10 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadsums import (
     QuadFunc,
@@ -11,7 +15,9 @@ from quadsums import (
     radical_poly,
     splitting_exponent,
 )
-from quadsums import nullity
+from quadsums import _primepoly as pp
+from quadsums import fieldcore, nullity
+from quadsums._numtheory import is_prime
 from quadsums.errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -301,3 +307,86 @@ def test_profile_answers_without_the_divisor_walk(monkeypatch):
     assert prof.s == 26 and prof.nullity(13) == 4 and prof.nullity(52) == 8
     with pytest.raises(AssertionError, match="entries read"):
         prof.entry_dict
+
+
+def _blockwise_action(f):
+    # the definition: block (j, i) is mult_mat of the T^j coefficient of
+    # T^(n+i) mod L, one fresh right remainder per column
+    ctx, n = f.ctx, f.n
+    L = list(radical_poly(f).coeffs)
+    dim = len(L) - 1
+    gen = np.zeros((dim * n, dim * n), dtype=pp.exact_dtype(f.p, dim * n))
+    for i in range(dim):
+        rem = fieldcore._rrem_elem(ctx, [ctx.zero()] * (n + i) + [ctx.one()], L)
+        for j, c in enumerate(rem):
+            gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
+    return gen
+
+
+def test_extension_base_action_matches_blockwise_remainders(rng):
+    # the skew step T r_i - q L against a fresh remainder per column
+    funcs = [_random_func(rng, p, n, alpha) for p, n in CLOSED_FORM_BASES if n > 1 for alpha in range(5)]
+    big = build_field_ctx(2**61 - 1, 2)
+    funcs += [
+        QuadFunc.from_terms(big, [(big.elem([rng.randrange(big.p) for _ in range(2)]), j) for j in range(alpha + 1)])
+        for alpha in range(1, 5)
+    ]
+    assert funcs[-1].ctx is big
+    for f in funcs:
+        gen = nullity._Action(f).gen
+        want = _blockwise_action(f)
+        assert gen.dtype == want.dtype and np.array_equal(gen, want), f
+    assert gen.dtype == object
+
+
+def test_action_builds_without_remainders_at_prime_base(monkeypatch):
+    # n = 1 reads the companion matrix off ell; n > 1 takes one remainder
+    calls = []
+    real = nullity._rrem_elem
+    monkeypatch.setattr(nullity, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
+    monkeypatch.setattr(fieldcore.FieldCtx, "mult_mat", lambda self, c: calls.append("mult_mat"))
+    nullity._Action(F5_RUNNING)
+    nullity._Action(QuadFunc.from_dense(3, [1]))  # alpha = 0: a 0 x 0 action
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(nullity, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
+    ctx = build_field_ctx(5, 2)
+    nullity._Action(QuadFunc.from_terms(ctx, [(ctx.gen(), 0), (ctx.elem(2), 3)]))
+    assert calls == ["rrem"]
+
+
+@pytest.mark.parametrize("p,n,alpha", [(7, 1, 2), (2**61 - 1, 1, 2), (5, 2, 2), (2**61 - 1, 2, 1)])
+def test_power_matches_repeated_products(rng, p, n, alpha):
+    act = nullity._Action(_random_func(rng, p, n, alpha))
+    assert act.gen.dtype == (object if p > 2**32 else np.int64)
+    assert not act.gen.flags.writeable and not act.one.flags.writeable
+    # no product with the identity: a stand-in without one serves e >= 1
+    bare = SimpleNamespace(p=p, one=None)
+    want = act.one
+    for e in range(21):
+        assert np.array_equal(nullity._power(act, act.gen, e), want), e
+        if e:
+            assert np.array_equal(nullity._power(bare, act.gen, e), want), e
+        want = want @ act.gen % p
+
+
+def _dtype_boundary(alpha):
+    # the largest prime whose n = 1 action of size 2*alpha is int64, and the
+    # next prime, whose action is object dtype
+    top = math.isqrt((2**63 - 1) // (2 * alpha)) + 1
+    below = next(q for q in range(top, 0, -1) if is_prime(q))
+    above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+    assert pp.exact_dtype(below, 2 * alpha) is np.int64 and pp.exact_dtype(above, 2 * alpha) is object
+    return [(alpha, below), (alpha, above)]
+
+
+@pytest.mark.parametrize("alpha,p", _dtype_boundary(1) + _dtype_boundary(2))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_profile_at_the_exact_dtype_boundary(alpha, p, data):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=alpha, max_size=alpha))
+    f = QuadFunc.from_dense(p, coeffs + [data.draw(st.integers(1, p - 1))])
+    prof = nullity_profile.__wrapped__(f)
+    assert prof.nullity(prof.s) == 2 * alpha
+    for m in range(1, 5):
+        assert prof.nullity(m) == nullity_at(f, m), (coeffs, m)

@@ -202,16 +202,23 @@ class LinearizedPoly:
 
 def radical_poly(f: QuadFunc) -> LinearizedPoly:
     """The separable p-polynomial whose kernel in GF(p^m) is the radical of
-    Tr_m(f); p-power degree is exactly 2*alpha."""
+    Tr_m(f); p-power degree is exactly 2*alpha.  Built once per f and
+    memoized like ``nullity_profile``, which reads it twice: in the action
+    and in the l_n ladder check."""
+    out = _radical_poly(f)
+    if not out.is_separable():
+        raise InternalInconsistency("radical polynomial must be separable")
+    return out
+
+
+@functools.lru_cache(maxsize=512)
+def _radical_poly(f: QuadFunc) -> LinearizedPoly:
     alpha = f.top_alpha
     coeffs = [f.ctx.zero()] * (2 * alpha + 1)
     for a, ai in f.terms:
         coeffs[alpha + ai] = coeffs[alpha + ai] + a.frobenius(alpha)
         coeffs[alpha - ai] = coeffs[alpha - ai] + a.frobenius(alpha - ai)
-    out = LinearizedPoly(f.ctx, tuple(coeffs))
-    if not out.is_separable():
-        raise InternalInconsistency("radical polynomial must be separable")
-    return out
+    return LinearizedPoly(f.ctx, tuple(coeffs))
 
 
 def nullity_at(f: QuadFunc, m: int) -> int:

@@ -20,31 +20,39 @@ The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
 with G[u, v] = Tr(x^u y_v), y_v = sum_i c_i (x^v)^(p^(a_i)).  The trace is
 GF(p)-linear, so Tr(x^u y) = sum_w y_w Tr(x^(u+w)): each term adds Hc Y^T,
-with Hc[u, w] = Tr(x^(u+w)) a Hankel matrix of conjugate sums and Y[v] the
-coordinates of c (x^v)^(p^a) (scalar Frobenius and product), and a shifted
-sum's linear vector is Hc b.  All of it is in the exact dtype, reduced mod p
-after every product and sum.  The oracle reads none of the Gram route's
-``trace_form`` (Newton's identities), ``mult_mat``, ``frob_mat_power`` or
-``gram_matrix``.
+with Hc[u, w] = Tr(x^(u+w)) a Hankel matrix of conjugate sums, built once
+per context and kept read-only, and Y[v] = c x^(v p^a), c times row v of
+the context's Frobenius images; a shifted sum's linear vector is Hc b.  All
+of it is in the exact dtype, reduced mod p after every product and sum.  The
+oracle reads none of the Gram route's ``trace_form`` (Newton's identities),
+``mult_mat``, ``frob_mat_power`` or ``gram_matrix``.
 
 The enumeration is blocked: with x = (lo, hi), lo the first k = N // 2
 coordinates,
 
-    Q(x) = Q(lo) + Q(hi) + lo C hi^T,    C = G_lh + G_hl^T,
+    Q(x) = lo C hi^T + Q(lo) + Q(hi) = [lo C | Q(lo) | 1] [hi^T ; 1 ; Q(hi)],
 
-and the linear term of a shifted sum splits the same way.  Each block of
-values is one outer sum of Q(lo) and Q(hi) plus one float64 matrix product,
-and digits are decoded for p^k + p^(N-k) rows only.  This is the only
-float64 arithmetic in the package.  Every partial product is reduced mod p
-before the next one, so every summand is an integer below N*p^2; under
-DEFAULT_CAP (p^N <= 2*10^7) that is at most 4*10^14, far below 2^53, where
-float64 stops being exact.  A block's values are reduced mod p as int64
-before they are tallied.  Enumerations past either bound raise TooLarge
-(``enumeration_size``, which ``verify`` calls before it evaluates).
+C = G_lh + G_hl^T, and the linear term of a shifted sum splits the same
+way.  Each block of values is one float64 product of the two augmented
+operands, and digits are decoded for p^k + p^(N-k) rows only.  This is the
+only float64 arithmetic in the package.  lo C, Q(lo) and Q(hi) are reduced
+mod p first, so a value is an integer at most
+
+    top = (N - k)(p - 1)^2 + 2(p - 1) < N p^2,
+
+and so is every partial sum; ``enumeration_size`` keeps N p^2 below 2^53,
+where float64 stops being exact.  When top + 1 is at most the block's
+length (small p, or N large enough), the block's int64 values are tallied
+unreduced into top + 1 bins, folded mod p once after the loop; otherwise
+(large p, small N) the block is reduced mod p in place before its tally.
+An enumeration with p^N past the cap (DEFAULT_CAP = 2*10^7) or N p^2 past
+2^53 raises TooLarge (``enumeration_size``, which ``verify`` calls before
+it evaluates).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +65,7 @@ from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element
 from .nullity import QuadFunc
 
 DEFAULT_CAP = 20_000_000
-_CHUNK = 1 << 17
+_CHUNK = 1 << 15
 
 
 def legendre(a: int, p: int) -> int:
@@ -161,26 +169,30 @@ def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, 
 # -- brute-force oracle ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _trace_hankel(ctx: FieldCtx) -> np.ndarray:
-    """Hc[u, w] = Tr(x^(u+w)): ``basis_traces`` for u + w < N, and the
-    ``trace`` of x^N, ..., x^(2N-2) by N - 1 multiplications by x."""
+    """Hc[u, w] = Tr(x^(u+w)), read-only and built once per context:
+    ``basis_traces`` for u + w < N, and the ``trace`` of x^N, ..., x^(2N-2)
+    by N - 1 multiplications by x."""
     N = ctx.d
     s = list(ctx.basis_traces())
     x, xk = ctx.gen(), ctx.from_encoding(ctx.p ** (N - 1))
     for _ in range(N - 1):
         xk = xk * x
         s.append(xk.trace())
-    return np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
+    Hc = np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
+    Hc.setflags(write=False)
+    return Hc
 
 
 def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarray:
-    """G with Tr(f(sum x_u b_u)) = x G x^T on the power basis b_u: per term,
-    Hc Y^T mod p with Y[v] = c b_v^(p^a) (see the module docstring)."""
+    """G with Tr(f(sum x_u b_u)) = x G x^T on the power basis b_u = x^u: per
+    term, Hc Y^T mod p with Y[v] = c x^(v p^a), c times row v of
+    ``frob_images(a)`` (see the module docstring)."""
     p, N = ctx_big.p, ctx_big.d
-    basis = [ctx_big.from_encoding(p**v) for v in range(N)]
     G = np.zeros((N, N), dtype=Hc.dtype)
     for c, a in f.terms_in(ctx_big):
-        Y = np.array([(c * b.frobenius(a)).coeffs for b in basis], dtype=Hc.dtype)
+        Y = np.array([(c * FieldElem(ctx_big, row)).coeffs for row in ctx_big.frob_images(a)], dtype=Hc.dtype)
         G = (G + Hc @ Y.T % p) % p
     return G
 
@@ -221,22 +233,28 @@ def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
         linear = linear if isinstance(linear, FieldElem) else ctx_big.elem(linear)
         linear = embed_element(linear.ctx, ctx_big, linear)
         lin = (Hc @ np.array(linear.coeffs, dtype=Hc.dtype) % p).astype(np.float64)
-    # x = (lo, hi): Q(x) = Q(lo) + Q(hi) + lo C hi^T with C = G_lh + G_hl^T
+    # x = (lo, hi): Q(x) = lo C hi^T + Q(lo) + Q(hi) = [lo C | Q(lo) | 1] [hi^T ; 1 ; Q(hi)]
     k = N // 2
     C = np.mod(G[:k, k:] + G[k:, :k].T, p)
     lo = _digit_rows(p, k, 0, p**k)
-    q_lo = _block_form(lo, G[:k, :k], lin[:k], p)
-    lo_C = np.mod(lo @ C, p)
+    lo_aug = np.column_stack((np.mod(lo @ C, p), _block_form(lo, G[:k, :k], lin[:k], p), np.ones(len(lo))))
+    top = (N - k) * (p - 1) ** 2 + 2 * (p - 1)  # the largest value of a block
+    # tallies of unreduced values; a block is at most _CHUNK long, so only
+    # a top below _CHUNK can ever be folded
+    raw = np.zeros(top + 1 if top < _CHUNK else 0, dtype=np.int64)
     counts = np.zeros(p, dtype=np.int64)
     n_hi = p ** (N - k)
     for h0 in range(0, n_hi, _CHUNK):
         hi = _digit_rows(p, N - k, h0, min(h0 + _CHUNK, n_hi))
-        q_hi = _block_form(hi, G[k:, k:], lin[k:], p)
+        hi_aug = np.vstack((hi.T, np.ones(len(hi)), _block_form(hi, G[k:, k:], lin[k:], p)))
         step = max(1, _CHUNK // len(hi))
         for l0 in range(0, len(lo), step):
-            tr = lo_C[l0 : l0 + step] @ hi.T + q_lo[l0 : l0 + step, None] + q_hi
-            tally = np.bincount((tr.astype(np.int64) % p).ravel())
-            counts[: len(tally)] += tally
+            tr = (lo_aug[l0 : l0 + step] @ hi_aug).astype(np.int64).ravel()
+            if top < len(tr):
+                raw += np.bincount(tr, minlength=top + 1)
+            else:
+                counts += np.bincount(np.remainder(tr, p, out=tr), minlength=p)
+    counts += np.pad(raw, (0, -len(raw) % p)).reshape(-1, p).sum(axis=0)  # fold mod p
     if counts.sum() != size:
         raise InternalInconsistency(f"tallied {counts.sum()} elements of {size}")
     return counts

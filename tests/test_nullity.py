@@ -199,6 +199,19 @@ def test_radical_separability_check_raises(monkeypatch):
         radical_poly(F7_SMALL)
 
 
+def test_profile_builds_one_radical_polynomial(monkeypatch):
+    # the action and the l_n ladder check share one memoized L
+    real = nullity.LinearizedPoly
+    built = []
+    monkeypatch.setattr(nullity, "LinearizedPoly", lambda *args: built.append(args) or real(*args))
+    ctx = build_field_ctx(5, 2)
+    for f in (QuadFunc.from_dense(7, [3, 1, 4, 1]), QuadFunc.from_terms(ctx, [(ctx.gen(), 0), (ctx.elem(2), 3)])):
+        nullity._radical_poly.cache_clear()
+        built.clear()
+        nullity_profile.__wrapped__(f)
+        assert len(built) == 1, f
+
+
 def test_profile_endpoint_check_raises(monkeypatch):
     # an order that stops short of the splitting exponent 56, so l_s falls
     # short of 2*alpha; the uncached function runs, so no corrupted profile

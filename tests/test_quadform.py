@@ -24,7 +24,7 @@ from quadsums import (
 from quadsums import _linalg, quadform
 from quadsums.cyclotomic import cyc_from_trace_counts
 from quadsums.errors import InternalInconsistency, NotSymmetric, TooLarge
-from quadsums.fieldcore import FieldCtx, embed_element, embedding_roots, is_prime
+from quadsums.fieldcore import FieldCtx, FieldElem, embed_element, embedding_roots, is_prime
 from quadsums.quadform import (
     DEFAULT_CAP,
     _bilinear_matrix,
@@ -372,6 +372,84 @@ def test_enumeration_tally_check_raises(monkeypatch):
     monkeypatch.setattr(quadform, "_digit_rows", lambda *args: digit_rows(*args)[:-1])
     with pytest.raises(InternalInconsistency, match="tallied"):
         brute_force_sum(QuadFunc.from_dense(3, [1, 1]), 3)
+
+
+def _block_cases():
+    """(f, m) over GF(3^7), GF(5^4), GF(7^3) and a GF(9) function at m = 3."""
+    rng = random.Random(15)
+    cases = [(random_quadfunc(rng, p), N) for p, N in ((3, 7), (5, 4), (7, 3))]
+    base9 = build_field_ctx(3, 2)
+    coeffs = [base9.from_encoding(rng.randrange(1, 9)) for _ in range(3)]
+    cases.append((QuadFunc.from_terms(base9, [(c, a) for a, c in enumerate(coeffs)]), 3))
+    return cases
+
+
+def test_enumeration_across_many_blocks_matches_per_element_reference(monkeypatch):
+    # at the default _CHUNK each case is one block.  Chunk 16 splits hi into
+    # several chunks and reduces every block mod p first (top >= 16); chunk
+    # 256 takes several lo steps and folds every block's unreduced tally
+    rng = random.Random(3)
+    expected = []
+    for f, m in _block_cases():
+        b = f.ctx.from_encoding(rng.randrange(1, f.ctx.order))
+        expected.append((f, m, b, *_reference_counts(f, m, b)))
+    bincount, digit_rows = np.bincount, quadform._digit_rows
+    bins, rows = [], []
+
+    def counted_bincount(x, minlength):
+        bins.append(minlength)
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    monkeypatch.setattr(quadform, "_digit_rows", lambda *args: rows.append(args) or digit_rows(*args))
+    for f, m, b, plain, shifted in expected:
+        kinds, hi_chunks, blocks = set(), {}, {}
+        for chunk in (16, 64, 256):
+            monkeypatch.setattr(quadform, "_CHUNK", chunk)
+            for linear, reference in ((None, plain), (b, shifted)):
+                bins.clear()
+                rows.clear()
+                assert list(_trace_counts(f, m, DEFAULT_CAP, linear=linear)) == reference, (chunk, f, m, linear)
+                kinds |= {"folded" if n > f.p else "reduced" for n in bins}
+                hi_chunks[chunk], blocks[chunk] = len(rows) - 1, len(bins)  # rows: lo, then each hi chunk
+        assert hi_chunks[16] > 1 and blocks[256] > hi_chunks[256], (f, m, hi_chunks, blocks)
+        assert kinds == {"folded", "reduced"}, (f, m)
+    # p = 2003, N = 2: values reach about p^2, so every block is reduced first
+    f = QuadFunc.from_dense(2003, [3, 5])
+    monkeypatch.setattr(quadform, "_CHUNK", 1 << 17)
+    whole = list(_trace_counts(f, 2, DEFAULT_CAP))
+    monkeypatch.setattr(quadform, "_CHUNK", 1024)
+    bins.clear()
+    assert list(_trace_counts(f, 2, DEFAULT_CAP)) == whole
+    assert set(bins) == {2003} and len(bins) > 2003
+
+
+def test_trace_hankel_is_built_once_per_context_and_read_only():
+    for p, N in ((3, 5), (5, 4), (7, 1), (2**61 - 1, 3)):
+        ctx = build_field_ctx(p, N)
+        Hc = _trace_hankel(ctx)
+        assert _trace_hankel(ctx) is Hc and not Hc.flags.writeable
+        with pytest.raises(ValueError):
+            Hc[0, 0] = 1
+        fresh = _trace_hankel.__wrapped__(FieldCtx(p, N, ctx.modulus))
+        assert fresh.tolist() == Hc.tolist()
+        x = ctx.gen()
+        assert Hc.tolist() == [[(x ** (u + w)).trace() for w in range(N)] for u in range(N)], (p, N)
+
+
+def test_bilinear_matrix_takes_no_scalar_frobenius(monkeypatch, rng):
+    # row v of Y is c times row v of frob_images(a), which already holds
+    # x^(v p^a); the values are checked against the per-entry reference in
+    # test_bilinear_matrix_matches_per_entry_reference
+    cases = list(_hankel_cases(rng))
+    expected = [_bilinear_matrix(f, ctx, _trace_hankel(ctx)).tolist() for f, ctx in cases]
+
+    def banned(self, j):
+        raise AssertionError("_bilinear_matrix took a scalar Frobenius")
+
+    monkeypatch.setattr(FieldElem, "frobenius", banned)
+    for (f, ctx), G in zip(cases, expected):
+        assert _bilinear_matrix(f, ctx, _trace_hankel(ctx)).tolist() == G, (f, ctx)
 
 
 def _enumerated_form_sum(B, p):

@@ -6,16 +6,17 @@ left with Brent's variant of Pollard's rho, testing each piece with
 Miller-Rabin.  That handles the extension degrees and lift heights this
 package factors as well as the group orders p^k - 1 behind the nullity
 profile (``factor_power_minus_one``, memoized per (p, k)).  Rho takes
-about the square root of the second-largest prime factor in steps, so a
-number with two prime factors of 16 or more digits each is out of
-practical reach."""
+about the square root of the second-largest prime factor in steps, so it
+gives up after ``RHO_STEPS`` steps of the map, about half a minute, and
+raises ``Unsupported``: that splits off prime factors of up to about 14
+digits, and a number with two larger ones is out of reach."""
 
 from __future__ import annotations
 
 import functools
 from math import gcd, isqrt
 
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InternalInconsistency, InvalidInput, Unsupported
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,13 +50,25 @@ TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(q for q in range(2, TRIAL_LIMIT) if all(q % r for r in range(2, isqrt(q) + 1)))
 
 
+# Cycle lengths r = 1, 2, 4, ..., 2^23 take at most 2^25 - 2 steps: enough
+# for the 14-digit prime factor of p^2 - p + 1 at p = 2^61 - 1 (found at
+# r = 2^23, after 2.6 * 10^7 steps).
+RHO_STEPS = 2**25
+
+
 def _brent(n: int) -> int:
     """A proper factor of an odd composite n (Brent's cycle finding on
     x -> x^2 + c, products of differences batched 128 at a time; a new c
-    when a batch collapses to n)."""
+    when a batch collapses to n).  A cycle length r costs at most 2r steps;
+    raises Unsupported before the steps would pass RHO_STEPS."""
+    budget = RHO_STEPS
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if 2 * r > budget:
+                detail = f"rho split no factor off a {n.bit_length()}-bit number in {RHO_STEPS} steps"
+                raise Unsupported("factoring_out_of_reach", detail)
+            budget -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -64,7 +77,7 @@ def _brent(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += 128
             r *= 2

@@ -17,26 +17,39 @@ lists the pairs (m, l_m) over the divisors of s, which are tens of
 thousands when p - 1 is smooth, only when they are read.  Powers square
 from the top bit of the exponent down and take no product with I.
 
-One action for every n.  With R = GF(p^n)[T; sigma] the skew polynomials
-(T a = a^p T, composition of p-polynomials), left multiplication by the
-central T^n on R/RL is GF(p^n)-linear and similar to A over GF(p^n); over
-GF(p) it is a 2*alpha*n square matrix, n copies of A, so its kernels are
-divided by n.  For n = 1, R = GF(p)[T] and column i is T^(1+i) mod ell, for
-ell(x) = sum c_j x^j the conventional associate of L: the companion matrix
-C of ell/lead(ell), written down from ell's coefficients.  Column 0 of y(C)
-is y mod ell and dim ker y(C) = deg gcd(ell, y), so there a kernel is one
-gcd over GF(p) (Lidl and Niederreiter, Finite Fields, Thm 3.62 and
-Sec. 3.1).  For n > 1 column 0 is one right remainder, T^n mod L, and each
-next column is T times the last, reduced by one left multiple of L: RL is
-a left ideal, so T (T^(n+i) mod L) is T^(n+i+1) mod L.
+One action for every n.  With R = GF(p^n)[T; sigma] (T a = a^p T,
+composition of p-polynomials), left multiplication by the central T^n on
+R/RL is GF(p^n)-linear and similar to A over GF(p^n); over GF(p) it is a
+2*alpha*n square matrix M, n copies of A.  So M and A share their minimal
+polynomial mu over GF(p), of degree at most 2*alpha (mu(T^n) is the bound
+of L: Giesbrecht, J. Symbolic Comput. 26, 1998).  The profile runs on the
+companion matrix C of mu at every n: C^k = I exactly when mu divides
+x^k - 1, exactly when A^k = I, so ord(A) = ord(C).  Column 0 of y(C) is
+y mod mu.  When deg mu = 2*alpha, A is cyclic, so similar to C, and
+dim ker y(A) = deg gcd(mu, y) (Lidl and Niederreiter, Finite Fields,
+Thm 3.62).  Otherwise (A = -I, say) it is dim ker y(M) / n, with
+y(M) = sum y_j M^j from the stored powers of M.
+
+Reading mu.  For n = 1, mu = ell/lead(ell) for ell(x) = sum c_j x^j, the
+conventional associate of L, and M, its companion matrix, is never built.
+For n > 1, mu is the annihilator of the element 1 of R/RL: a central z
+with z 1 in RL lies in RL, a left ideal, so z r = r z lies in RL for
+every r and z annihilates the whole module; mu lies in GF(p)[x] because
+T^n is central.  So mu is read off the first linear dependency of the
+Krylov columns e_0, M e_0, ... (e_0 the coordinates of 1) by one row
+echelon form, and checked by mu(M) = 0.  M's column 0 is T^n mod L, one
+right remainder; each next column is T times the last, reduced by one
+left multiple of L (RL is a left ideal, so T (T^(n+i) mod L) is
+T^(n+i+1) mod L).
 
 The order: every eigenvalue of degree k over GF(p) lies in GF(p^k)^*.  The
 degrees come from dim ker(A^(p^k) - A), the count of Jordan blocks whose
-eigenvalue lies in GF(p^k) (a distinct-degree split; for n = 1, gcds with
-x^(p^k) - x).  The semisimple part's order divides lcm(p^k - 1) over those
-degrees and is found prime by prime from the factored p^k - 1; the
-unipotent part adds a factor p^t, found by at most log_p(2*alpha) + 1
-power checks.  ``nullity_profile`` checks l_n against the independent
+eigenvalue lies in GF(p^k) (a distinct-degree split; for cyclic A, gcds
+of mu with x^(p^k) - x).  The semisimple part's order divides
+lcm(p^k - 1) over those degrees and is found prime by prime from the
+factored p^k - 1; the unipotent part adds a factor p^t, found by at most
+log_p(2*alpha) + 1 power checks.  Powers and order checks run on C, of
+size deg mu.  ``nullity_profile`` checks l_n against the independent
 skew-gcd ladder (``nullity_at``) and l_s against 2*alpha.
 """
 
@@ -234,48 +247,94 @@ def splitting_exponent(f: QuadFunc) -> int:
     return NullityProfile(f).s
 
 
+def _block_matrix(f: QuadFunc) -> np.ndarray:
+    """M for n > 1, block (j, i) the mult_mat of the T^j coefficient of
+    r_i = T^(n+i) mod L, on the 2*alpha x n coordinate array of r_i: T
+    shifts the rows up, each times F^T (F the Frobenius matrix), and q L,
+    q = lead(T r_i)/lead(L), is q times the stack of L X_k^T, with X the
+    stack of mult_mat(x^k), k < n.  The blocks are one tensordot with X."""
+    ctx, n, p = f.ctx, f.n, f.p
+    L = radical_poly(f).coeffs
+    dim = len(L) - 1
+    dtype = pp.exact_dtype(p, dim * n)
+    X = np.array([ctx.mult_mat(ctx.from_encoding(p**k)) for k in range(n)], dtype=dtype)
+    F = np.array(ctx.frob_mat_power(1).T, dtype=dtype)
+    low = np.array([c.coeffs for c in L[:-1]], dtype=dtype).reshape(dim, n)
+    qL = (low @ X.transpose(0, 2, 1) % p).reshape(n, dim * n)
+    lead_inv = np.array(ctx.mult_mat(L[-1].inverse()).T, dtype=dtype)
+    r = np.zeros((dim, n), dtype=dtype)
+    rem = _rrem_elem(ctx, [ctx.zero()] * n + [ctx.one()], list(L))
+    if rem:
+        r[: len(rem)] = [c.coeffs for c in rem]
+    cols = np.zeros((dim, dim, n), dtype=dtype)
+    for i in range(dim):
+        cols[i] = r
+        s = r @ F % p
+        q = s[-1] @ lead_inv % p
+        r[0], r[1:] = 0, s[:-1]
+        r = (r - (q @ qL).reshape(dim, n)) % p
+    blocks = np.tensordot(cols, X, axes=([2], [0])) % p  # blocks[i, j] is block (j, i)
+    return blocks.transpose(1, 2, 0, 3).reshape(dim * n, dim * n)
+
+
+def _krylov_mu(K: np.ndarray, p: int) -> list[int]:
+    """The minimal polynomial of M, monic with ascending coefficients, from
+    K, whose column j is M^j e_0, j <= 2*alpha: with the first r columns
+    independent, the reduced echelon form's column r holds the
+    coordinates of M^r e_0 on them."""
+    R, pivots, _ = _linalg.row_echelon(K, p)
+    r = len(pivots)
+    if r == K.shape[1]:
+        raise InternalInconsistency(f"the Krylov sequence of 1 has no dependency within {r - 1} steps")
+    return [-int(c) % p for c in R[:r, r]] + [1]
+
+
 class _Action:
-    """Left multiplication by T^n on R/RL over GF(p), n copies of A, built
-    as the module docstring says: block (j, i) of ``gen`` is mult_mat of the
-    T^j coefficient of r_i = T^(n+i) mod L, where r_(i+1) = T r_i - q L,
-    T sum c_j T^j = sum c_j^p T^(j+1) and q = lead(T r_i)/lead(L).  ``gen``
-    and ``one`` are read-only, as ``_power`` may return either."""
+    """The action A of z -> z^(p^n) on the root space, of dimension ``dim``
+    = 2*alpha, as the module docstring says: ``gen`` is the companion
+    matrix C of its minimal polynomial ``mu`` (ascending, monic), of size
+    deg mu, and ``one`` the identity of that size.  When deg mu < dim,
+    ``powers`` holds M^0, ..., M^(deg mu - 1) for the kernels, else None.
+    ``gen`` and ``one`` are read-only, as ``_power`` may return either."""
 
     def __init__(self, f: QuadFunc):
-        ctx, n, p = f.ctx, f.n, f.p
-        L = list(radical_poly(f).coeffs)
+        p, n = f.p, f.n
+        L = radical_poly(f).coeffs
         self.p, self.n, self.dim = p, n, len(L) - 1
-        self.ell = [c.coeffs[0] for c in L] if n == 1 else None
-        size = self.dim * n
+        self.powers = None
+        if n == 1:
+            inv = pow(L[-1].coeffs[0], -1, p)
+            self.mu = [c.coeffs[0] * inv % p for c in L]
+        else:
+            M = _block_matrix(f)
+            powers = [np.eye(len(M), dtype=M.dtype), M]
+            while len(powers) <= self.dim:
+                powers.append(powers[-1] @ M % p)
+            powers = np.array(powers[: self.dim + 1], dtype=M.dtype)
+            self.mu = _krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
+            r = len(self.mu) - 1
+            if (np.tensordot(np.array(self.mu, dtype=M.dtype), powers[: r + 1], 1) % p).any():
+                raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
+            if r < self.dim:
+                self.powers = powers[:r]
+        size = len(self.mu) - 1
         dtype = pp.exact_dtype(p, size)
         self.one = np.eye(size, dtype=dtype)
-        if n == 1:  # the companion matrix of ell/lead(ell)
-            self.gen = np.eye(size, k=-1, dtype=dtype)
-            inv = pow(self.ell[-1], -1, p)
-            if size:
-                self.gen[:, -1] = [-c * inv % p for c in self.ell[:-1]]
-        else:
-            self.gen = np.zeros((size, size), dtype=dtype)
-            r = _rrem_elem(ctx, [ctx.zero()] * n + [ctx.one()], L)
-            r += [ctx.zero()] * (self.dim - len(r))
-            lead_inv = L[-1].inverse()
-            for i in range(self.dim):
-                for j, c in enumerate(r):
-                    self.gen[j * n : (j + 1) * n, i * n : (i + 1) * n] = ctx.mult_mat(c)
-                r = [ctx.zero()] + [c.frobenius(1) for c in r]
-                q = r[-1] * lead_inv
-                r = [c - q * b for c, b in zip(r[:-1], L)]
+        self.gen = np.eye(size, k=-1, dtype=dtype)
+        if size:
+            self.gen[:, -1] = [-c % p for c in self.mu[:-1]]
         self.gen.setflags(write=False)
         self.one.setflags(write=False)
 
     def nullity(self, a, b) -> int:
-        """dim ker(a - b) on the root space.  For n = 1, a - b = y(C), whose
-        column 0 is y mod ell (none when ell is constant), and the kernel
-        has dimension deg gcd(ell, y)."""
-        d = (a - b) % self.p
-        if self.n == 1:
-            return pp.gcd_degree(self.ell, d[:, 0].tolist() if self.dim else [], self.p)
-        k = _linalg.kernel_dim(d, self.p)
+        """dim ker(a - b) on the root space, for a - b = y(C), whose column 0
+        is y mod mu: deg gcd(mu, y) when A is cyclic, else the kernel of
+        y(M), a GF(p^n)-space, divided by n."""
+        y = (a[:, :1] - b[:, :1]).ravel() % self.p
+        if self.powers is None:
+            return pp.gcd_degree(self.mu, y.tolist(), self.p)
+        ym = np.tensordot(np.array(y, dtype=self.powers.dtype), self.powers, 1) % self.p
+        k = _linalg.kernel_dim(ym, self.p)
         if k % self.n:
             raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
         return k // self.n

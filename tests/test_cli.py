@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsums import ExpSumValue, cli, cyclotomic, errors, nullity
+from quadsums import ExpSumValue, _numtheory, cli, cyclotomic, errors, nullity
 from quadsums.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,6 +147,16 @@ def test_monomial_case_iii():
 def test_unsupported_exit_code():
     code, _ = run(["eval", "--p", "3", "--coeffs", "1,1", "--m", str(3**6)])
     assert code == 2
+
+
+def test_factoring_past_the_rho_bound_exits_2(monkeypatch, capsys):
+    # p^2 - p + 1 at p = 2^61 - 1 has a 14-digit prime factor: rho finds it
+    # within RHO_STEPS, but not within 2^16 steps, and then the call exits 2
+    monkeypatch.setattr(_numtheory, "RHO_STEPS", 2**16)
+    _numtheory.factor_power_minus_one.cache_clear()
+    code, _ = run(["profile", "--p", "2305843009213693951", "--coeffs", "1,0,3,1"])
+    assert code == 2
+    assert "unsupported: factoring_out_of_reach" in capsys.readouterr().err
 
 
 def test_invalid_prime_exit_code():

@@ -16,7 +16,7 @@ from quadsums import (
     splitting_exponent,
 )
 from quadsums import _primepoly as pp
-from quadsums import fieldcore, nullity
+from quadsums import _linalg, _numtheory, fieldcore, nullity
 from quadsums._numtheory import is_prime
 from quadsums.errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 
@@ -337,7 +337,8 @@ def _blockwise_action(f):
 
 
 def test_extension_base_action_matches_blockwise_remainders(rng):
-    # the skew step T r_i - q L against a fresh remainder per column
+    # the block matrix M, built by array skew steps T r_i - q L, against a
+    # fresh remainder per column
     funcs = [_random_func(rng, p, n, alpha) for p, n in CLOSED_FORM_BASES if n > 1 for alpha in range(5)]
     big = build_field_ctx(2**61 - 1, 2)
     funcs += [
@@ -346,10 +347,10 @@ def test_extension_base_action_matches_blockwise_remainders(rng):
     ]
     assert funcs[-1].ctx is big
     for f in funcs:
-        gen = nullity._Action(f).gen
+        M = nullity._block_matrix(f)
         want = _blockwise_action(f)
-        assert gen.dtype == want.dtype and np.array_equal(gen, want), f
-    assert gen.dtype == object
+        assert M.dtype == want.dtype and np.array_equal(M, want), f
+    assert M.dtype == object
 
 
 def test_action_builds_without_remainders_at_prime_base(monkeypatch):
@@ -403,3 +404,83 @@ def test_profile_at_the_exact_dtype_boundary(alpha, p, data):
     assert prof.nullity(prof.s) == 2 * alpha
     for m in range(1, 5):
         assert prof.nullity(m) == nullity_at(f, m), (coeffs, m)
+
+
+def _mat_pow(M, e, p):
+    out = np.eye(len(M), dtype=M.dtype)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M, e = M @ M % p, e >> 1
+    return out
+
+
+def _reference_profile(f):
+    # on the block matrix M by the definition: the order of M found by
+    # powers from a multiple of it, and l_(kn) = dim ker(M^k - I) / n, where
+    # ker(M^k - I) = ker(M^gcd(k, ord M) - I)
+    p, n, dim = f.p, f.n, 2 * f.top_alpha
+    M = _blockwise_action(f)
+    one = np.eye(len(M), dtype=M.dtype)
+    order = math.lcm(*(p**k - 1 for k in range(1, dim + 1))) * p ** math.ceil(math.log(dim, p))
+    assert np.array_equal(_mat_pow(M, order, p), one)
+    for q in _numtheory.factor(order):
+        while order % q == 0 and np.array_equal(_mat_pow(M, order // q, p), one):
+            order //= q
+    kernels = {}
+    for k in range(1, 13):
+        g = math.gcd(k, order)
+        if g not in kernels:
+            kernels[g] = _linalg.kernel_dim((_mat_pow(M, g, p) - one) % p, p)
+            assert kernels[g] % n == 0
+    return n * order, [kernels[math.gcd(k, order)] // n for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("p,n,non_cyclic_at_alpha_1", [(3, 2, None), (5, 2, None), (3, 3, 52)])
+def test_two_term_profiles_match_the_block_matrix(p, n, non_cyclic_at_alpha_1):
+    # every a x^(p^i + 1) + b x^(p^j + 1), i < j <= 2: s and l_(kn), k <= 12,
+    # against the reference on M, and against the matrix kernel where
+    # p^(kn) <= 3^12
+    ctx = build_field_ctx(p, n)
+    units = [c for c in ctx.elements() if not c.is_zero()]
+    non_cyclic = 0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for a in units:
+            for b in units:
+                f = QuadFunc.from_terms(ctx, [(a, i), (b, j)])
+                prof = nullity_profile.__wrapped__(f)
+                s, ls = _reference_profile(f)
+                assert prof.s == s, f
+                for k, l in enumerate(ls, 1):
+                    assert prof.nullity(k * n) == l, (f, k)
+                    if p ** (k * n) <= 3**12:
+                        assert l == matrix_kernel_nullity(f, k * n), (f, k)
+                act = prof._act
+                assert (act.powers is None) == (len(act.mu) - 1 == act.dim), f
+                non_cyclic += (i, j) == (0, 1) and act.powers is not None
+    if non_cyclic_at_alpha_1 is not None:
+        assert non_cyclic == non_cyclic_at_alpha_1
+
+
+@pytest.mark.parametrize(
+    "coeffs,mu,s,entries",
+    [([[0, 0, 1], [0, 2, 1]], [1, 1], 6, ((3, 0), (6, 2))), ([[0, 0, 1], [0, 1, 2]], [2, 1], 3, ((3, 2),))],
+)
+def test_non_cyclic_actions_over_gf27(coeffs, mu, s, entries):
+    # A = -I and A = I on a two-dimensional root space: mu = x + 1, x - 1
+    f = QuadFunc.from_dense(3, coeffs, n=3)
+    act = nullity._Action(f)
+    assert act.mu == mu and act.dim == 2 and len(act.powers) == 1
+    prof = nullity_profile.__wrapped__(f)
+    assert prof.s == s and prof.entries == entries
+
+
+def test_corrupted_mu_fails_the_annihilation_check(monkeypatch):
+    # mu + 1 sends M to I, not 0
+    real = nullity._krylov_mu
+    monkeypatch.setattr(nullity, "_krylov_mu", lambda K, p: [(real(K, p)[0] + 1) % p] + real(K, p)[1:])
+    ctx = build_field_ctx(5, 2)
+    cyclic = QuadFunc.from_terms(ctx, [(ctx.gen(), 0), (ctx.elem(2), 3)])
+    for f in (cyclic, QuadFunc.from_dense(3, [[0, 0, 1], [0, 2, 1]], n=3)):
+        with pytest.raises(InternalInconsistency, match="does not annihilate"):
+            nullity._Action(f)

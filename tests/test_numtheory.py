@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadsums import _numtheory
 from quadsums._numtheory import (
     digits,
     divisors,
@@ -14,7 +15,7 @@ from quadsums._numtheory import (
     multiplicative_order,
     prime_divisors,
 )
-from quadsums.errors import InvalidInput
+from quadsums.errors import InvalidInput, Unsupported
 from quadsums.fieldcore import build_field_ctx
 
 
@@ -95,3 +96,14 @@ def test_digits_round_trip_the_field_encoding():
     for code in (0, p - 1, p, 12345 * p * p + 678 * p + 9, p**3 - 1):
         ds = digits(code, p, 3)
         assert all(0 <= c < p for c in ds) and sum(c * p**i for i, c in enumerate(ds)) == code
+
+
+def test_rho_raises_unsupported_past_its_step_bound(monkeypatch):
+    # rho splits 2^31 - 1 off in about 2^16 steps: within RHO_STEPS, but not
+    # within 2^10, where it gives up with Unsupported instead of running on
+    n = (2**31 - 1) * (2**61 - 1)
+    assert factor(n) == {2**31 - 1: 1, 2**61 - 1: 1}
+    monkeypatch.setattr(_numtheory, "RHO_STEPS", 2**10)
+    with pytest.raises(Unsupported, match="factoring_out_of_reach"):
+        factor(n)
+    assert factor(1009 * 4294967311) == {1009: 1, 4294967311: 1}  # a small factor still splits off

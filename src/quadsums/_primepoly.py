@@ -1,39 +1,44 @@
 """Polynomials over GF(p), coefficients ascending (constant term first).
 
-``rem``, ``gcd_degree`` and ``inverse`` are the one Euclid over GF(p), on
-lists of Python-int residues; the zero polynomial is [].  The closed-form
-profile (n = 1), the skew-gcd ladder over GF(p) and Rabin's gcd checks use
-the first two: at these degrees numpy's per-call cost would dominate.  The
-same Euclid also inverts: ``inverse`` carries the cofactors of the
-remainders through the same reduction step, and ``FieldElem.inverse`` runs
-it against the modulus of GF(p^d), O(d^2) residue operations instead of
-the 2 log2(p^d) field multiplications of a^(p^d - 2).  The numpy helpers
-back modulus construction, the irreducibility test and the exact matrices
-of fieldcore.
+``rem``, ``gcd`` and ``inverse`` are the one Euclid over GF(p), on lists
+of Python-int residues (the zero polynomial is []); ``inverse`` carries
+the cofactors of the remainders through the same reduction step.
 
-``is_irreducible`` is Rabin's test on the Frobenius matrix.  For a monic a
-of degree d, z -> z^p is GF(p)-linear on GF(p)[x]/(a); its matrix is
-Berlekamp's Q, whose row u holds x^(p*u) mod a (``frobenius_matrix``).
-Then x^(p^k) mod a is the row vector x times Q^k, one vector-matrix product
-per k.  a is irreducible iff x^(p^d) = x mod a and gcd(x^(p^(d/q)) - x, a)
-= 1 for every prime q | d; only candidates that pass the first condition
-pay for the gcds.  When p <= d, a root sieve first rejects every
-candidate with a root in GF(p), by one Horner evaluation at all of GF(p).
+``factor`` (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14):
+a square-free split by gcds with the derivative (a zero derivative means
+a polynomial in x^p, whose p-th root has coefficients a_(pk)); distinct
+degrees by gcds with x^(p^k) - x; Cantor-Zassenhaus splitting by
+gcd(h, t^((p^k - 1)/2) - 1) for the monic t of degree 1, 2, ..., each
+degree in the code order of its lower coefficients (a constant takes one
+value on every factor, so t and its multiples split alike).  By the
+Chinese remainder theorem some t of degree < deg g is a nonzero square
+modulo one factor and a nonsquare modulo another, so one pass splits g.
+x^(p^k) and t^(p^i) are rows times the Frobenius matrix Q, and
+t^((p^k - 1)/2) is the product of the t^(p^i), i < k, to the (p - 1)/2.
 
-Exactness: ``is_irreducible`` and ``frobenius_matrix`` form no sum of more
-than d products of two residues, so they compute in int64 while
-d*(p-1)^2 < 2^63 and in Python ints (numpy ``dtype=object``) beyond that
-(``exact_dtype``); their decisions and matrices are exact for every p.
-Python ints are exact throughout, so ``rem``, ``gcd_degree`` and
-``inverse`` are too.
+``is_irreducible`` is Rabin's test.  z -> z^p on GF(p)[x]/(a), a monic of
+degree d, has the matrix Q (``frobenius_matrix``), whose row u is
+x^(p*u) mod a, and x^(p^k) mod a is the row of x times Q^k.  a is
+irreducible iff x^(p^d) = x mod a and gcd(x^(p^(d/q)) - x, a) = 1 for
+every prime q | d, the gcds only paid by candidates that pass the first
+condition.  When p <= d, one Horner pass at all of GF(p) first rejects
+every candidate with a root there.
+
+Exactness: no numpy product sums more than d products of two residues,
+so they run in int64 while d*(p-1)^2 < 2^63 and in Python ints (numpy
+``dtype=object``) beyond that (``exact_dtype``); the lists are Python
+ints.  Every result is exact for every p.
 """
 
 from __future__ import annotations
 
+import functools
+from math import prod
+
 import numpy as np
 
-from ._numtheory import prime_divisors
-from .errors import DivisionByZero
+from ._numtheory import digits, factor_power_minus_one, prime_divisors
+from .errors import DivisionByZero, InternalInconsistency
 
 
 def monic(a: np.ndarray, p: int) -> np.ndarray:
@@ -54,7 +59,7 @@ def _reduce(a: list[int], b: list[int], p: int, sa: list[int] | None = None,
     """a mod b in place of a, for b trimmed and nonzero.  Given cofactors,
     each step a -= c x^k b also takes sa -= c x^k sb, in place of sa: if
     a = sa * u and b = sb * u modulo some m before, a = sa * u after."""
-    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    db, inv = len(b) - 1, pow(b[-1], -1, p) if b[-1] != 1 else 1
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] * inv % p
         if c:
@@ -77,12 +82,132 @@ def rem(a: list[int], b: list[int], p: int) -> list[int]:
     return _reduce(list(a), b, p)
 
 
-def gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """deg gcd(a, b) for lists of residues, by Euclid; -1 when both vanish."""
+def gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd(a, b) by Euclid; [] when both vanish."""
     a, b = trim(list(a)), trim(list(b))
     while b:
         a, b = b, _reduce(a, b, p)
-    return len(a) - 1
+    inv = pow(a[-1], -1, p) if a else 1
+    return [c * inv % p for c in a]
+
+
+def gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    return len(gcd(a, b, p)) - 1
+
+
+def mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b for trimmed lists of residues."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += c * v
+    return [c % p for c in out]
+
+
+def _quotient(a: list[int], b: list[int], p: int) -> list[int]:
+    """a // b for b trimmed and nonzero, the reduction's cofactor for -1."""
+    q: list[int] = []
+    _reduce(list(a), b, p, q, [p - 1])
+    return q
+
+
+def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m, squaring from the top bit of e down."""
+    out = a = rem(a if e else [1], m, p)
+    for bit in bin(e)[3:]:
+        out = _reduce(mul(out, out, p), m, p)
+        out = _reduce(mul(out, a, p), m, p) if bit == "1" else out
+    return out
+
+
+def _squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(w, i) with a = prod w^i for monic a, the w monic, square-free,
+    pairwise coprime and of positive degree."""
+    c = gcd(a, trim([i * v % p for i, v in enumerate(a)][1:]), p)
+    if c == [1]:
+        return [(a, 1)] if len(a) > 1 else []
+    out, w, i = [], _quotient(a, c, p), 1
+    while len(w) > 1:
+        y = gcd(w, c, p)
+        out += [(_quotient(w, y, p), i)] if len(y) < len(w) else []
+        w, c, i = y, _quotient(c, y, p), i + 1
+    return out + [(v, j * p) for v, j in _squarefree(c[::p], p)]
+
+
+def _distinct_degree(w: list[int], Q: np.ndarray, p: int) -> list[tuple[list[int], int]]:
+    """(g, k), g the product of the degree-k irreducible factors of the
+    square-free w, by gcds with x^(p^k) - x, the row of x times Q^k."""
+    out, k, h = [], 0, np.eye(1, len(Q), 1, dtype=Q.dtype)[0]
+    x = h
+    while len(w) - 1 >= 2 * (k + 1):
+        h, k = h @ Q % p, k + 1
+        g = gcd(w, ((h - x) % p).tolist(), p)
+        if len(g) > 1:
+            out, w = out + [(g, k)], _quotient(w, g, p)
+    return out + [(w, len(w) - 1)] if len(w) > 1 else out
+
+
+def _equal_degree(g: list[int], k: int, Q: np.ndarray, p: int) -> list[list[int]]:
+    """The degree-k irreducible factors of g, a product of distinct ones;
+    Q is the Frobenius matrix of a multiple of g."""
+    parts = [g]
+    for j in range(1, len(g) - 1):
+        for code in range(p**j):
+            if all(len(h) == k + 1 for h in parts):
+                return parts
+            conj = np.zeros(len(Q), dtype=Q.dtype)
+            conj[: j + 1] = acc = digits(code, p, j) + [1]
+            for _ in range(k - 1):
+                conj = conj @ Q % p
+                acc = rem(mul(acc, trim(conj.tolist()), p), g, p)
+            acc = powmod(acc, (p - 1) // 2, g, p) or [0]
+            acc = trim([(acc[0] - 1) % p] + acc[1:])
+            split = [(h, gcd(h, acc, p) if len(h) > k + 1 else h) for h in parts]
+            parts = [v for h, u in split for v in ([u, _quotient(h, u, p)] if 1 < len(u) < len(h) else [h])]
+    if any(len(h) != k + 1 for h in parts):
+        raise InternalInconsistency(f"no monic shift of degree below {len(g) - 1} splits {g}")
+    return parts
+
+
+@functools.lru_cache(maxsize=4096)
+def factor(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(g, e) for the monic irreducible factors g of the monic a and their
+    multiplicities e, a = prod g^e; memoized, as f and its multiples c f
+    (the two-power lift's twist among them) share the action's mu."""
+    out = []
+    for w, i in _squarefree(trim(list(a)), p):
+        Q = frobenius_matrix(w, p)
+        for g, k in _distinct_degree(w, Q, p):
+            out += [(tuple(h), i) for h in (_equal_degree(g, k, Q, p) if len(g) > k + 1 else [g])]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def order(g: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
+    """The order o of x modulo the monic irreducible g != x of degree k, a
+    divisor of p^k - 1, as (q, v) pairs; x^e is the row of 1 times X^e, a
+    product of the squares X^(2^i) of the companion matrix X.  Checks x^o = 1
+    (the last e with x^e = 1, else p^k - 1) and o against p^k - 1."""
+    k, checked = len(g) - 1, False
+    o, squares = p**k - 1, [_companion(g, p)]
+    while k > 1 and len(squares) < o.bit_length():
+        squares.append(squares[-1] @ squares[-1] % p)
+    one = np.eye(1, k, dtype=squares[0].dtype)[0]
+
+    def is_one(e: int) -> bool:
+        if k == 1:
+            return pow(-g[0], e, p) == 1
+        bits = zip(reversed(bin(e)[2:]), squares)
+        return bool((functools.reduce(lambda r, sq: r @ sq % p, [sq for b, sq in bits if b == "1"], one) == one).all())
+
+    out = []
+    for q, v in factor_power_minus_one(p, k):
+        while v and is_one(o // q):
+            o, v, checked = o // q, v - 1, True
+        out += [(q, v)] if v else []
+    if prod(q**v for q, v in out) != o or not (checked or is_one(o)):
+        raise InternalInconsistency(f"x has no order dividing {p}^{k} - 1 modulo {list(g)}")
+    return tuple(out)
 
 
 def inverse(a: list[int], m: list[int], p: int) -> list[int]:
@@ -116,32 +241,39 @@ def _reduction_table(a: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
-def _mulmod(f: np.ndarray, g: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """f*g mod a for length-d coefficient vectors, a given by its table."""
-    c = np.convolve(f, g) % p
-    d = len(f)
-    return (c[:d] + c[d:] @ table) % p
+def _companion(a, p: int) -> np.ndarray:
+    """The matrix of z -> x z modulo the monic a of degree d >= 1 on
+    coordinate rows: row u is x^(u+1) mod a, in ``exact_dtype(p, d)``."""
+    d = len(a) - 1
+    X = np.eye(d, k=1, dtype=exact_dtype(p, d))
+    X[-1] = [-int(c) % p for c in a[:-1]]
+    return X
 
 
 def frobenius_matrix(a: np.ndarray, p: int) -> np.ndarray:
-    """Berlekamp's Q of a (degree d >= 2, made monic): a d x d array whose
-    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``."""
+    """Berlekamp's Q of a (degree d >= 1, made monic): a d x d array whose
+    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows x^j are read off
+    the identity and, past d = 32 (below it d^3 products cost less), the
+    reduction table; each other row is the last times P = X^p, X the
+    companion matrix, whose rows x^(p+j) are read off too, or X squared."""
     d = len(a) - 1
     a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
-    table = _reduction_table(a, p)
-    x = np.zeros(d, dtype=a.dtype)
-    x[1] = 1
-    xp = x
-    for bit in bin(p)[3:]:  # left to right: square, then multiply by x
-        xp = _mulmod(xp, xp, table, p)
-        if bit == "1":
-            xp = _mulmod(xp, x, table, p)
-    # Rows with p*u <= 2d-2 are read off the identity and the table.
-    direct = np.concatenate([np.eye(d, dtype=a.dtype), table])[::p][:d]
-    Q = np.zeros((d, d), dtype=a.dtype)
+    rows = np.eye(d, dtype=a.dtype)
+    if d > 32:
+        rows = np.concatenate([rows, _reduction_table(a, p)])
+    if p + d <= len(rows):
+        P = rows[p : p + d]
+    else:
+        X = P = _companion(a, p)
+        for bit in bin(p)[3:]:
+            P = P @ P % p
+            if bit == "1":
+                P = P @ X % p
+    direct = rows[::p][:d]
+    Q = np.empty_like(P)
     Q[: len(direct)] = direct
     for u in range(len(direct), d):
-        Q[u] = _mulmod(Q[u - 1], xp, table, p)
+        Q[u] = Q[u - 1] @ P % p
     return Q
 
 

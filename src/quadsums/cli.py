@@ -227,7 +227,7 @@ def _cmd_profile(args, out) -> int:
         coeffs = " ".join(str(c.coeffs[0]) if f.n == 1 else str(c) for c in f.dense_coeffs())
         out.write(f"{coeffs};{prof.s};{pairs or ''}\n")
     else:
-        out.write(f"s = {prof.s}\n")
+        out.write(f"s = {prof.s}\nfactors: {' '.join(f'({d},{o},{e})' for d, o, e in doc['factors'])}\n")
         if pairs is None:
             order = " * ".join(f"{q}^{v}" if v > 1 else str(q) for q, v in sorted(prof.order.items()))
             out.write(f"pairs = omitted ({prof.pair_count} pairs)\norder = {order}\n")

@@ -537,7 +537,8 @@ def _require_subfield(src: FieldCtx, dst: FieldCtx):
 
 def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | None = None) -> FieldElem:
     """Image of x under the embedding sending the src generator to `root`
-    (default: the smallest-encoding root of src.modulus in dst)."""
+    (default: the smallest-encoding root of src.modulus in dst): x's row
+    times the matrix of the root's powers, cached on dst per (src, root)."""
     _require_subfield(src, dst)
     if x.ctx.key != src.key:
         raise InvalidInput("element does not belong to src")
@@ -547,13 +548,11 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
         return dst.elem(x.coeffs[0])
     if root is None:
         root = embedding_roots(src, dst)[0]
-    out = dst.zero()
-    rp = dst.one()
-    for c in x.coeffs:
-        if c:
-            out = out + rp * dst.elem(c)
-        rp = rp * root
-    return out
+    mats, key = dst._cache.setdefault("embed", {}), (src.key, root.coeffs)
+    if key not in mats:
+        mats[key] = np.array([(root**i).coeffs for i in range(src.d)], dtype=pp.exact_dtype(dst.p, src.d))
+    out = np.array(x.coeffs, dtype=mats[key].dtype) @ mats[key] % dst.p
+    return FieldElem(dst, tuple(int(c) for c in out))
 
 
 # -- generic dense polynomials over one context --------------------------------

@@ -1,56 +1,39 @@
 """Nullity of the trace quadratic form attached to f(x) = sum a_i x^(p^a_i + 1).
 
 The radical of Tr_m(f) is the kernel, inside GF(p^m), of the separable
-p-polynomial L = sum c_j z^(p^j) of p-degree 2*alpha built from f's
-coefficients (``radical_poly``); its GF(p)-dimension is l_m.  L has
-coefficients in GF(p^n), so z -> z^(p^n) maps its 2*alpha-dimensional
-root space V to itself, as a GF(p)-linear map A.  The roots in GF(p^(kn))
-are those fixed by A^k, so
+p-polynomial L = sum c_j z^(p^j) of p-degree 2*alpha (``radical_poly``);
+its GF(p)-dimension is l_m.  z -> z^(p^n) acts on the 2*alpha-dimensional
+root space V as a GF(p)-linear map A, the roots in GF(p^(kn)) are those
+fixed by A^k, so l_(kn) = dim ker(A^k - I) and s = n * ord(A).
 
-    l_(kn) = dim ker(A^k - I),    s = n * ord(A),
+A's minimal polynomial mu has degree at most 2*alpha (mu(T^n) is the
+bound of L in R = GF(p^n)[T; sigma]: Giesbrecht, J. Symbolic Comput. 26,
+1998).  For n = 1 it is ell/lead(ell), ell(x) = sum c_j x^j.  For n > 1,
+left multiplication by the central T^n on R/RL is a 2*alpha*n square
+matrix M over GF(p), n copies of A, whose column 0 is T^n mod L and each
+next one T times the last, reduced by a left multiple of L; mu
+annihilates the element 1 (a central z with z 1 in RL has z r = r z in RL
+for every r), so it is the first linear dependency of e_0, M e_0, ...,
+checked by mu(M) = 0.
 
-where s, the splitting exponent, is the least multiple of n with
-l_s = 2*alpha, and l_m = l_gcd(m, s) for every other multiple m of n.  This
-is the effective way to compute the nullity for all m: ``NullityProfile``
-answers l_m with one power, A^(gcd(m, s)/n), memoized per exponent, and
-lists the pairs (m, l_m) over the divisors of s, which are tens of
-thousands when p - 1 is smooth, only when they are read.  Powers square
-from the top bit of the exponent down and take no product with I.
-
-One action for every n.  With R = GF(p^n)[T; sigma] (T a = a^p T,
-composition of p-polynomials), left multiplication by the central T^n on
-R/RL is GF(p^n)-linear and similar to A over GF(p^n); over GF(p) it is a
-2*alpha*n square matrix M, n copies of A.  So M and A share their minimal
-polynomial mu over GF(p), of degree at most 2*alpha (mu(T^n) is the bound
-of L: Giesbrecht, J. Symbolic Comput. 26, 1998).  The profile runs on the
-companion matrix C of mu at every n: C^k = I exactly when mu divides
-x^k - 1, exactly when A^k = I, so ord(A) = ord(C).  Column 0 of y(C) is
-y mod mu.  When deg mu = 2*alpha, A is cyclic, so similar to C, and
-dim ker y(A) = deg gcd(mu, y) (Lidl and Niederreiter, Finite Fields,
-Thm 3.62).  Otherwise (A = -I, say) it is dim ker y(M) / n, with
-y(M) = sum y_j M^j from the stored powers of M.
-
-Reading mu.  For n = 1, mu = ell/lead(ell) for ell(x) = sum c_j x^j, the
-conventional associate of L, and M, its companion matrix, is never built.
-For n > 1, mu is the annihilator of the element 1 of R/RL: a central z
-with z 1 in RL lies in RL, a left ideal, so z r = r z lies in RL for
-every r and z annihilates the whole module; mu lies in GF(p)[x] because
-T^n is central.  So mu is read off the first linear dependency of the
-Krylov columns e_0, M e_0, ... (e_0 the coordinates of 1) by one row
-echelon form, and checked by mu(M) = 0.  M's column 0 is T^n mod L, one
-right remainder; each next column is T times the last, reduced by one
-left multiple of L (RL is a left ideal, so T (T^(n+i) mod L) is
-T^(n+i+1) mod L).
-
-The order: every eigenvalue of degree k over GF(p) lies in GF(p^k)^*.  The
-degrees come from dim ker(A^(p^k) - A), the count of Jordan blocks whose
-eigenvalue lies in GF(p^k) (a distinct-degree split; for cyclic A, gcds
-of mu with x^(p^k) - x).  The semisimple part's order divides
-lcm(p^k - 1) over those degrees and is found prime by prime from the
-factored p^k - 1; the unipotent part adds a factor p^t, found by at most
-log_p(2*alpha) + 1 power checks.  Powers and order checks run on C, of
-size deg mu.  ``nullity_profile`` checks l_n against the independent
-skew-gcd ladder (``nullity_at``) and l_s against 2*alpha.
+The profile from mu = prod g^e (``_primepoly.factor``, the product
+checked); no g is x, and ord(g) divides p^(deg g) - 1 (``_primepoly.order``).
+With k = k' p^v, p not dividing k', l_(kn) is the sum over the g with
+ord(g) | k' of kappa_g(v) = dim ker g(A)^min(p^v, e), and s = n * lcm of
+ord(g) p^t, p^t the least power >= e (Lidl and Niederreiter, Finite
+Fields, Thm 3.8, 3.9).  Proof, for A cyclic or not: V is the sum of the
+A-stable V_g = ker g(A)^e, which hold every ker g(A)^j.  x^k - 1 is
+(x^k' - 1)^(p^v), and x^k' - 1 the product of the distinct irreducibles
+h with ord(h) | k'.  If ord(g) does not divide k', A^k - I is invertible
+on V_g.  Else x^k' - 1 = g u with u(A) invertible on V_g, and there
+ker(A^k - I) = ker g(A)^(p^v) = ker g(A)^min(p^v, e).  ord(A) is the
+least k with mu | x^k - 1, the lcm of ord(g^e) = ord(g) p^t.  When
+deg mu = 2*alpha, A is cyclic and kappa_g(v) = deg g * min(p^v, e) (Thm
+3.62); otherwise (A = -I, say) it is dim ker y(M) / n, y = g^min(p^v, e)
+mod mu.  ``nullity``, ``entries`` (one pair per divisor of s, listed
+only when read) and ``pair_count`` are integer arithmetic.
+``nullity_profile`` checks l_n against the skew-gcd ladder
+(``nullity_at``) and l_s against 2*alpha.
 """
 
 from __future__ import annotations
@@ -64,7 +47,6 @@ import numpy as np
 
 from . import _linalg
 from . import _primepoly as pp
-from ._numtheory import factor_power_minus_one
 from .errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 from .fieldcore import (
     FieldCtx,
@@ -244,7 +226,7 @@ def nullity_at(f: QuadFunc, m: int) -> int:
 def splitting_exponent(f: QuadFunc) -> int:
     """Least multiple s of n with l_s = 2*alpha; GF(p^s) is the splitting
     field of the radical polynomial."""
-    return NullityProfile(f).s
+    return nullity_profile(f).s
 
 
 def _block_matrix(f: QuadFunc) -> np.ndarray:
@@ -290,185 +272,79 @@ def _krylov_mu(K: np.ndarray, p: int) -> list[int]:
 
 
 class _Action:
-    """The action A of z -> z^(p^n) on the root space, of dimension ``dim``
-    = 2*alpha, as the module docstring says: ``gen`` is the companion
-    matrix C of its minimal polynomial ``mu`` (ascending, monic), of size
-    deg mu, and ``one`` the identity of that size.  When deg mu < dim,
-    ``powers`` holds M^0, ..., M^(deg mu - 1) for the kernels, else None.
-    ``gen`` and ``one`` are read-only, as ``_power`` may return either."""
+    """The action A on the root space, of dimension ``dim`` = 2*alpha: its
+    minimal polynomial ``mu`` (ascending, monic) and, when A is not cyclic
+    (deg mu < dim), M^0, ..., M^(deg mu - 1) in ``powers``, else None."""
 
     def __init__(self, f: QuadFunc):
         p, n = f.p, f.n
         L = radical_poly(f).coeffs
-        self.p, self.n, self.dim = p, n, len(L) - 1
-        self.powers = None
-        if n == 1:
-            inv = pow(L[-1].coeffs[0], -1, p)
-            self.mu = [c.coeffs[0] * inv % p for c in L]
-        else:
-            M = _block_matrix(f)
-            powers = [np.eye(len(M), dtype=M.dtype), M]
-            while len(powers) <= self.dim:
-                powers.append(powers[-1] @ M % p)
-            powers = np.array(powers[: self.dim + 1], dtype=M.dtype)
-            self.mu = _krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
-            r = len(self.mu) - 1
-            if (np.tensordot(np.array(self.mu, dtype=M.dtype), powers[: r + 1], 1) % p).any():
-                raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
-            if r < self.dim:
-                self.powers = powers[:r]
-        size = len(self.mu) - 1
-        dtype = pp.exact_dtype(p, size)
-        self.one = np.eye(size, dtype=dtype)
-        self.gen = np.eye(size, k=-1, dtype=dtype)
-        if size:
-            self.gen[:, -1] = [-c % p for c in self.mu[:-1]]
-        self.gen.setflags(write=False)
-        self.one.setflags(write=False)
+        self.p, self.n, self.dim, self.powers = p, n, len(L) - 1, None
+        if n == 1:  # ell made monic
+            self.mu = pp.gcd([c.coeffs[0] for c in L], [], p)
+            return
+        M = _block_matrix(f)
+        powers = [np.eye(len(M), dtype=M.dtype), M]
+        while len(powers) <= self.dim:
+            powers.append(powers[-1] @ M % p)
+        powers = np.array(powers[: self.dim + 1], dtype=M.dtype)
+        self.mu = _krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
+        r = len(self.mu) - 1
+        if (np.tensordot(np.array(self.mu, dtype=M.dtype), powers[: r + 1], 1) % p).any():
+            raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
+        if r < self.dim:
+            self.powers = powers[:r]
 
-    def nullity(self, a, b) -> int:
-        """dim ker(a - b) on the root space, for a - b = y(C), whose column 0
-        is y mod mu: deg gcd(mu, y) when A is cyclic, else the kernel of
-        y(M), a GF(p^n)-space, divided by n."""
-        y = (a[:, :1] - b[:, :1]).ravel() % self.p
-        if self.powers is None:
-            return pp.gcd_degree(self.mu, y.tolist(), self.p)
-        ym = np.tensordot(np.array(y, dtype=self.powers.dtype), self.powers, 1) % self.p
+    def nullity(self, y: list[int]) -> int:
+        """dim ker y(A), A not cyclic: dim ker y(M) / n, for deg y < deg mu."""
+        ym = np.tensordot(np.array(y, dtype=self.powers.dtype), self.powers[: len(y)], 1) % self.p
         k = _linalg.kernel_dim(ym, self.p)
         if k % self.n:
             raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
         return k // self.n
 
 
-def _power(act, a, e: int):
-    """a^e, squaring from the top bit of e down: no product with ``one``,
-    which is returned only for e = 0 (and a itself for e = 1)."""
-    if not e:
-        return act.one
-    out = a
-    for bit in bin(e)[3:]:
-        out = out @ out % act.p
-        if bit == "1":
-            out = out @ a % act.p
-    return out
-
-
-def _is_one(act, a) -> bool:
-    return bool((a == act.one).all())
-
-
-def _eigen_degrees(act) -> tuple[dict[int, int], bool]:
-    """{k: c_k} for the degrees k over GF(p) of the eigenvalues of the
-    action A, with c_k > 0 the number of their Jordan blocks (conjugates
-    counted); and whether A is semisimple.
-
-    dim ker(A^(p^k) - A) = sum over j | k of c_j: A is invertible, and
-    A^(p^k - 1) - I has a one-dimensional kernel on each Jordan block of an
-    eigenvalue in GF(p^k), as p^k - 1 is prime to p.  The walk stops once
-    the dimensions left could not hold an eigenvalue of higher degree."""
-    counts: dict[int, int] = {}
-    y, k = act.gen, 0
-    while act.dim - sum(counts.values()) > k:
-        k += 1
-        y = _power(act, y, act.p)
-        c = act.nullity(y, act.gen) - sum(v for j, v in counts.items() if k % j == 0)
-        if c:
-            counts[k] = c
-    return counts, sum(counts.values()) == act.dim
-
-
-def _order(act) -> dict[int, int]:
-    """Factored multiplicative order of the action A.  With S its
-    semisimple part, ord(A) = ord(S) * p^t.  Every eigenvalue of degree k
-    lies in GF(p^k)^*, so ord(S) divides E = lcm(p^k - 1); B = A^(p^T), with
-    p^T at least the largest Jordan block, has the order of S.  Then t is
-    the least exponent with A^(ord(S) p^t) = I, at most T."""
-    p = act.p
-    degrees, semisimple = _eigen_degrees(act)
-    E: dict[int, int] = {}
-    for k in degrees:
-        for q, v in factor_power_minus_one(p, k):
-            E[q] = max(E.get(q, 0), v)
-    T = 0
-    while not semisimple and p**T < act.dim:
-        T += 1
-    B = _power(act, act.gen, p**T)
-    order = {q: v for q, v in _order_dividing(act, B, sorted(E.items())) if v}
-    if semisimple:  # T = 0: B is A
-        return order
-    z, t = _power(act, act.gen, _expand(order.items())), 0
-    while not _is_one(act, z):
-        if t == T:
-            raise InternalInconsistency("unipotent part outlasts the largest Jordan block")
-        z, t = _power(act, z, p), t + 1
-    if t:
-        order[p] = t  # p^k - 1 is prime to p
-    return order
-
-
-def _order_dividing(act, z, fac: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Factored order of z, whose order divides prod q^v over fac.  The
-    primes are split in halves and each half's order taken of z raised to
-    the other half's part, so the exponents over one level of the recursion
-    add up to about log2 of the product."""
-    if len(fac) > 1:
-        lo, hi = fac[: len(fac) // 2], fac[len(fac) // 2 :]
-        return _order_dividing(act, _power(act, z, _expand(hi)), lo) + _order_dividing(
-            act, _power(act, z, _expand(lo)), hi
-        )
-    out = []
-    for q, v in fac:
-        j = 0
-        while j < v and not _is_one(act, z):
-            z, j = _power(act, z, q), j + 1
-        out.append((q, j))
-    if not _is_one(act, z):
-        raise InternalInconsistency(f"eigenvalue orders do not divide {_expand(fac)}")
-    return out
-
-
-def _expand(fac) -> int:
-    return prod(q**v for q, v in fac)
-
-
 class NullityProfile:
-    """l_m of f for every m, from the action A and its factored order
-    ``order``, with s = n * ord(A).  ``nullity(m)`` is
-    dim ker(A^(gcd(m, s)/n) - I), one power of A, memoized per exponent;
-    ``entries``, the pairs (m, l_m) for every divisor m of s with n | m, is
-    built when first read."""
+    """l_m for every m from mu = prod g^e: ``factors`` holds (g, e, ord g,
+    kernels), kernels[v] = dim ker g(A)^min(p^v, e) until p^v >= e, and
+    ``order`` is ord(A) = s/n, factored."""
 
     def __init__(self, f: QuadFunc):
-        self.func = f
-        self._act = _Action(f)
-        self.order = _order(self._act)
-        self.s = f.n * _expand(self.order.items())
-        self._memo: dict[int, int] = {}
+        self.func, p, act = f, f.p, _Action(f)
+        factors = sorted(pp.factor(tuple(act.mu), p), key=lambda ge: (len(ge[0]), ge[0][::-1]))
+        if functools.reduce(lambda a, g: pp.mul(a, g, p), [g for g, e in factors for _ in range(e)], [1]) != act.mu:
+            raise InternalInconsistency(f"the factors {factors} do not multiply to mu = {act.mu}")
+        self.factors, order = [], {}
+        for g, e in factors:
+            t = next(t for t in range(e) if p**t >= e)
+            js = [min(p**v, e) for v in range(t + 1)]  # cyclic A: deg g * j
+            kernels = tuple(act.nullity(pp.powmod(g, j, act.mu, p)) if act.powers is not None
+                            else (len(g) - 1) * j for j in js)
+            rev = tuple(c * pow(g[0], -1, p) % p for c in reversed(g))  # inverse roots: the same order
+            fac = pp.order(min(g, rev), p)
+            for q, v in fac + ((p, t),):
+                order[q] = max(order.get(q, 0), v)
+            self.factors.append((g, e, prod(q**v for q, v in fac), kernels))
+        self.order = {q: v for q, v in sorted(order.items()) if v}
+        self.s = f.n * prod(q**v for q, v in self.order.items())
 
     def nullity(self, m: int) -> int:
-        n = self.func.n
+        """With k = gcd(m/n, s/n) = k' p^v, p not dividing k', the sum of
+        kernels[v] over the factors whose order divides k'."""
+        n, p, v = self.func.n, self.func.p, 0
         if m < 1 or m % n:
             raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
-        k = gcd(m, self.s) // n
-        if k not in self._memo:
-            act = self._act
-            self._memo[k] = act.nullity(_power(act, act.gen, k), act.one)
-        return self._memo[k]
+        k = gcd(m // n, self.s // n)
+        while k % p == 0:
+            k, v = k // p, v + 1
+        return sum(ker[min(v, len(ker) - 1)] for _, _, o, ker in self.factors if k % o == 0)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[int, int], ...]:
-        """Powers of A along the divisor lattice of ord(A), prime by prime."""
-        act = self._act
-        powers = [(1, act.gen)]
+        ms = [self.func.n]
         for q, v in self.order.items():
-            walk = []
-            for k, y in powers:
-                for i in range(v + 1):
-                    walk.append((k * q**i, y))
-                    if i < v:
-                        y = _power(act, y, q)
-            powers = walk
-        return tuple(sorted((self.func.n * k, act.nullity(y, act.one)) for k, y in powers))
+            ms = [m * q**i for m in ms for i in range(v + 1)]
+        return tuple((m, self.nullity(m)) for m in sorted(ms))
 
     @property
     def entry_dict(self) -> dict[int, int]:
@@ -480,23 +356,16 @@ class NullityProfile:
         return prod(v + 1 for v in self.order.values())
 
     def to_json_dict(self) -> dict:
-        """The profile as JSON, with entries None, never walked, when
-        pair_count pairs of up to len(" (s,2*alpha)") characters would pass
-        the int-to-string limit (sys.get_int_max_str_digits(); 0 lifts it)."""
+        """The profile as JSON with the rows (deg g, ord g, e), and entries
+        None, never listed, when pair_count pairs of len(" (s,2*alpha)")
+        would pass sys.get_int_max_str_digits() (0 lifts the limit)."""
         f = self.func
-        if f.n == 1:
-            coeffs = [c.coeffs[0] for c in f.dense_coeffs()]
-        else:
-            coeffs = [list(c.coeffs) for c in f.dense_coeffs()]
+        coeffs = [c.coeffs[0] if f.n == 1 else list(c.coeffs) for c in f.dense_coeffs()]
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         listed = not limit or self.pair_count * len(f" ({self.s},{2 * f.top_alpha})") <= limit
-        return {
-            "p": f.p,
-            "n": f.n,
-            "coeffs": coeffs,
-            "s": self.s,
-            "entries": [list(e) for e in self.entries] if listed else None,
-        }
+        factors = [[len(g) - 1, o, e] for g, e, o, _ in self.factors]
+        entries = [list(e) for e in self.entries] if listed else None
+        return {"p": f.p, "n": f.n, "coeffs": coeffs, "s": self.s, "factors": factors, "entries": entries}
 
 
 @functools.lru_cache(maxsize=512)

@@ -82,6 +82,7 @@ def test_profile_running_example():
     code, out = run(["profile", "--p", "5", "--n", "1", "--coeffs", "1,2,3,4,1"])
     assert code == 0
     assert "s = 26" in out
+    assert "factors: (4,13,1) (4,26,1)" in out
     assert "(1,0) (2,0) (13,4) (26,8)" in out
 
 
@@ -96,6 +97,7 @@ def test_profile_json_roundtrip():
     code, out = run(["profile", "--p", "5", "--coeffs", "1,2,3,4,1", "--format", "json"])
     doc = json.loads(out)
     assert doc["s"] == 26 and doc["entries"] == [[1, 0], [2, 0], [13, 4], [26, 8]]
+    assert doc["factors"] == [[4, 13, 1], [4, 26, 1]]
 
 
 def test_table_diff_clean():
@@ -337,8 +339,12 @@ def test_profile_with_many_divisors_omits_its_pairs(monkeypatch):
     monkeypatch.setattr(nullity.NullityProfile, "entries", property(no_walk))
     argv = ["profile", "--p", str(2**61 - 1), "--coeffs", "1,5,7,1"]
     code, out = run(argv)
-    s_line, pairs_line, order_line = out.splitlines()
+    s_line, factors_line, pairs_line, order_line = out.splitlines()
     assert code == 0 and re.fullmatch(r"s = \d{50,}", s_line)
+    # two roots in GF(p) of one order and an irreducible quartic
+    assert factors_line == "factors: (1,329406144173384850,1) (1,329406144173384850,1) " + (
+        "(4,2658455991569831743501771111346995201,1)"
+    )
     assert pairs_line == "pairs = omitted (73728 pairs)"
     assert order_line.startswith("order = 2 * 3^2 * 5^2 * 11 * 13 * ")
     code, out = run(argv + ["--format", "json"])
@@ -353,7 +359,7 @@ def test_profile_pairs_follow_the_digit_limit(limit, shown, monkeypatch):
     monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
     code, out = run(["profile", "--p", "5", "--coeffs", "1,2,3,4,1"])
     want = "pairs: (1,0) (2,0) (13,4) (26,8)\n" if shown else "pairs = omitted (4 pairs)\norder = 2 * 13\n"
-    assert code == 0 and out == "s = 26\n" + want
+    assert code == 0 and out == "s = 26\nfactors: (4,13,1) (4,26,1)\n" + want
 
 
 def test_verify_bounds_its_coordinates_by_count():

@@ -226,6 +226,23 @@ def test_embed_is_homomorphism(rng):
         assert embed_element(f9, f81, x + y) == ex + ey
 
 
+@pytest.mark.parametrize("p,n,N", [(3, 2, 6), (5, 3, 6), (7, 2, 4), (2**61 - 1, 2, 4)])
+def test_embed_is_the_sum_of_root_powers(p, n, N, rng):
+    # the image of x = sum c_i g^i is sum c_i r^i, for every root r; the
+    # matrix of root powers is cached on dst, one per (src key, root)
+    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
+    roots = embedding_roots(src, dst)
+    for r in roots:
+        for _ in range(10):
+            x = src.elem([rng.randrange(p) for _ in range(n)])
+            want, rp = dst.zero(), dst.one()
+            for c in x.coeffs:
+                want, rp = want + rp * dst.elem(c), rp * r
+            assert embed_element(src, dst, x, r) == want
+    assert embed_element(src, dst, x) == embed_element(src, dst, x, roots[0])
+    assert {(src.key, r.coeffs) for r in roots} <= set(dst._cache["embed"])
+
+
 def test_embed_trace_transitivity(rng):
     f9 = build_field_ctx(3, 2)
     f81 = build_field_ctx(3, 4)

@@ -1,6 +1,4 @@
 import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +69,49 @@ def test_splitting_exponents():
     assert splitting_exponent(F3_TOWER) == 24
     for p in (3, 5, 7):
         assert splitting_exponent(QuadFunc.from_dense(p, [1])) == 1
+
+
+def test_splitting_exponent_reads_the_checked_profile(monkeypatch):
+    # the public helper goes through nullity_profile: its cache and checks
+    f = QuadFunc.from_dense(7, [2, 6, 1])
+    assert splitting_exponent(f) == nullity_profile(f).s
+    hits = nullity_profile.cache_info().hits
+    splitting_exponent(f)
+    assert nullity_profile.cache_info().hits == hits + 1
+    monkeypatch.setattr(nullity, "nullity_at", lambda f, m: 1)
+    with pytest.raises(InternalInconsistency, match="the ladder"):
+        splitting_exponent(QuadFunc.from_dense(13, [4, 9, 2]))  # not cached elsewhere
+
+
+@pytest.mark.parametrize("coeffs,s,factors", [
+    ([1, 3], (2**63 + 30) // 2, [[2, (2**63 + 30) // 2, 1]]),
+    ([1, 5, 7], 3 * (2**63 + 30), [[1, 6, 1], [1, 6, 1], [2, 2**63 + 30, 1]]),
+])
+def test_profile_past_2_to_the_63(coeffs, s, factors):
+    # p = 2^63 + 29, where p - 1 and p + 1 factor at once; l_m against the
+    # ladder for m <= 6 and l_s = 2*alpha
+    f = QuadFunc.from_dense(2**63 + 29, coeffs)
+    prof = nullity_profile.__wrapped__(f)
+    assert prof.s == s and prof.to_json_dict()["factors"] == factors
+    for m in range(1, 7):
+        assert prof.nullity(m) == nullity_at(f, m), m
+    assert prof.nullity(prof.s) == 2 * f.top_alpha
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_profile_matches_the_reference_at_prime_base(p, rng):
+    # random n = 1 functions, plus two whose ell has repeated factors:
+    # x^2 + x^(p+1) has ell = (x + 1)^2, x^2 + x^(p^2+1) has (x^2 + 1)^2
+    funcs = [_random_func(rng, p, 1, alpha) for alpha in (1, 2, 2, 3)]
+    funcs += [QuadFunc.from_dense(p, [1, 1]), QuadFunc.from_dense(p, [1, 0, 1])]
+    for f in funcs:
+        prof = nullity_profile.__wrapped__(f)
+        s, ls = _reference_profile(f)
+        assert prof.s == s, f
+        for k, l in enumerate(ls, 1):
+            assert prof.nullity(k) == l, (f, k)
+            if p**k <= 3**10:
+                assert l == matrix_kernel_nullity(f, k), (f, k)
 
 
 def test_profile_gf3_alpha8_past_old_ceiling():
@@ -178,6 +219,7 @@ def test_profile_json_shape():
         "n": 1,
         "coeffs": [1, 2, 3, 4, 1],
         "s": 26,
+        "factors": [[4, 13, 1], [4, 26, 1]],
         "entries": [[1, 0], [2, 0], [13, 4], [26, 8]],
     }
 
@@ -213,12 +255,12 @@ def test_profile_builds_one_radical_polynomial(monkeypatch):
 
 
 def test_profile_endpoint_check_raises(monkeypatch):
-    # an order that stops short of the splitting exponent 56, so l_s falls
-    # short of 2*alpha; the uncached function runs, so no corrupted profile
-    # enters the cache
-    monkeypatch.setattr(nullity, "_order", lambda act: {2: 1})
-    with pytest.raises(InternalInconsistency, match="profile ends at l_2 = 1"):
-        nullity_profile.__wrapped__(F7_SMALL)
+    # A = -I over GF(27) with a kernel that comes out one short, so l_s
+    # falls short of 2*alpha; the uncached function runs, so no corrupted
+    # profile enters the cache
+    monkeypatch.setattr(nullity._Action, "nullity", lambda self, y: 1)
+    with pytest.raises(InternalInconsistency, match="profile ends at l_6 = 1"):
+        nullity_profile.__wrapped__(QuadFunc.from_dense(3, [[0, 0, 1], [0, 2, 1]], n=3))
 
 
 def test_profile_ladder_cross_check_raises(monkeypatch):
@@ -229,10 +271,32 @@ def test_profile_ladder_cross_check_raises(monkeypatch):
 
 
 def test_order_check_raises(monkeypatch):
-    # an eigenvalue degree set that misses a factor leaves A^E != I
-    monkeypatch.setattr(nullity, "_eigen_degrees", lambda act: ({1: act.dim}, True))
-    with pytest.raises(InternalInconsistency, match="do not divide"):
-        nullity.splitting_exponent(F5_RUNNING)
+    # the running example's factors have degree 4 and orders 13 and 26; a
+    # factorization of 5^4 - 1 = 2^4 * 3 * 13 that misses 13 leaves an
+    # order that does not divide it
+    monkeypatch.setattr(pp, "factor_power_minus_one", lambda p, k: ((2, 4), (3, 1)))
+    pp.order.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="no order dividing 5\\^4 - 1"):
+            nullity_profile.__wrapped__(F5_RUNNING)
+    finally:
+        pp.order.cache_clear()
+
+
+def test_factor_order_check_raises():
+    # (x + 2)^2 over GF(5) is no irreducible quadratic: modulo it,
+    # x^24 = 1 + 24 (-2)^23 (x + 2), not 1
+    g = tuple(pp.mul([2, 1], [2, 1], 5))
+    with pytest.raises(InternalInconsistency, match="no order dividing 5\\^2 - 1"):
+        pp.order(g, 5)
+
+
+def test_factor_product_check_raises(monkeypatch):
+    # a factorization that drops a factor no longer multiplies to mu
+    real = pp.factor
+    monkeypatch.setattr(pp, "factor", lambda a, p: real(a, p)[1:])
+    with pytest.raises(InternalInconsistency, match="do not multiply to mu"):
+        nullity_profile.__wrapped__(F5_RUNNING)
 
 
 # Bases GF(3), GF(5), GF(7), GF(9), GF(25) and GF(27), alpha <= 4: the
@@ -294,20 +358,15 @@ def test_on_demand_nullity_matches_divisor_walk(rng, p, n):
 
 
 def test_prime_base_action_is_the_companion_matrix():
-    # column i of gen is x^(1+i) mod ell, for ell = L's associate made monic
+    # at n = 1 the action is the companion matrix of ell, L's associate made
+    # monic: mu is ell made monic and A is cyclic
     p = 7
     f = QuadFunc.from_dense(p, [5, 6, 3])
     ell = [c.coeffs[0] for c in radical_poly(f).coeffs]
     assert ell[-1] != 1
     inv = pow(ell[-1], -1, p)
-    monic_ell = [c * inv % p for c in ell]
-    d = len(ell) - 1
-    C = [[0] * d for _ in range(d)]
-    for i in range(d - 1):
-        C[i + 1][i] = 1
-    for j in range(d):
-        C[j][d - 1] = -monic_ell[j] % p
-    assert nullity._Action(f).gen.tolist() == C
+    act = nullity._Action(f)
+    assert act.mu == [c * inv % p for c in ell] and act.powers is None
 
 
 def test_profile_answers_without_the_divisor_walk(monkeypatch):
@@ -371,17 +430,15 @@ def test_action_builds_without_remainders_at_prime_base(monkeypatch):
 
 @pytest.mark.parametrize("p,n,alpha", [(7, 1, 2), (2**61 - 1, 1, 2), (5, 2, 2), (2**61 - 1, 2, 1)])
 def test_power_matches_repeated_products(rng, p, n, alpha):
-    act = nullity._Action(_random_func(rng, p, n, alpha))
-    assert act.gen.dtype == (object if p > 2**32 else np.int64)
-    assert not act.gen.flags.writeable and not act.one.flags.writeable
-    # no product with the identity: a stand-in without one serves e >= 1
-    bare = SimpleNamespace(p=p, one=None)
-    want = act.one
-    for e in range(21):
-        assert np.array_equal(nullity._power(act, act.gen, e), want), e
-        if e:
-            assert np.array_equal(nullity._power(bare, act.gen, e), want), e
-        want = want @ act.gen % p
+    # x^e and g^e modulo the action's mu, the powers behind the orders and
+    # the kernels, against one product at a time
+    mu = nullity._Action(_random_func(rng, p, n, alpha)).mu
+    g = [rng.randrange(p) for _ in range(len(mu) + 2)] + [1]
+    for base in ([0, 1], g):
+        want = pp.rem([1], mu, p)
+        for e in range(21):
+            assert pp.powmod(base, e, mu, p) == want, (base, e)
+            want = pp.rem(pp.mul(want, base, p), mu, p)
 
 
 def _dtype_boundary(alpha):
@@ -455,9 +512,11 @@ def test_two_term_profiles_match_the_block_matrix(p, n, non_cyclic_at_alpha_1):
                     assert prof.nullity(k * n) == l, (f, k)
                     if p ** (k * n) <= 3**12:
                         assert l == matrix_kernel_nullity(f, k * n), (f, k)
-                act = prof._act
-                assert (act.powers is None) == (len(act.mu) - 1 == act.dim), f
-                non_cyclic += (i, j) == (0, 1) and act.powers is not None
+                # deg mu, read off the factors, is below 2*alpha exactly when
+                # the action is not cyclic and keeps the powers of M
+                cyclic = sum((len(g) - 1) * e for g, e, _, _ in prof.factors) == 2 * f.top_alpha
+                assert cyclic or nullity._Action(f).powers is not None, f
+                non_cyclic += (i, j) == (0, 1) and not cyclic
     if non_cyclic_at_alpha_1 is not None:
         assert non_cyclic == non_cyclic_at_alpha_1
 

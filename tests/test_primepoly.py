@@ -1,6 +1,7 @@
 """The irreducibility kernel behind the default-modulus search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from quadsums import _primepoly as pp
 from tests import polyref
 from quadsums import build_field_ctx
-from quadsums.errors import DivisionByZero
+from quadsums.errors import DivisionByZero, InternalInconsistency
 from quadsums.fieldcore import _default_modulus, _has_irreducible_binomial
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -157,3 +158,86 @@ def test_rem_and_gcd_degree_match_numpy_euclid(p, rng):
         with pytest.raises(DivisionByZero):
             pp.rem(a, [0], p)
     assert pp.gcd_degree([], [], p) == -1
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 7), (7, 7), (11, 4), (3, 40), (41, 34), (101, 3)])
+def test_frobenius_matrix_matches_companion_powers(p, d, rng):
+    # rows and X^p read off the identity and the reduction table (d > 32)
+    # or X squared, against row u of Q as row 0 of X^(p*u) by products
+    a = np.array([rng.randrange(p) for _ in range(d)] + [1], dtype=pp.exact_dtype(p, d))
+    Q, X = pp.frobenius_matrix(a, p), pp._companion(a, p)
+    row = np.eye(1, d, dtype=X.dtype)[0]
+    for u in range(d):
+        assert np.array_equal(Q[u], row), (p, d, u)
+        for _ in range(p):
+            row = row @ X % p
+
+
+def _expand(factors, p):
+    out = [1]
+    for g, e in factors:
+        for _ in range(e):
+            out = pp.mul(out, g, p)
+    return out
+
+
+def _check_factorization(a, factors, p):
+    assert _expand(factors, p) == a, (a, factors)
+    gs = [tuple(g) for g, _ in factors]
+    assert len(set(gs)) == len(gs), factors
+    for g in gs:
+        assert g[-1] == 1 and pp.is_irreducible(np.array(g, dtype=pp.exact_dtype(p, len(g) - 1)), p), g
+
+
+@pytest.mark.parametrize("p,max_d", [(3, 6), (5, 4), (7, 3)])
+def test_factor_every_monic_polynomial(p, max_d):
+    for d in range(max_d + 1):
+        for a in _monic_polys(p, d):
+            a = a.tolist()
+            _check_factorization(a, pp.factor(tuple(a), p), p)
+
+
+def test_factor_repeated_and_p_th_power_factors():
+    # over GF(3): (x + 1)^3 (x^2 + 1)^6 x^4 has zero derivative parts, and the
+    # multiplicities are read through the p-th root
+    p = 3
+    want = [([1, 1], 3), ([1, 0, 1], 6), ([0, 1], 4), ([2, 2, 1], 1)]
+    a = _expand(want, p)
+    got = pp.factor(tuple(a), p)
+    _check_factorization(a, got, p)
+    assert sorted((list(g), e) for g, e in got) == sorted(want)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 + 29])
+def test_factor_at_large_primes(p, rng):
+    # a product of linear factors, one with multiplicity 2, and an
+    # irreducible quadratic x^2 - c, c a nonresidue
+    c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+    roots = [rng.randrange(1, p) for _ in range(3)]
+    want = [([-roots[0] % p, 1], 2), ([-roots[1] % p, 1], 1), ([-roots[2] % p, 1], 1), ([-c % p, 0, 1], 1)]
+    got = pp.factor(tuple(_expand(want, p)), p)
+    assert sorted((list(g), e) for g, e in got) == sorted(want)
+
+
+def test_equal_degree_split_failure_raises():
+    # two quadratics passed off as a product of linear factors: no shift
+    # splits them into degree 1, and the pass ends in the check
+    p, g = 3, pp.mul([1, 0, 1], [2, 1, 1], 3)
+    with pytest.raises(InternalInconsistency, match="splits"):
+        pp._equal_degree(g, 1, pp.frobenius_matrix(g, p), p)
+
+
+@pytest.mark.parametrize("p,max_d", [(3, 5), (5, 3), (7, 2)])
+def test_order_matches_repeated_products(p, max_d):
+    # the least e with x^e = 1 modulo every monic irreducible g != x
+    for d in range(1, max_d + 1):
+        for a in _monic_polys(p, d):
+            g = a.tolist()
+            if not g[0] or not pp.is_irreducible(a, p):
+                continue
+            e, y = 1, pp.rem([0, 1], g, p)
+            while y != [1]:
+                e, y = e + 1, pp.rem(pp.mul(y, [0, 1], p), g, p)
+            got = pp.order(tuple(g), p)
+            assert math.prod(q**v for q, v in got) == e, (g, got)
+            assert [q for q, _ in got] == sorted(q for q, _ in got)

@@ -91,10 +91,6 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    return len(gcd(a, b, p)) - 1
-
-
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
     """a * b for trimmed lists of residues."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
@@ -184,29 +180,33 @@ def factor(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...
 
 @functools.lru_cache(maxsize=4096)
 def order(g: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
-    """The order o of x modulo the monic irreducible g != x of degree k, a
-    divisor of p^k - 1, as (q, v) pairs; x^e is the row of 1 times X^e, a
-    product of the squares X^(2^i) of the companion matrix X.  Checks x^o = 1
-    (the last e with x^e = 1, else p^k - 1) and o against p^k - 1."""
-    k, checked = len(g) - 1, False
-    o, squares = p**k - 1, [_companion(g, p)]
-    while k > 1 and len(squares) < o.bit_length():
+    """The order of x modulo the monic irreducible g != x of degree k, a
+    divisor of p^k - 1 = o = prod q^v (``factor_power_minus_one``), as
+    (q, j) pairs, q^j the least with x^(o/q^(v-j)) = 1.  x^e is the row of
+    1 times X^e, X the companion matrix of g, a product of the squares
+    X^(2^i) shared by every e (half the time of a ``powmod`` for each e).
+    Raises when x^o != 1."""
+    k, fac = len(g) - 1, factor_power_minus_one(p, len(g) - 1)
+    o, squares = prod(q**v for q, v in fac), [_companion(g, p)]
+    while len(squares) < o.bit_length():
         squares.append(squares[-1] @ squares[-1] % p)
     one = np.eye(1, k, dtype=squares[0].dtype)[0]
 
     def is_one(e: int) -> bool:
-        if k == 1:
-            return pow(-g[0], e, p) == 1
-        bits = zip(reversed(bin(e)[2:]), squares)
-        return bool((functools.reduce(lambda r, sq: r @ sq % p, [sq for b, sq in bits if b == "1"], one) == one).all())
+        row = one
+        for i, sq in enumerate(squares):
+            if e >> i & 1:
+                row = row @ sq % p
+        return bool((row == one).all())
 
-    out = []
-    for q, v in factor_power_minus_one(p, k):
-        while v and is_one(o // q):
-            o, v, checked = o // q, v - 1, True
-        out += [(q, v)] if v else []
-    if prod(q**v for q, v in out) != o or not (checked or is_one(o)):
+    if not is_one(o):
         raise InternalInconsistency(f"x has no order dividing {p}^{k} - 1 modulo {list(g)}")
+    out = []
+    for q, v in fac:
+        j = v
+        while j and is_one(o // q ** (v - j + 1)):
+            j -= 1
+        out += [(q, j)] if j else []
     return tuple(out)
 
 
@@ -252,24 +252,17 @@ def _companion(a, p: int) -> np.ndarray:
 
 def frobenius_matrix(a: np.ndarray, p: int) -> np.ndarray:
     """Berlekamp's Q of a (degree d >= 1, made monic): a d x d array whose
-    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows x^j are read off
-    the identity and, past d = 32 (below it d^3 products cost less), the
-    reduction table; each other row is the last times P = X^p, X the
-    companion matrix, whose rows x^(p+j) are read off too, or X squared."""
+    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows with p*u < d
+    are read off the identity; each other row is the last times P = X^p,
+    X the companion matrix, P by squaring."""
     d = len(a) - 1
     a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
-    rows = np.eye(d, dtype=a.dtype)
-    if d > 32:
-        rows = np.concatenate([rows, _reduction_table(a, p)])
-    if p + d <= len(rows):
-        P = rows[p : p + d]
-    else:
-        X = P = _companion(a, p)
-        for bit in bin(p)[3:]:
-            P = P @ P % p
-            if bit == "1":
-                P = P @ X % p
-    direct = rows[::p][:d]
+    X = P = _companion(a, p)
+    for bit in bin(p)[3:]:
+        P = P @ P % p
+        if bit == "1":
+            P = P @ X % p
+    direct = np.eye(d, dtype=a.dtype)[::p]
     Q = np.empty_like(P)
     Q[: len(direct)] = direct
     for u in range(len(direct), d):
@@ -315,4 +308,4 @@ def is_irreducible(a: np.ndarray, p: int) -> bool:
     x[1] = 1
     if ((h - x) % p).any():
         return False
-    return all(gcd_degree(a.tolist(), ((hk - x) % p).tolist(), p) == 0 for hk in kept.values())
+    return all(gcd(a.tolist(), ((hk - x) % p).tolist(), p) == [1] for hk in kept.values())

@@ -717,7 +717,7 @@ class FrobeniusLadder:
         if self._ints:
             g = list(self.h) or [0]
             g[0] = (g[0] - 1) % self.ctx.p
-            return pp.gcd_degree(self.f, g, self.ctx.p)
+            return len(pp.gcd(self.f, g, self.ctx.p)) - 1
         g = list(self.h) or [self.ctx.zero()]
         g[0] = g[0] - self.ctx.one()
         a, b = self.f, pp.trim(g)

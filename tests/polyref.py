@@ -3,7 +3,7 @@ coefficients ascending, the zero polynomial the empty array.
 
 The tests' independent Euclid: the powmod Rabin reference, the
 materialized gcd oracle and the checks of ``_primepoly.rem`` and
-``gcd_degree`` use it, and nothing in the package does.  Arrays are int64
+``gcd`` use it, and nothing in the package does.  Arrays are int64
 while (p-1)^2 < 2^63 and Python ints (``dtype=object``) beyond that."""
 
 import numpy as np

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._primepoly import exact_dtype
+from .errors import InternalInconsistency
 
 
 def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
@@ -66,6 +67,17 @@ def kernel_basis(A: np.ndarray, p: int) -> list[list[int]]:
             x[c] = -int(R[r, f]) % p
         basis.append(x)
     return basis
+
+
+def krylov_mu(K: np.ndarray, p: int) -> list[int]:
+    """The minimal polynomial of M on v, monic with ascending coefficients,
+    from the Krylov columns v, M v, M^2 v, ... of K: with the first r
+    independent, the reduced echelon form's column r holds M^r v on them."""
+    R, pivots, _ = row_echelon(K, p)
+    r = len(pivots)
+    if r == K.shape[1]:
+        raise InternalInconsistency(f"the Krylov sequence has no dependency within {r - 1} steps")
+    return [-int(c) % p for c in R[:r, r]] + [1]
 
 
 def solve(A: np.ndarray, b, p: int) -> np.ndarray | None:

@@ -22,7 +22,9 @@ x^(p*u) mod a, and x^(p^k) mod a is the row of x times Q^k.  a is
 irreducible iff x^(p^d) = x mod a and gcd(x^(p^(d/q)) - x, a) = 1 for
 every prime q | d, the gcds only paid by candidates that pass the first
 condition.  When p <= d, one Horner pass at all of GF(p) first rejects
-every candidate with a root there.
+every candidate with a root there.  Each step runs on a stack of
+candidates of one degree at once, a leading axis on every array (numpy's
+matmul broadcasts over it); one candidate is a stack of one.
 
 Exactness: no numpy product sums more than d products of two residues,
 so they run in int64 while d*(p-1)^2 < 2^63 and in Python ints (numpy
@@ -243,69 +245,87 @@ def _reduction_table(a: np.ndarray, p: int) -> np.ndarray:
 
 def _companion(a, p: int) -> np.ndarray:
     """The matrix of z -> x z modulo the monic a of degree d >= 1 on
-    coordinate rows: row u is x^(u+1) mod a, in ``exact_dtype(p, d)``."""
-    d = len(a) - 1
-    X = np.eye(d, k=1, dtype=exact_dtype(p, d))
-    X[-1] = [-int(c) % p for c in a[:-1]]
+    coordinate rows: row u is x^(u+1) mod a, in ``exact_dtype(p, d)``; for
+    a stack of such a (one per row), the stack of their matrices."""
+    a = np.asarray(a)
+    d = a.shape[-1] - 1
+    X = np.zeros(a.shape[:-1] + (d * d,), dtype=exact_dtype(p, d))
+    X[..., 1 :: d + 1] = 1  # the superdiagonal
+    X = X.reshape(a.shape[:-1] + (d, d))
+    X[..., -1, :] = -a[..., :-1].astype(X.dtype) % p
     return X
 
 
-def frobenius_matrix(a: np.ndarray, p: int) -> np.ndarray:
-    """Berlekamp's Q of a (degree d >= 1, made monic): a d x d array whose
-    row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows with p*u < d
-    are read off the identity; each other row is the last times P = X^p,
-    X the companion matrix, P by squaring."""
-    d = len(a) - 1
-    a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
+def frobenius_matrix(a, p: int) -> np.ndarray:
+    """Berlekamp's Q of the monic a of degree d >= 1, or of each row of a
+    stack: row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows with
+    p*u < d are read off the identity; each other row is the last times
+    P = X^p, X the companion matrix, P by squaring."""
     X = P = _companion(a, p)
+    d = X.shape[-1]
     for bit in bin(p)[3:]:
         P = P @ P % p
         if bit == "1":
             P = P @ X % p
-    direct = np.eye(d, dtype=a.dtype)[::p]
+    direct = np.eye(d, dtype=P.dtype)[::p]
     Q = np.empty_like(P)
-    Q[: len(direct)] = direct
+    Q[..., : len(direct), :] = direct
+    row = Q[..., len(direct) - 1 : len(direct), :]
     for u in range(len(direct), d):
-        Q[u] = Q[u - 1] @ P % p
+        row = Q[..., u : u + 1, :] = row @ P % p
     return Q
 
 
-def _has_root(a: np.ndarray, p: int) -> bool:
-    """Whether a vanishes somewhere on GF(p).  There x^i = x^(i - (p-1)) for
-    i >= p, so a is first folded to degree < p; one Horner pass then runs
-    at all of GF(p) at once."""
-    tail = a[1:]
-    tail = np.concatenate([tail, np.zeros(-len(tail) % (p - 1), dtype=a.dtype)])
-    folded = np.concatenate([a[:1], tail.reshape(-1, p - 1).sum(axis=0) % p])
-    xs = np.arange(p, dtype=a.dtype)
-    acc = np.zeros(p, dtype=a.dtype)
-    for c in folded[::-1]:
-        acc = (acc * xs + c) % p
-    return not acc.all()
+def _has_root(a: np.ndarray, p: int) -> np.ndarray:
+    """Whether each row of the stack a vanishes somewhere on GF(p).  There
+    x^i = x^(i - (p-1)) for i >= p, so a is first folded to degree < p; one
+    Horner pass then runs at all of GF(p) at once."""
+    k, d = a.shape[0], a.shape[1] - 1
+    w = -(-d // (p - 1))  # columns of each residue class of exponents
+    tail = np.zeros((k, w * (p - 1)), dtype=a.dtype)
+    tail[:, :d] = a[:, 1:]
+    folded = np.concatenate([a[:, :1], tail.reshape(k, w, p - 1).sum(axis=1) % p], axis=1)
+    acc = np.zeros((k, p), dtype=a.dtype)
+    for c in folded.T[::-1]:
+        acc = (acc * np.arange(p) + c[:, None]) % p
+    return (acc == 0).any(axis=1)
 
 
-def is_irreducible(a: np.ndarray, p: int) -> bool:
-    """Rabin's test on the Frobenius matrix (see the module docstring)."""
+def is_irreducible(a, p: int):
+    """Rabin's test (see the module docstring): a bool for one candidate a
+    (any nonzero leading coefficient), a bool array for a 2-D stack of
+    monic candidates of one degree d >= 2, one per row."""
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return _rabin(np.array(a, dtype=exact_dtype(p, a.shape[1] - 1)), p)
     d = len(a) - 1
     if d < 1 or a[-1] == 0:
         return False
-    if d == 1:
-        return True
-    if a[0] == 0:  # divisible by x
-        return False
-    a = monic(np.array(a, dtype=exact_dtype(p, d)), p)
+    return d == 1 or bool(_rabin(monic(np.array(a, dtype=exact_dtype(p, d)), p)[None], p)[0])
+
+
+def _rabin(a: np.ndarray, p: int) -> np.ndarray:
+    """Rabin's test on each row of the stack a, monic of degree d >= 2."""
+    d = a.shape[1] - 1
+    out = a[:, 0] != 0  # else divisible by x
     # The sieve takes p vector steps and the Q test more than 2d.
-    if p <= d and _has_root(a, p):
-        return False
-    Q = frobenius_matrix(a, p)
+    if p <= d:
+        out[out] = ~_has_root(a[out], p)
+    live = np.flatnonzero(out)
+    if not len(live):
+        return out
+    Q = frobenius_matrix(a[live], p)
     kept = dict.fromkeys(d // q for q in prime_divisors(d))
-    h = Q[1]  # x^(p^k) mod a, from k = 1
+    h = Q[:, 1:2]  # x^(p^k) mod a, from k = 1
     for k in range(1, d):
         if k in kept:
-            kept[k] = h
+            kept[k] = h[:, 0]
         h = h @ Q % p
     x = np.zeros(d, dtype=a.dtype)
     x[1] = 1
-    if ((h - x) % p).any():
-        return False
-    return all(gcd(a.tolist(), ((hk - x) % p).tolist(), p) == [1] for hk in kept.values())
+    fixed = ((h[:, 0] - x) % p == 0).all(axis=1)  # bool also on object arrays
+    out[live] = fixed
+    for j in np.flatnonzero(fixed):
+        row = a[live[j]].tolist()
+        out[live[j]] = all(gcd(row, ((hk[j] - x) % p).tolist(), p) == [1] for hk in kept.values())
+    return out

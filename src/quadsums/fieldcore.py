@@ -7,7 +7,8 @@ irreducible of degree d whose non-leading coefficient tuple has the
 smallest integer encoding c0 + c1*p + ... + c_{d-1}*p^(d-1).  Everything
 downstream (tables, embeddings, traces) is therefore reproducible run to
 run.  The search tests candidates in encoding order with Rabin's test on
-the Frobenius matrix Q (:mod:`quadsums._primepoly`), exact for every p.
+the Frobenius matrix Q (:mod:`quadsums._primepoly`), exact for every p,
+stacked over blocks of d codes (irreducibles have density about 1/d).
 Codes 0..p-1 are the binomials x^d + c; when Thm 3.75 of Lidl and
 Niederreiter rules out every irreducible binomial, the search starts at
 code p, which leaves the result unchanged.  ``frob_mat_power(1)`` is Q
@@ -38,12 +39,13 @@ Nothing here is float64; only the oracle's enumeration is, under its own
 enforced bound.
 
 Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
-lie in the subfield K = GF(p^n), the kernel of F^n - I for F the Frobenius
-matrix.  ``_find_root`` splits g by Cantor-Zassenhaus with shifts in K
-outside GF(p) and the exponent (p^n - 1)/2, so no power of size p^N is
-taken; the proof is in its docstring.  The sorted root set, and so the
-default embedding (the smallest-encoding root), does not depend on which
-root the splitting finds.
+lie in K = GF(p^n), the kernel of F^n - I for F the Frobenius matrix, the
+one subfield of that order (Lidl and Niederreiter, Thm 2.14).  The first
+b of K, in code order from p, of degree n has a minimal polynomial mu_b
+(``_linalg.krylov_mu``) that builds a copy of K; ``_find_root`` splits g
+there, and x -> b carries the n conjugates of that root into GF(p^N).
+The sorted root set, and so the default embedding (the smallest-encoding
+root), depends neither on the root found nor on b.
 
 Inverses.  ``FieldElem.inverse`` runs the extended Euclid of
 :mod:`quadsums._primepoly` against the modulus, O(d^2) residue operations
@@ -88,11 +90,13 @@ def _has_irreducible_binomial(p: int, d: int) -> bool:
 
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
     # Codes 0..p-1 are the binomials x^d + c; skip them when none is irreducible.
-    dtype = pp.exact_dtype(p, d)
-    for code in range(0 if _has_irreducible_binomial(p, d) else p, p**d):
-        coeffs = tuple(digits(code, p, d)) + (1,)
-        if pp.is_irreducible(np.array(coeffs, dtype=dtype), p):
-            return coeffs
+    dtype, end = pp.exact_dtype(p, d), p**d
+    size = max(1, min(d, (1 << 15) // d**2))
+    for lo in range(0 if _has_irreducible_binomial(p, d) else p, end, size):
+        block = np.array([digits(code, p, d) + [1] for code in range(lo, min(lo + size, end))], dtype=dtype)
+        hits = np.flatnonzero(pp.is_irreducible(block, p))
+        if len(hits):
+            return tuple(int(c) for c in block[hits[0]])
     raise ModulusReducible(f"no irreducible of degree {d} over GF({p})")
 
 
@@ -482,20 +486,12 @@ def _find_root(g: "Poly") -> FieldElem:
       context."""
     ctx = g.ctx
     p, n = ctx.p, g.degree
-    M = (ctx.frob_mat_power(n) - np.eye(ctx.d, dtype=np.int64)) % p
-    basis = _linalg.kernel_basis(M, p)
-    if len(basis) != n:
-        raise NoRootFound(f"the fixed field of z -> z^(p^{n}) has dimension {len(basis)}; corrupt context")
     one = Poly(ctx, (ctx.one(),))
     e = (p**n - 1) // 2
-    for code in range(p, p**n):
+    for c in _subfield_elems(ctx, n):
         if g.degree == 1:
             break
-        c = [0] * ctx.d
-        for digit, vec in zip(digits(code, p, n), basis):
-            if digit:
-                c = [a + digit * v for a, v in zip(c, vec)]
-        w = Poly(ctx, (ctx.elem(c), ctx.one())).powmod(e, g) - one
+        w = Poly(ctx, (c, ctx.one())).powmod(e, g) - one
         h = g.gcd(w)
         if 0 < h.degree < g.degree:
             other = g // h
@@ -505,27 +501,51 @@ def _find_root(g: "Poly") -> FieldElem:
     return -(g.coeffs[0] / g.coeffs[1])
 
 
-@functools.lru_cache(maxsize=None)
-def _embedding_roots_cached(src_key, dst_key) -> tuple:
-    src = build_field_ctx(*src_key[:2], src_key[2])
-    dst = build_field_ctx(*dst_key[:2], dst_key[2])
-    g = Poly.from_ints(dst, src.modulus)
-    r = _find_root(g)
-    roots = {r.frobenius(j) for j in range(src.d)}
-    if len(roots) != src.d:
-        raise NoRootFound("conjugate count mismatch; corrupt context")
-    for root in roots:
-        if not g(root).is_zero():
-            raise NoRootFound("claimed root does not vanish; corrupt context")
-    return tuple(sorted(roots, key=lambda e: e.encoding))
+def _subfield_elems(ctx: FieldCtx, n: int) -> Iterable[FieldElem]:
+    """The elements of K = ker(F^n - I) = GF(p^n) inside ctx by code from
+    p, the code's digits the coordinates on K's echelon basis."""
+    p = ctx.p
+    M = (ctx.frob_mat_power(n) - np.eye(ctx.d, dtype=np.int64)) % p
+    basis = _linalg.kernel_basis(M, p)
+    if len(basis) != n:
+        raise NoRootFound(f"the fixed field of z -> z^(p^{n}) has dimension {len(basis)}; corrupt context")
+    for code in range(p, p**n):
+        c = [0] * ctx.d
+        for digit, vec in zip(digits(code, p, n), basis):
+            if digit:
+                c = [a + digit * v for a, v in zip(c, vec)]
+        yield ctx.elem(c)
 
 
 def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
-    """All roots of src.modulus inside dst, sorted by integer encoding."""
+    """All roots of src.modulus inside dst, sorted by integer encoding and
+    cached on dst per src.key, split in the copy GF(p)[x]/(mu_b) of the
+    subfield (see the module docstring)."""
     _require_subfield(src, dst)
     if src.d == 1:
         raise InvalidInput("prime field embeds without a root choice")
-    return _embedding_roots_cached(src.key, dst.key)
+    cache = dst._cache.setdefault("roots", {})
+    if src.key not in cache:
+        p, n = src.p, src.d
+        for b in _subfield_elems(dst, n):
+            powers = [dst.one()]
+            while len(powers) <= n:
+                powers.append(powers[-1] * b)
+            mu = _linalg.krylov_mu(np.array([x.coeffs for x in powers], dtype=pp.exact_dtype(p, 1)).T, p)
+            if len(mu) == n + 1:  # b lies in no proper subfield
+                break
+        else:
+            raise NoRootFound("no element generates the fixed field; corrupt context")
+        small = build_field_ctx(p, n, mu)
+        r = _find_root(Poly.from_ints(small, src.modulus))
+        roots = {embed_element(small, dst, r.frobenius(j), root=b) for j in range(n)}
+        if len(roots) != n:
+            raise NoRootFound("conjugate count mismatch; corrupt context")
+        g = Poly.from_ints(dst, src.modulus)
+        if any(not g(root).is_zero() for root in roots):
+            raise NoRootFound("claimed root does not vanish; corrupt context")
+        cache[src.key] = tuple(sorted(roots, key=lambda e: e.encoding))
+    return cache[src.key]
 
 
 def _require_subfield(src: FieldCtx, dst: FieldCtx):

@@ -259,18 +259,6 @@ def _block_matrix(f: QuadFunc) -> np.ndarray:
     return blocks.transpose(1, 2, 0, 3).reshape(dim * n, dim * n)
 
 
-def _krylov_mu(K: np.ndarray, p: int) -> list[int]:
-    """The minimal polynomial of M, monic with ascending coefficients, from
-    K, whose column j is M^j e_0, j <= 2*alpha: with the first r columns
-    independent, the reduced echelon form's column r holds the
-    coordinates of M^r e_0 on them."""
-    R, pivots, _ = _linalg.row_echelon(K, p)
-    r = len(pivots)
-    if r == K.shape[1]:
-        raise InternalInconsistency(f"the Krylov sequence of 1 has no dependency within {r - 1} steps")
-    return [-int(c) % p for c in R[:r, r]] + [1]
-
-
 class _Action:
     """The action A on the root space, of dimension ``dim`` = 2*alpha: its
     minimal polynomial ``mu`` (ascending, monic) and, when A is not cyclic
@@ -288,7 +276,7 @@ class _Action:
         while len(powers) <= self.dim:
             powers.append(powers[-1] @ M % p)
         powers = np.array(powers[: self.dim + 1], dtype=M.dtype)
-        self.mu = _krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
+        self.mu = _linalg.krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
         r = len(self.mu) - 1
         if (np.tensordot(np.array(self.mu, dtype=M.dtype), powers[: r + 1], 1) % p).any():
             raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")

@@ -90,14 +90,19 @@ def elem_quadratic_character(a: FieldElem) -> int:
 
 
 def smallest_nonsquare(ctx: FieldCtx) -> FieldElem:
-    """Non-square of GF(p^d) with the smallest integer encoding.  For even d
-    every element of GF(p) (codes below p) is a square, so the scan starts
-    at code p."""
-    for code in range(ctx.p if ctx.d % 2 == 0 else 1, ctx.order):
-        x = ctx.from_encoding(code)
-        if elem_quadratic_character(x) == -1:
-            return x
-    raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
+    """Non-square of GF(p^d) with the smallest integer encoding, found once
+    per context.  For even d every element of GF(p) (codes below p) is a
+    square, so the scan starts at code p."""
+    beta = ctx._cache.get("nonsquare")
+    if beta is None:
+        for code in range(ctx.p if ctx.d % 2 == 0 else 1, ctx.order):
+            x = ctx.from_encoding(code)
+            if elem_quadratic_character(x) == -1:
+                beta = ctx._cache["nonsquare"] = x
+                break
+        else:
+            raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
+    return beta
 
 
 # -- Gram matrix and its rank and type ------------------------------------------
@@ -248,8 +253,13 @@ def _trace_counts(f: QuadFunc, m: int, cap: int, linear=None) -> np.ndarray:
         hi = _digit_rows(p, N - k, h0, min(h0 + _CHUNK, n_hi))
         hi_aug = np.vstack((hi.T, np.ones(len(hi)), _block_form(hi, G[k:, k:], lin[k:], p)))
         step = max(1, _CHUNK // len(hi))
+        shape = (min(step, len(lo)), len(hi))  # one float64 and one int64 buffer per hi chunk
+        prod, vals = np.empty(shape), np.empty(shape, dtype=np.int64)
         for l0 in range(0, len(lo), step):
-            tr = (lo_aug[l0 : l0 + step] @ hi_aug).astype(np.int64).ravel()
+            rows = min(step, len(lo) - l0)
+            np.matmul(lo_aug[l0 : l0 + rows], hi_aug, out=prod[:rows])
+            np.copyto(vals[:rows], prod[:rows], casting="unsafe")
+            tr = vals[:rows].ravel()  # a view: vals is C-contiguous
             if top < len(tr):
                 raw += np.bincount(tr, minlength=top + 1)
             else:

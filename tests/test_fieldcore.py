@@ -337,6 +337,27 @@ def test_find_root_takes_no_large_power(monkeypatch, p, n, N):
     assert g(root).is_zero()
 
 
+@pytest.mark.parametrize("p", [2**61 - 1, P_PAST_INT64])
+def test_embedding_roots_past_int64_match_the_full_split(p):
+    # the split in the degree-n copy against the split over all of GF(p^N)
+    src, dst = build_field_ctx(p, 2), build_field_ctx(p, 4)
+    r = _find_root(Poly.from_ints(dst, src.modulus))
+    expect = sorted({r, r.frobenius(1)}, key=lambda e: e.encoding)
+    assert list(embedding_roots(src, dst)) == expect
+
+
+def test_embedding_roots_live_on_the_default_context(monkeypatch):
+    # cached on dst itself; no copy of dst with its modulus spelled out
+    src, dst = build_field_ctx(11, 3), build_field_ctx(11, 6)
+    built = []
+    init = FieldCtx.__init__
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, p, d, modulus=None: built.append(d) or init(self, p, d, modulus))
+    roots = embedding_roots(src, dst)
+    assert all(r.ctx is dst for r in roots) and dst._cache["roots"][src.key] is roots
+    assert 6 not in built
+    assert embedding_roots(src, dst) is roots
+
+
 INVERSE_FIELDS = [(3, 7), (7, 21), (3, 81), (2**31 - 1, 2), (2**61 - 1, 3), (P_PAST_INT64, 2)]
 
 

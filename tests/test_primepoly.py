@@ -107,6 +107,40 @@ def test_cubics_beyond_int64_follow_cubic_residues():
         assert pp.is_irreducible(a, p) == (pow(c, (p - 1) // 3, p) != 1), c
 
 
+@pytest.mark.parametrize("p,max_d", [(3, 6), (5, 4), (7, 3)])
+def test_stacked_test_equals_row_by_row(p, max_d):
+    # every monic candidate of each degree in one stack, rows decided alone
+    for d in range(2, max_d + 1):
+        stack = np.array(list(_monic_polys(p, d)))
+        got = pp.is_irreducible(stack, p)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert got.tolist() == [pp.is_irreducible(a, p) for a in stack], (p, d)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 + 29])
+def test_stacked_test_past_int64_follows_euler(p):
+    # object-dtype stacks: x^2 - c is irreducible iff c is a nonresidue,
+    # x^2 + x (zero constant) never
+    stack = np.array([[(-c) % p, 0, 1] for c in range(1, 30)] + [[0, 1, 1]], dtype=object)
+    got = pp.is_irreducible(stack, p)
+    assert got.tolist() == [pp.is_irreducible(a, p) for a in stack]
+    assert got.tolist() == [pow(c, (p - 1) // 2, p) == p - 1 for c in range(1, 30)] + [False]
+
+
+def test_product_without_a_linear_factor_past_int64():
+    # p = 1 mod 15, so x^k - c is irreducible for k = 2, 3, 5 iff c is no
+    # k-th power; a quadratic times a cubic passes every gcd and is caught
+    # only by x^(p^5) != x, also as object-dtype rows of a stack
+    p = 2**61 - 1
+    c2, c3, c5 = (next(c for c in range(2, 99) if pow(c, (p - 1) // k, p) != 1) for k in (2, 3, 5))
+    product = [c2 * c3 % p, 0, -c3 % p, -c2 % p, 0, 1]  # (x^2 - c2)(x^3 - c3)
+    quintic = [-c5 % p, 0, 0, 0, 0, 1]
+    assert not pp.is_irreducible(np.array(product, dtype=object), p)
+    assert pp.is_irreducible(np.array(quintic, dtype=object), p)
+    got = pp.is_irreducible(np.array([product, quintic, product], dtype=object), p)
+    assert got.dtype == bool and got.tolist() == [False, True, False]
+
+
 def _plain_search(p, d):
     for code in itertools.count(0):
         low = [code // p**i % p for i in range(d)]
@@ -116,7 +150,8 @@ def _plain_search(p, d):
 
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_31)
 def test_binomial_skip_keeps_the_default_modulus(p):
-    for d in range(2, 9):
+    # also the block search against one code at a time
+    for d in range(2, 13 if p <= 7 else 9):
         binomials = [np.array([c] + [0] * (d - 1) + [1], dtype=np.int64) for c in range(1, p)]
         assert _has_irreducible_binomial(p, d) == any(pp.is_irreducible(b, p) for b in binomials)
         assert _default_modulus(p, d) == _plain_search(p, d), (p, d)

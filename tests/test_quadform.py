@@ -540,3 +540,14 @@ def test_smallest_nonsquare_skips_prime_field_in_even_degree(monkeypatch):
     beta = smallest_nonsquare(ctx)
     assert beta.encoding >= ctx.p and character(beta) == -1
     assert len(calls) < 100
+
+
+def test_smallest_nonsquare_scans_once_per_context(monkeypatch):
+    calls = []
+    character = quadform.elem_quadratic_character
+    monkeypatch.setattr(quadform, "elem_quadratic_character", lambda a: calls.append(a) or character(a))
+    ctx = FieldCtx(7, 3)  # a fresh context, not the shared one
+    beta = smallest_nonsquare(ctx)
+    scanned = len(calls)
+    assert scanned == beta.encoding and character(beta) == -1
+    assert smallest_nonsquare(ctx) is beta and len(calls) == scanned

@@ -3,6 +3,9 @@
 ``rem``, ``gcd`` and ``inverse`` are the one Euclid over GF(p), on lists
 of Python-int residues (the zero polynomial is []); ``inverse`` carries
 the cofactors of the remainders through the same reduction step.
+``mulmod``, the one product modulo m behind every field element, reduces
+lazily (each step only its leading coefficient mod p); ``powmod`` squares
+through it.  ``_reduce`` stays eager: a gcd step is a one-step remainder.
 
 ``factor`` (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14):
 a square-free split by gcds with the derivative (a zero derivative means
@@ -28,7 +31,9 @@ matmul broadcasts over it); one candidate is a stack of one.
 
 Exactness: no numpy product sums more than d products of two residues,
 so they run in int64 while d*(p-1)^2 < 2^63 and in Python ints (numpy
-``dtype=object``) beyond that (``exact_dtype``); the lists are Python
+``dtype=object``) beyond that (``exact_dtype``).  Every conversion of
+coefficients into an array names that dtype: left to itself, numpy makes
+float64 of a sequence holding a residue >= 2^63.  The lists are Python
 ints.  Every result is exact for every p.
 """
 
@@ -109,13 +114,33 @@ def _quotient(a: list[int], b: list[int], p: int) -> list[int]:
     return q
 
 
+def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    """a * b mod m as exactly deg m residues, for lists of residues and m
+    trimmed (any nonzero leading coefficient).  The reduction is lazy: each
+    step reduces only the leading coefficient mod p, the rest once at the
+    end."""
+    d, inv = len(m) - 1, pow(m[-1], -1, p) if m[-1] != 1 else 1
+    out = [0] * max(len(a) + len(b) - 1, d)
+    for i, c in enumerate(a):
+        if c:
+            for j, v in enumerate(b):
+                out[i + j] += c * v
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i] * inv % p
+        if c:
+            k = i - d
+            for j in range(d):
+                out[k + j] -= c * m[j]
+    return [c % p for c in out[:d]]
+
+
 def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m, squaring from the top bit of e down."""
+    """a^e mod m, trimmed, squaring from the top bit of e down by ``mulmod``."""
     out = a = rem(a if e else [1], m, p)
     for bit in bin(e)[3:]:
-        out = _reduce(mul(out, out, p), m, p)
-        out = _reduce(mul(out, a, p), m, p) if bit == "1" else out
-    return out
+        out = mulmod(out, out, m, p)
+        out = mulmod(out, a, m, p) if bit == "1" else out
+    return trim(out)
 
 
 def _squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -157,7 +182,7 @@ def _equal_degree(g: list[int], k: int, Q: np.ndarray, p: int) -> list[list[int]
             conj[: j + 1] = acc = digits(code, p, j) + [1]
             for _ in range(k - 1):
                 conj = conj @ Q % p
-                acc = rem(mul(acc, trim(conj.tolist()), p), g, p)
+                acc = mulmod(acc, conj.tolist(), g, p)
             acc = powmod(acc, (p - 1) // 2, g, p) or [0]
             acc = trim([(acc[0] - 1) % p] + acc[1:])
             split = [(h, gcd(h, acc, p) if len(h) > k + 1 else h) for h in parts]
@@ -232,27 +257,16 @@ def exact_dtype(p: int, d: int):
     return np.int64 if d * (p - 1) ** 2 < 2**63 else object
 
 
-def _reduction_table(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows x^(d+t) mod a for t = 0..d-2, for monic a of degree d >= 2."""
-    d = len(a) - 1
-    table = np.zeros((d - 1, d), dtype=a.dtype)
-    table[0] = -a[:d] % p
-    for t in range(1, d - 1):
-        table[t, 1:] = table[t - 1, :-1]
-        table[t] = (table[t] + table[t - 1, -1] * table[0]) % p
-    return table
-
-
 def _companion(a, p: int) -> np.ndarray:
     """The matrix of z -> x z modulo the monic a of degree d >= 1 on
     coordinate rows: row u is x^(u+1) mod a, in ``exact_dtype(p, d)``; for
     a stack of such a (one per row), the stack of their matrices."""
-    a = np.asarray(a)
-    d = a.shape[-1] - 1
-    X = np.zeros(a.shape[:-1] + (d * d,), dtype=exact_dtype(p, d))
+    d = np.shape(a)[-1] - 1
+    a = np.asarray(a, dtype=exact_dtype(p, d))
+    X = np.zeros(a.shape[:-1] + (d * d,), dtype=a.dtype)
     X[..., 1 :: d + 1] = 1  # the superdiagonal
     X = X.reshape(a.shape[:-1] + (d, d))
-    X[..., -1, :] = -a[..., :-1].astype(X.dtype) % p
+    X[..., -1, :] = -a[..., :-1] % p
     return X
 
 
@@ -295,13 +309,13 @@ def is_irreducible(a, p: int):
     """Rabin's test (see the module docstring): a bool for one candidate a
     (any nonzero leading coefficient), a bool array for a 2-D stack of
     monic candidates of one degree d >= 2, one per row."""
-    a = np.asarray(a)
+    a = np.array(a, dtype=exact_dtype(p, np.shape(a)[-1] - 1))
     if a.ndim == 2:
-        return _rabin(np.array(a, dtype=exact_dtype(p, a.shape[1] - 1)), p)
+        return _rabin(a, p)
     d = len(a) - 1
     if d < 1 or a[-1] == 0:
         return False
-    return d == 1 or bool(_rabin(monic(np.array(a, dtype=exact_dtype(p, d)), p)[None], p)[0])
+    return d == 1 or bool(_rabin(monic(a, p)[None], p)[0])
 
 
 def _rabin(a: np.ndarray, p: int) -> np.ndarray:

@@ -20,16 +20,19 @@ power basis of the modulus root.
 Frobenius and trace are GF(p)-linear, so the scalar maps are cached exact
 linear maps: a context keeps, as Python-int tuples, the images of the power
 basis under z -> z^(p^j) for each j asked for (one x ** p**j and d
-multiplications) and Tr(x^u) for u < d (the sum of the d conjugates of
-each basis element, checked to lie in GF(p)).  ``FieldElem.frobenius`` is
-then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
-product.  The brute-force oracle uses these scalar maps alone, and only it
-reads a trace through the O(d^4) conjugate sums.
+products) and Tr(x^u) for u < d (the sum of the d conjugates of each basis
+element, checked to lie in GF(p)).  Those products and powers run on
+:mod:`quadsums._primepoly` (below), so a context keeps no reduction table.
+``FieldElem.frobenius`` is then an O(d^2) linear combination and
+``FieldElem.trace`` an O(d) dot product.  The brute-force oracle uses
+these scalar maps alone, and only it reads a trace through the O(d^4)
+conjugate sums.
 
 The matrix route is separate and equally exact: ``frob_mat_power`` (powers
-of Q transposed), ``mult_mat`` and ``trace_form`` (the Hankel matrix of the
-power sums Tr(x^k), O(d^2) by Newton's identities on the modulus) back the
-Gram matrix in :mod:`quadsums.quadform`, the radical's linear map in
+of Q transposed), ``mult_mat`` (rows a x^u, each the last times the cached
+companion matrix of the modulus) and ``trace_form`` (the Hankel matrix of
+the power sums Tr(x^k), O(d^2) by Newton's identities on the modulus) back
+the Gram matrix in :mod:`quadsums.quadform`, the radical's linear map in
 :mod:`quadsums.nullity` and, by row 0, the phase of ``lifts.shift_linear``.
 Their entries are residues mod p, and every sum and product is reduced mod
 p before the next, so no intermediate exceeds a sum of d products of
@@ -47,10 +50,13 @@ there, and x -> b carries the n conjugates of that root into GF(p^N).
 The sorted root set, and so the default embedding (the smallest-encoding
 root), depends neither on the root found nor on b.
 
-Inverses.  ``FieldElem.inverse`` runs the extended Euclid of
-:mod:`quadsums._primepoly` against the modulus, O(d^2) residue operations
-(``pow(a, -1, p)`` for d = 1), instead of a^(p^d - 2).  Polynomial gcds,
-monic scaling and division over GF(p^d) use it.
+Products, powers and inverses.  Each is one call into the GF(p)[x]
+arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
+one ``mulmod`` (O(d^2), reduced lazily), a^e one ``powmod`` after e is
+reduced mod p^d - 1, and ``FieldElem.inverse`` the extended Euclid, O(d^2)
+residue operations instead of a^(p^d - 2).  For d = 1 they are ``% p``
+and ``pow``.  Polynomial gcds, monic scaling and division over GF(p^d)
+use them.
 
 The module also houses the skew-gcd ladder behind ``nullity_at``, the
 single-degree nullity that checks the first entry l_n of every closed-form
@@ -121,7 +127,7 @@ class FieldCtx:
                 modulus = tuple(int(c) % p for c in modulus)
                 if len(modulus) != d + 1 or modulus[-1] != 1:
                     raise InvalidInput("modulus must be monic of degree d")
-                if not pp.is_irreducible(np.array(modulus, dtype=pp.exact_dtype(p, d)), p):
+                if not pp.is_irreducible(modulus, p):
                     raise ModulusReducible(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.d = d
@@ -179,37 +185,6 @@ class FieldCtx:
     def parse_elem(self, text: str) -> "FieldElem":
         return self.elem([int(t) for t in text.split(",")])
 
-    # -- scalar coefficient helpers -------------------------------------------
-
-    def _red_tuples(self):
-        """Reductions of x^(d+t), t = 0..d-2, as coefficient tuples mod p."""
-        rows = self._cache.get("red_tuples")
-        if rows is None:
-            rows = []
-            if self.d > 1:
-                a = np.array(self.modulus, dtype=pp.exact_dtype(self.p, self.d))
-                rows = [tuple(map(int, row)) for row in pp._reduction_table(a, self.p)]
-            self._cache["red_tuples"] = rows
-        return rows
-
-    def _mul_coeffs(self, a: tuple, b: tuple) -> tuple:
-        p, d = self.p, self.d
-        if d == 1:
-            return (a[0] * b[0] % p,)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        rows = self._red_tuples()
-        for t in range(2 * d - 2, d - 1, -1):
-            c = conv[t] % p
-            if c:
-                row = rows[t - d]
-                for i in range(d):
-                    conv[i] += c * row[i]
-        return tuple(v % p for v in conv[:d])
-
     # -- cached exact linear maps -----------------------------------------------
 
     def frob_images(self, j: int) -> tuple[tuple[int, ...], ...]:
@@ -261,31 +236,24 @@ class FieldCtx:
             if j == 0:
                 mats[j] = np.eye(d, dtype=pp.exact_dtype(p, d))
             elif j == 1:  # d >= 2 here; Q's rows are the basis images
-                a = np.array(self.modulus, dtype=pp.exact_dtype(p, d))
-                mats[j] = pp.frobenius_matrix(a, p).T
+                mats[j] = pp.frobenius_matrix(self.modulus, p).T
             else:
                 mats[j] = self.frob_mat_power(1) @ self.frob_mat_power(j - 1) % p
         return mats[j]
 
     def mult_mat(self, a: "FieldElem") -> np.ndarray:
-        """Matrix of z -> a*z, columns = images of the power basis."""
-        d = self.d
-        cols = np.zeros((d, d), dtype=pp.exact_dtype(self.p, d))
-        cur = a.coeffs
-        for u in range(d):
-            cols[:, u] = cur
-            if u < d - 1:
-                cur = self._mulx(cur)
-        return cols
-
-    def _mulx(self, c: tuple) -> tuple:
+        """Matrix of z -> a*z, columns = images of the power basis: a x^u is
+        a x^(u-1) times the companion matrix of the modulus, cached."""
         p, d = self.p, self.d
-        top = c[-1]
-        out = (0,) + c[:-1]
-        if top and d > 1:
-            row = self._red_tuples()[0]
-            out = tuple((o + top * r) % p for o, r in zip(out, row))
-        return out
+        rows = np.zeros((d, d), dtype=pp.exact_dtype(p, d))
+        rows[0] = a.coeffs
+        if d > 1:
+            X = self._cache.get("companion")
+            if X is None:
+                X = self._cache["companion"] = pp._companion(self.modulus, p)
+            for u in range(1, d):
+                rows[u] = rows[u - 1] @ X % p
+        return rows.T
 
     def trace_form(self) -> np.ndarray:
         """Hankel matrix H[u, w] = Tr(x^(u+w)) of the trace form on the power
@@ -371,7 +339,10 @@ class FieldElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        if ctx.d == 1:
+            return FieldElem(ctx, (self.coeffs[0] * other.coeffs[0] % ctx.p,))
+        return FieldElem(ctx, tuple(pp.mulmod(self.coeffs, other.coeffs, ctx.modulus, ctx.p)))
 
     __rmul__ = __mul__
 
@@ -384,15 +355,12 @@ class FieldElem:
             return self.inverse() ** (-e)
         if self.is_zero():
             return self.ctx.one() if e == 0 else self.ctx.zero()
-        e %= self.ctx.order - 1
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.ctx
+        e %= ctx.order - 1
+        if ctx.d == 1:
+            return FieldElem(ctx, (pow(self.coeffs[0], e, ctx.p),))
+        u = pp.powmod(self.coeffs, e, ctx.modulus, ctx.p)
+        return FieldElem(ctx, tuple(u) + (0,) * (ctx.d - len(u)))
 
     def inverse(self) -> "FieldElem":
         """By the extended Euclid against the modulus; pow(a, -1, p) for d = 1."""

@@ -51,7 +51,6 @@ from .errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 from .fieldcore import (
     FieldCtx,
     FieldElem,
-    _rrem_elem,
     build_field_ctx,
     embed_element,
     linearized_gcd_deg,
@@ -231,10 +230,11 @@ def splitting_exponent(f: QuadFunc) -> int:
 
 def _block_matrix(f: QuadFunc) -> np.ndarray:
     """M for n > 1, block (j, i) the mult_mat of the T^j coefficient of
-    r_i = T^(n+i) mod L, on the 2*alpha x n coordinate array of r_i: T
-    shifts the rows up, each times F^T (F the Frobenius matrix), and q L,
-    q = lead(T r_i)/lead(L), is q times the stack of L X_k^T, with X the
-    stack of mult_mat(x^k), k < n.  The blocks are one tensordot with X."""
+    r_i = T^(n+i) mod L.  On the 2*alpha x n coordinate array of T^k mod L,
+    from T^0 = 1, each step T r - q L shifts the rows up, each times F^T
+    (F the Frobenius matrix), and q L, q = lead(T r)/lead(L), is q times
+    the stack of L X_k^T, with X the stack of mult_mat(x^k), k < n.  The
+    blocks are one tensordot with X."""
     ctx, n, p = f.ctx, f.n, f.p
     L = radical_poly(f).coeffs
     dim = len(L) - 1
@@ -244,18 +244,14 @@ def _block_matrix(f: QuadFunc) -> np.ndarray:
     low = np.array([c.coeffs for c in L[:-1]], dtype=dtype).reshape(dim, n)
     qL = (low @ X.transpose(0, 2, 1) % p).reshape(n, dim * n)
     lead_inv = np.array(ctx.mult_mat(L[-1].inverse()).T, dtype=dtype)
-    r = np.zeros((dim, n), dtype=dtype)
-    rem = _rrem_elem(ctx, [ctx.zero()] * n + [ctx.one()], list(L))
-    if rem:
-        r[: len(rem)] = [c.coeffs for c in rem]
-    cols = np.zeros((dim, dim, n), dtype=dtype)
-    for i in range(dim):
-        cols[i] = r
-        s = r @ F % p
+    r = np.zeros((n + dim, dim, n), dtype=dtype)  # r[k] = T^k mod L
+    r[0, :1, :1] = 1
+    for k in range(1, n + dim if dim else 0):  # alpha = 0 takes no step
+        s = r[k - 1] @ F % p
         q = s[-1] @ lead_inv % p
-        r[0], r[1:] = 0, s[:-1]
-        r = (r - (q @ qL).reshape(dim, n)) % p
-    blocks = np.tensordot(cols, X, axes=([2], [0])) % p  # blocks[i, j] is block (j, i)
+        r[k, 1:] = s[:-1]
+        r[k] = (r[k] - (q @ qL).reshape(dim, n)) % p
+    blocks = np.tensordot(r[n:], X, axes=([2], [0])) % p  # blocks[i, j] is block (j, i)
     return blocks.transpose(1, 2, 0, 3).reshape(dim * n, dim * n)
 
 

@@ -93,6 +93,21 @@ def test_profile_past_old_search_ceiling():
     assert "s = 6562" in out
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["profile", "--p", "9223372036854775837", "--coeffs", "9223372036854775836,1"],
+         ["s = 9223372036854775837", "factors: (1,1,2)", "pairs: (1,1) (9223372036854775837,2)"]),
+        (["eval", "--p", "9223372036854775837", "--coeffs", "3,9223372036854775835,1", "--m", "2"], ["value = -g^2"]),
+        (["eval", "--p", "9223372036854775837", "--n", "2", "--coeffs", "1,0;1,1", "--m", "2"], ["value = -g^3*p"]),
+    ],
+)
+def test_coefficients_past_two_to_the_63(argv, want):
+    # p = 2^63 + 29: a residue >= 2^63 once made a float64 array
+    code, out = run(argv)
+    assert code == 0 and all(w in out for w in want), out
+
+
 def test_profile_json_roundtrip():
     code, out = run(["profile", "--p", "5", "--coeffs", "1,2,3,4,1", "--format", "json"])
     doc = json.loads(out)

@@ -173,13 +173,42 @@ def test_newton_power_traces_match_conjugate_sums(p, d):
     assert ctx.trace_form()[0].tolist() == list(ctx.basis_traces())
 
 
+@pytest.mark.parametrize(
+    "p,d,modulus",
+    [(3, 2, None), (7, 3, None), (3, 27, None), (2**61 - 1, 3, None), (2**63 + 29, 2, (2**63 + 27, 0, 1))],
+)
+def test_products_powers_and_mult_mat_match_numpy_euclid(p, d, modulus, rng):
+    ctx = build_field_ctx(p, d, modulus)
+    m = polyref.make(ctx.modulus, p)
+
+    def coords(r):
+        return tuple(r.tolist()) + (0,) * (d - len(r))
+
+    for _ in range(4):
+        a, b = (ctx.elem([rng.randrange(p) for _ in range(d)]) for _ in range(2))
+        ra, rb = polyref.make(a.coeffs, p), polyref.make(b.coeffs, p)
+        want = coords(polyref.rem(polyref.mul(ra, rb, p), m, p))
+        assert (a * b).coeffs == want
+        col = np.array(b.coeffs, dtype=pp.exact_dtype(p, d))
+        assert tuple(int(c) for c in ctx.mult_mat(a) @ col % p) == want
+        # an exponent past the order: a^e = a^(e mod (p^d - 1)) for a != 0
+        e = rng.randrange(2 * ctx.order)
+        acc, sq = polyref.make([1], p), ra
+        for bit in reversed(bin(e)[2:]):
+            acc = polyref.rem(polyref.mul(acc, sq, p), m, p) if bit == "1" else acc
+            sq = polyref.rem(polyref.mul(sq, sq, p), m, p)
+        assert (a**e).coeffs == (coords(acc) if a else ctx.elem(int(e == 0)).coeffs)
+
+
 # The invariant checks below run on fresh (uncached) contexts, so a corrupted
 # table never reaches the shared ones.
 
 
 def test_scalar_trace_escape_raises(monkeypatch):
+    # modulo the reducible stand-in (x + 1)(x^2 + 1), the conjugate sums
+    # leave GF(p)
     ctx = FieldCtx(3, 3)
-    monkeypatch.setitem(ctx._cache, "red_tuples", [(1, 1, 1), (0, 1, 0)])
+    monkeypatch.setattr(ctx, "modulus", (1, 1, 1, 1))
     with pytest.raises(InternalInconsistency, match="escaped"):
         ctx.gen().trace()
 

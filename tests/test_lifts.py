@@ -369,7 +369,7 @@ def test_shift_matches_brute_random(rng):
     assert zeros > 0
 
 
-@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1, 2**63 + 29])
 def test_shift_exact_at_large_prime(p, rng):
     # f = x^2 + x^(p+1) has a one-dimensional radical over GF(p^2), so the
     # radical map L has rank 1: b^p in the image of L gives the phase

@@ -381,6 +381,21 @@ def test_profile_answers_without_the_divisor_walk(monkeypatch):
         prof.entry_dict
 
 
+def test_profiles_past_two_to_the_63():
+    # numpy makes float64 of a coefficient sequence holding a residue >= 2^63;
+    # the Frobenius matrix, Rabin's test and the orders convert exactly
+    p = 2**63 + 29
+    assert pp.is_irreducible((p - 2, 0, 1), p)
+    assert pp.frobenius_matrix((p - 2, 0, 1), p).tolist() == [[1, 0], [0, p - 1]]
+    assert pp.order((p - 1, 1), p) == ()
+    funcs = [QuadFunc.from_dense(p, c) for c in ([p - 1, 1], [p - 2, 1], [3, p - 2, 1])]
+    funcs.append(QuadFunc.from_dense(p, [[1, 0], [1, 1]], n=2))
+    for f in funcs:
+        prof = nullity_profile(f)
+        for m in range(f.n, 5, f.n):
+            assert prof.nullity(m) == matrix_kernel_nullity(f, m), (f, m)
+
+
 def _blockwise_action(f):
     # the definition: block (j, i) is mult_mat of the T^j coefficient of
     # T^(n+i) mod L, one fresh right remainder per column
@@ -413,19 +428,22 @@ def test_extension_base_action_matches_blockwise_remainders(rng):
 
 
 def test_action_builds_without_remainders_at_prime_base(monkeypatch):
-    # n = 1 reads the companion matrix off ell; n > 1 takes one remainder
+    # n = 1 reads the companion matrix off ell; n > 1 reaches T^n mod L by
+    # its own column steps from T^0, so neither takes a skew remainder
+    assert not hasattr(nullity, "_rrem_elem")
     calls = []
-    real = nullity._rrem_elem
-    monkeypatch.setattr(nullity, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
+    real = fieldcore._rrem_elem
+    monkeypatch.setattr(fieldcore, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
     monkeypatch.setattr(fieldcore.FieldCtx, "mult_mat", lambda self, c: calls.append("mult_mat"))
     nullity._Action(F5_RUNNING)
     nullity._Action(QuadFunc.from_dense(3, [1]))  # alpha = 0: a 0 x 0 action
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(nullity, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
+    monkeypatch.setattr(fieldcore, "_rrem_elem", lambda *a: calls.append("rrem") or real(*a))
     ctx = build_field_ctx(5, 2)
     nullity._Action(QuadFunc.from_terms(ctx, [(ctx.gen(), 0), (ctx.elem(2), 3)]))
-    assert calls == ["rrem"]
+    nullity._Action(QuadFunc.from_terms(ctx, [(ctx.gen(), 0)]))  # alpha = 0: no column step
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,n,alpha", [(7, 1, 2), (2**61 - 1, 1, 2), (5, 2, 2), (2**61 - 1, 2, 1)])

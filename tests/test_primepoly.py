@@ -199,6 +199,24 @@ def test_rem_and_gcd_degree_match_numpy_euclid(p, rng):
     assert _gcd_degree([], [], p) == -1
 
 
+@pytest.mark.parametrize("p", [3, 7, 2**61 - 1, 2**63 + 29])
+def test_mulmod_and_powmod_match_numpy_euclid(p, rng):
+    # a non-monic m: each lazy step scales its leading coefficient by
+    # 1/lead(m); inputs longer than deg m reduce too
+    for d in (1, 2, 5):
+        m = [rng.randrange(p) for _ in range(d)] + [rng.randrange(2, p)]
+        ref_m = polyref.make(m, p)
+        for _ in range(6):
+            a, b = ([rng.randrange(p) for _ in range(rng.randrange(2 * d + 2))] for _ in range(2))
+            want = polyref.rem(polyref.mul(polyref.make(a, p), polyref.make(b, p), p), ref_m, p).tolist()
+            got = pp.mulmod(a, b, m, p)
+            assert len(got) == d and pp.trim(got) == want, (a, b, m)
+            power = polyref.make([1], p)
+            for e in range(12):
+                assert pp.powmod(a, e, m, p) == polyref.rem(power, ref_m, p).tolist(), (a, e, m)
+                power = polyref.mul(power, polyref.make(a, p), p)
+
+
 @pytest.mark.parametrize("p,d", [(3, 2), (5, 7), (7, 7), (11, 4), (3, 40), (41, 34), (101, 3)])
 def test_frobenius_matrix_matches_companion_powers(p, d, rng):
     # row u of Q against row 0 of X^(p*u), one product at a time

@@ -1,9 +1,13 @@
 """Gaussian elimination mod p on numpy matrices of residues: the one
 elimination over GF(p), behind kernels, solutions and determinants.
 
-Each elimination step forms products of two residues, so the matrices are
-int64 while (p-1)^2 < 2^63 and Python ints (``dtype=object``) beyond that
-(``_primepoly.exact_dtype(p, 1)``); the results are exact for every p."""
+Each pivot clears its column by one in-place rank-1 update of the whole
+matrix, R <- (R - c r) mod p, with r the pivot row (scaled to pivot 1) and
+c the pivot column with its own row's entry set to 0, so the pivot row is
+unchanged.  Before the reduction the entries of R - c r lie in
+[-(p-1)^2, p-1], so the matrices are int64 while (p-1)^2 < 2^63 and Python
+ints (``dtype=object``) beyond that (``_primepoly.exact_dtype(p, 1)``); the
+results are exact for every p."""
 
 from __future__ import annotations
 
@@ -34,10 +38,10 @@ def row_echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
             scale = -scale
         scale = scale * int(R[r, c]) % p
         R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        mask = np.nonzero(R[:, c])[0]
-        mask = mask[mask != r]
-        if len(mask):
-            R[mask] = (R[mask] - np.outer(R[mask, c], R[r])) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R -= col[:, None] * R[r]
+        R %= p
         pivots.append(c)
         r += 1
     return R, pivots, scale

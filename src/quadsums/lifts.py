@@ -128,13 +128,17 @@ def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
     ctx = ctx_base or f.ctx
     if ctx.p != f.p or ctx.d % f.n:
         raise InvalidInput("twist base must contain the coefficient field")
-    beta = smallest_nonsquare(ctx)
-    return twist_with(f, ctx, beta)
+    return _twisted(f, ctx, smallest_nonsquare(ctx))
 
 
 def twist_with(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
+    """The twist by a caller's beta, which must be a nonsquare of ctx."""
     if elem_quadratic_character(beta) != -1:
         raise InvalidInput("beta must be a nonsquare")
+    return _twisted(f, ctx, beta)
+
+
+def _twisted(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
     return QuadFunc.from_terms(ctx, [(c * beta ** ((f.p**a + 1) // 2), a) for c, a in f.terms_in(ctx)])
 
 

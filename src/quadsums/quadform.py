@@ -80,10 +80,15 @@ def legendre(a: int, p: int) -> int:
 
 def elem_quadratic_character(a: FieldElem) -> int:
     """Quadratic character of GF(p^d): a^((q-1)/2) = Norm(a)^((p-1)/2), and
-    Norm(a) = det M_a, so it is legendre(det M_a)."""
+    Norm(a) = det M_a, so it is legendre(det M_a).  An element c of GF(p)
+    needs no determinant: Norm(c) = c^d, so its character is legendre(c)^d,
+    -1 only for a nonsquare of GF(p) at odd d."""
     if a.is_zero():
         return 0
-    t = legendre(_linalg.det(a.ctx.mult_mat(a), a.ctx.p), a.ctx.p)
+    p = a.ctx.p
+    if not any(a.coeffs[1:]):
+        return legendre(a.coeffs[0], p) ** a.ctx.d
+    t = legendre(_linalg.det(a.ctx.mult_mat(a), p), p)
     if t == 0:
         raise InternalInconsistency("nonzero element of norm zero")
     return t

@@ -13,6 +13,7 @@ from quadsums import (
     linearized_gcd_deg,
 )
 from tests import polyref
+from tests.linref import P_PAST_INT64
 from quadsums import _primepoly as pp
 from quadsums.fieldcore import _default_modulus, _find_root
 from quadsums.errors import (
@@ -67,9 +68,6 @@ def test_ctx_validation():
         build_field_ctx(3, 2, (1, 1))  # not degree 2
     with pytest.raises(InvalidInput):
         build_field_ctx(3, 1, (1, 1))  # prime field takes no modulus
-
-
-P_PAST_INT64 = 9223372036854775837  # prime, past 2^63, = 5 (mod 8)
 
 
 def test_field_past_int64_builds():

@@ -33,6 +33,7 @@ from quadsums import (
     type_direct,
     valuation,
 )
+from quadsums import lifts, quadform
 from quadsums.errors import (
     ConditionViolated,
     InternalInconsistency,
@@ -150,6 +151,24 @@ def test_double_twist_is_scaling_substitution(rng):
         tt = twist(twist(f))
         expected = [(c * beta ** (f.p**a + 1), a) for c, a in f.terms]
         assert list(tt.terms) == expected
+
+
+def test_twist_takes_no_character_of_the_cached_nonsquare(monkeypatch):
+    # once the context holds its nonsquare, twist tests no element again;
+    # twist_with still tests the caller's beta
+    ctx = build_field_ctx(5, 2)
+    f = QuadFunc.from_terms(ctx, [(ctx.from_encoding(7), 0), (ctx.one(), 1)])
+    beta = smallest_nonsquare(ctx)
+    calls = []
+    character = quadform.elem_quadratic_character
+    for module in (quadform, lifts):
+        monkeypatch.setattr(module, "elem_quadratic_character", lambda a: calls.append(a) or character(a))
+    ft = twist(f)
+    assert calls == []
+    assert twist_with(f, ctx, beta) == ft and calls == [beta]
+    for y in (ctx.one(), ctx.from_encoding(7)):
+        with pytest.raises(InvalidInput, match="nonsquare"):
+            twist_with(f, ctx, y * y)
 
 
 def test_lift_two_examples():

@@ -33,6 +33,7 @@ from quadsums.quadform import (
     elem_quadratic_character,
 )
 from tests.conftest import random_quadfunc
+from tests.linref import P_PAST_INT64, gauss_jordan, leibniz_det
 
 
 def test_legendre_examples():
@@ -177,7 +178,6 @@ def test_type_direct_cross_check_against_gcd(rng):
 
 
 LARGE_PRIMES = (2**31 - 1, 4294967311, 2**61 - 1)
-P_PAST_INT64 = 9223372036854775837
 
 
 def _symmetrized_oracle(f, ctx):
@@ -305,6 +305,36 @@ def test_type_direct_exact_at_large_prime():
         det = (a * c - b * b) % p
         assert det and legendre(det, p) == t
         assert type_direct(f, 2) == (t, 0)
+
+
+def test_diagonalize_past_int64_matches_reference_elimination(rng):
+    # B = C^T D C has rank at most k; the rank is the pivot count of the
+    # pure-Python elimination and the type legendre of the Leibniz
+    # determinant of B[P, P], P its pivot columns
+    p = P_PAST_INT64
+    for _ in range(40):
+        N = rng.randint(1, 5)
+        k = rng.randint(0, N)
+        C = [[rng.randrange(p) for _ in range(N)] for _ in range(k)]
+        D = [rng.randrange(p) for _ in range(k)]
+        B = [[sum(C[t][i] * D[t] * C[t][j] for t in range(k)) % p for j in range(N)] for i in range(N)]
+        _, P, _ = gauss_jordan(B, p)
+        dg = diagonalize(np.array(B, dtype=object), p)
+        assert (dg.rank, dg.nullity) == (len(P), N - len(P)), B
+        assert dg.type_ == legendre(leibniz_det([[B[i][j] for j in P] for i in P], p), p), B
+
+
+def test_type_direct_at_degree_one_past_int64(rng):
+    # on GF(p), x^(p^a + 1) = x^2, so f(x) = (sum a_i) x^2: rank 1 and type
+    # legendre(sum a_i), or nullity 1 when the sum vanishes.  The enumeration
+    # oracle cannot follow here: it stops at p^N = 2*10^7 (DEFAULT_CAP).
+    p = P_PAST_INT64
+    ctx = build_field_ctx(p, 1)
+    fs = [random_quadfunc(rng, p) for _ in range(20)]
+    fs += [QuadFunc.from_terms(ctx, [(3, 0), (p - 1, 1), (p - 2, 2)]), QuadFunc.from_dense(p, [5, 0, p - 5])]
+    for f in fs:
+        total = sum(c.coeffs[0] for c, _ in f.terms) % p
+        assert type_direct(f, 1) == ((legendre(total, p), 0) if total else (1, 1)), f
 
 
 def test_matrix_kernel_nullity_exact_at_large_primes(rng):
@@ -509,6 +539,16 @@ def test_elem_quadratic_character_is_euler(field, coords):
     r = a ** ((ctx.order - 1) // 2)
     assert r in (ctx.one(), -ctx.one())
     assert elem_quadratic_character(a) == (1 if r == ctx.one() else -1)
+
+
+@pytest.mark.parametrize("p, d", [(p, d) for p in (3, 5, 7) for d in (1, 2, 3, 4)] + [(P_PAST_INT64, 3)])
+def test_elem_quadratic_character_of_prime_field_elements(p, d, rng):
+    # c in GF(p)* has Norm(c) = c^d: the closed form against Euler's criterion
+    ctx = build_field_ctx(p, d)
+    cs = range(1, p) if p < 10 else [1, 2, 3, 5, p - 1] + [rng.randrange(1, p) for _ in range(5)]
+    for c in cs:
+        a = ctx.elem(c)
+        assert elem_quadratic_character(a) == (1 if a ** ((ctx.order - 1) // 2) == ctx.one() else -1), (p, d, c)
 
 
 def test_zero_norm_of_nonzero_element_raises(monkeypatch):

@@ -9,9 +9,15 @@ ordered purely so provenance is reproducible; results are order
 independent.
 
 One loop runs the plan's steps; each step yields an ExpSumValue that
-records its own provenance entry.  Every nullity comes from the one
-closed-form profile of f.  The diagonalizations at the direct base and of
-the twist are checked against it: l_base(f) = profile.nullity(base), and
+records its own provenance entry.  The direct step and the two-power
+step's twist diagonalize at N = n p^c on ``fieldcore.direct_field(f.ctx,
+N)``: f's own field at c = 0, so a user-supplied modulus builds no default
+GF(p^n), and above it an Artin-Schreier tower over f's field, so no
+modulus search and no root split runs.  Their type and nullity depend on
+no modulus, embedding root or nonsquare (see :mod:`quadsums.fieldcore`).
+Every nullity comes from the one closed-form profile of f.  The
+diagonalizations at the direct base and of the twist are checked against
+it: l_base(f) = profile.nullity(base), and
 l_N(f~) = l_2N(f) - l_N(f) for the twist at base N (proved in
 :func:`quadsums.lifts.twist`); the value the route reaches must have
 (N, l) = (N, profile.nullity(N)).
@@ -25,7 +31,7 @@ from math import inf
 from ._numtheory import factor as _factor
 from .cyclotomic import CyclotomicInt, ExpSumValue
 from .errors import InternalInconsistency, InvalidInput, Unsupported
-from .fieldcore import build_field_ctx
+from .fieldcore import direct_field
 from .lifts import (
     lift_odd_prime,
     lift_p,
@@ -121,7 +127,7 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
                 v = replace(v, provenance=v.provenance + ({"step": "composition_cross_check", "t": composed.t},))
         elif kind == "direct":
             base = step[1]
-            t, l = type_direct(f, base // f.n)
+            t, l = type_direct(f, base // f.n, ctx=direct_field(f.ctx, base))
             l_profile = profile.nullity(base)
             if l != l_profile:
                 raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
@@ -129,8 +135,8 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
         elif kind == "p_power_lift":
             v = lift_p(v, f, step[1])
         elif kind == "two_power_lift":
-            ft = twist(f, f.ctx if v.N == f.n else build_field_ctx(p, v.N))
-            tt, lt_diag = type_direct(ft, 1)
+            ft = twist(f, direct_field(f.ctx, v.N))
+            tt, lt_diag = type_direct(ft, 1, ctx=ft.ctx)
             lt_profile = profile.nullity(2 * v.N) - profile.nullity(v.N)
             if lt_diag != lt_profile:
                 raise InternalInconsistency(

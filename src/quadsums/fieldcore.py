@@ -50,6 +50,35 @@ there, and x -> b carries the n conjugates of that root into GF(p^N).
 The sorted root set, and so the default embedding (the smallest-encoding
 root), depends neither on the root found nor on b.
 
+Direct bases.  ``direct_field(base, N)`` builds GF(p^N), N = n p^c over
+base = GF(p^n), as an Artin-Schreier tower, with no modulus search and no
+root split; it returns base itself at c = 0.  From K_0 = base it adjoins
+y_(i+1) with y^p - y - a_i, a_i = x_0^j y_1^(p-1) ... y_i^(p-1), x_0 the
+generator of base (1 when n = 1).  K_i[y]/(y^p - y - a) is a field exactly
+when Tr_(K_i/GF(p))(a) != 0 (Lidl and Niederreiter, Thm 3.78; De Feo and
+Schost, J. Symbolic Comput. 47, 2012).  The conjugates of y over K_(i-1)
+are y + t, t in GF(p), and the sum of (y + t)^(p-1) over t is -1, so
+Tr(a_i) = (-1)^i Tr_(K_0)(x_0^j): one j < n, the first with
+Tr_(K_0)(x_0^j) != 0, serves every level, and one exists since the trace
+is a nonzero linear form on the span of the x_0^j.  The generators'
+multiplication matrices on the basis x_0^j y_1^(e_1) ... y_c^(e_c) are
+Kronecker products.  theta = b + y_1 + ... + y_c, b in base by code from
+x_0 (x_0 first), until theta has degree N.  Some b qualifies: the maximal
+subfield of degree N/p is K_(c-1), which holds no theta, and a maximal
+subfield of degree N/r, r | n prime, r != p, holds theta for at most one
+coset of b modulo its intersection with base, of order p^(n/r); at n = 1
+the first theta, 1 + y_1 + ... + y_c, qualifies.  The Krylov sequence of
+1 under theta gives its minimal polynomial mu, the modulus of the field
+built (Rabin's test stays in the constructor), and one solve gives x_0 in
+the power basis of theta.  The images of x_0's n conjugates, each checked
+to be a root of base.modulus and sorted by encoding, fill the
+``embedding_roots`` cache.  The type and nullity of Tr_N(f) depend on
+none of these choices: a change of modulus or of root is a GF(p)-linear
+change of coordinates, and two embeddings differ by z -> z^(p^j), which
+keeps Tr_N; a twist by beta delta^2 instead of beta is f~(delta x).  So
+the evaluator reads these fields, and every field a user sees keeps the
+default modulus.
+
 Products, powers and inverses.  Each is one call into the GF(p)[x]
 arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
 one ``mulmod`` (O(d^2), reduced lazily), a^e one ``powmod`` after e is
@@ -541,6 +570,71 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
         mats[key] = np.array([(root**i).coeffs for i in range(src.d)], dtype=pp.exact_dtype(dst.p, src.d))
     out = np.array(x.coeffs, dtype=mats[key].dtype) @ mats[key] % dst.p
     return FieldElem(dst, tuple(int(c) for c in out))
+
+
+# -- direct bases on Artin-Schreier towers -------------------------------------
+
+
+def direct_field(base: FieldCtx, N: int) -> FieldCtx:
+    """GF(p^N) for N = n p^c over base = GF(p^n): base itself at c = 0, else
+    the top of the Artin-Schreier tower over base with the roots of
+    base.modulus cached for ``embedding_roots`` (see the module docstring).
+    Cached per (base, N); InvalidInput unless N / n is a power of p."""
+    n, p = base.d, base.p
+    if N == n:
+        return base
+    k, c = N // n, 0
+    while k > 1 and k % p == 0:
+        k, c = k // p, c + 1
+    if N % n or k != 1:
+        raise InvalidInput(f"{N} is not {n} times a positive power of {p}")
+    return _direct_cached(p, n, base.modulus, c)
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
+    base = build_field_ctx(p, n, modulus)
+    N = n * p**c
+    dtype = pp.exact_dtype(p, N)
+    # K_(i+1) = K_i[y]/(y^p - y - a_i) on coordinate blocks v_0..v_(p-1) of
+    # K_i, v_e the coefficient of y^e: y v = (a_i v_(p-1), v_0 + v_(p-1),
+    # v_1, ..., v_(p-2)), and y^(p-1) v = (a_i v_1, v_1 + a_i v_2, ...,
+    # v_(p-2) + a_i v_(p-1), v_(p-1) + v_0) gives a_(i+1) = a_i y^(p-1).
+    shift, up, wrap = np.eye(p, k=-1, dtype=dtype), np.eye(p, k=1, dtype=dtype), np.eye(p, dtype=dtype)
+    shift[1, p - 1] = 1
+    wrap[0, 0], wrap[p - 1, 0] = 0, 1
+    last = np.zeros((p, p), dtype=dtype)
+    last[0, p - 1] = 1
+    j = next(u for u in range(n) if base.trace_form()[0, u])
+    A = np.array(base.mult_mat(base.gen() ** j), dtype=dtype)  # a_0 = x_0^j
+    Y = np.zeros((n, n), dtype=dtype)  # y_1 + ... + y_i on K_i
+    for _ in range(c):
+        Y = np.kron(np.eye(p, dtype=dtype), Y) + np.kron(shift, np.eye(len(A), dtype=dtype)) + np.kron(last, A)
+        A = (np.kron(wrap, A) + np.kron(up, A @ A % p)) % p
+    lift = np.eye(p**c, dtype=dtype)
+    for code in range(base.gen().encoding, base.order):  # theta = b + y_1 + ... + y_c
+        T = (np.kron(lift, base.mult_mat(base.from_encoding(code))) + Y) % p
+        K = np.zeros((N, N + 1), dtype=dtype)
+        K[0, 0] = 1
+        for i in range(N):
+            K[:, i + 1] = T @ K[:, i] % p
+        mu = _linalg.krylov_mu(K, p)
+        if len(mu) == N + 1:
+            break
+    else:
+        raise InternalInconsistency(f"no theta generates the tower of degree {N} over GF({p}^{n})")
+    dst = build_field_ctx(p, N, mu)
+    if n > 1:
+        x0 = _linalg.solve(K[:, :N], np.eye(1, N, 1, dtype=dtype)[0], p)
+        if x0 is None:
+            raise InternalInconsistency("the powers of theta span no basis")
+        r = dst.elem(x0.tolist())
+        roots = {embed_element(base, dst, base.gen().frobenius(k), root=r) for k in range(n)}
+        g = Poly.from_ints(dst, base.modulus)
+        if len(roots) != n or any(not g(root).is_zero() for root in roots):
+            raise InternalInconsistency("the tower's conjugates of x_0 are not the roots of the base modulus")
+        dst._cache.setdefault("roots", {})[base.key] = tuple(sorted(roots, key=lambda e: e.encoding))
+    return dst
 
 
 # -- generic dense polynomials over one context --------------------------------

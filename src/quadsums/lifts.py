@@ -110,8 +110,13 @@ def lift_odd_prime(v: ExpSumValue, q: int, s: int, l_target: int) -> ExpSumValue
 
 def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
     """Companion function for the two-power lift: coefficients scaled by
-    beta^((p^alpha_i + 1)/2) for the smallest-encoding nonsquare beta of the
-    base field (or of ctx_base when lifting from a larger base).
+    beta^((p^alpha_i + 1)/2) for a nonsquare beta of the base field (f's own
+    field, or ctx_base when lifting from a larger base).  beta is the
+    smallest-encoding nonsquare of f's field, embedded, when the base has
+    odd degree k over it: its norm down is beta^k, so its character there
+    is (-1)^k = -1.  Otherwise it is the base's smallest-encoding nonsquare.
+    The twist's type and nullity do not depend on beta: beta delta^2 gives
+    f~(delta x).
 
     Nullity of the twist: with N the degree of the base, l_N(f~) =
     l_2N(f) - l_N(f).  Proof: take gamma in GF(p^2N) with gamma^2 = beta.
@@ -128,6 +133,8 @@ def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
     ctx = ctx_base or f.ctx
     if ctx.p != f.p or ctx.d % f.n:
         raise InvalidInput("twist base must contain the coefficient field")
+    if ctx.d // f.n % 2:
+        return _twisted(f, ctx, embed_element(f.ctx, ctx, smallest_nonsquare(f.ctx)))
     return _twisted(f, ctx, smallest_nonsquare(ctx))
 
 

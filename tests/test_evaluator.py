@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from quadsums import (
     verify,
 )
 from quadsums import evaluator
+from quadsums.fieldcore import direct_field
 from quadsums.errors import ConditionViolated, InvalidInput, TooLarge, Unsupported
 from quadsums.lifts import lift_p
 from tests.conftest import random_quadfunc
@@ -259,7 +261,7 @@ def test_direct_nullity_check_raises(monkeypatch):
     from quadsums.errors import InternalInconsistency
 
     real = evaluator.type_direct
-    monkeypatch.setattr(evaluator, "type_direct", lambda g, m: (real(g, m)[0], real(g, m)[1] + 1))
+    monkeypatch.setattr(evaluator, "type_direct", lambda g, m, ctx: (real(g, m, ctx)[0], real(g, m, ctx)[1] + 1))
     with pytest.raises(InternalInconsistency, match="diagonalization nullity 1 != profile nullity 0 at N=1"):
         evaluate(F5_RUNNING, 13)
 
@@ -270,8 +272,8 @@ def test_twist_nullity_check_raises(monkeypatch):
 
     real = evaluator.type_direct
 
-    def corrupt_twist(g, m):
-        t, l = real(g, m)
+    def corrupt_twist(g, m, ctx):
+        t, l = real(g, m, ctx)
         return (t, l) if g is F5_RUNNING else (t, l + 1)
 
     monkeypatch.setattr(evaluator, "type_direct", corrupt_twist)
@@ -288,7 +290,7 @@ def test_monomial_route_builds_no_field(monkeypatch):
     def no_build(*args):
         raise AssertionError(f"built GF({args[0]}^{args[1]})")
 
-    monkeypatch.setattr("quadsums.evaluator.build_field_ctx", no_build)
+    monkeypatch.setattr("quadsums.evaluator.direct_field", lambda base, N: no_build(base.p, N))
     # case iii with a = 1: l = gcd(2, N) = 2 and t = -(-1)^((N - 2)/2) = +1
     for m in (3000, 10**18):
         v = evaluate(f3, m)
@@ -315,3 +317,24 @@ def test_verify_checks_enumeration_budget_before_evaluating(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(InvalidInput):
         verify(f, 0)
+
+
+# Every (p, n, c) with p in {3, 5, 7}, n <= 3, c >= 1 and n * p^c <= 81.
+TOWER_GRID = [(p, n, c) for p in (3, 5, 7) for n in (1, 2, 3) for c in range(1, 5) if n * p**c <= 81]
+
+
+@pytest.mark.parametrize("p,n,c", TOWER_GRID)
+def test_tower_base_types_match_the_default_field(p, n, c):
+    # the type and nullity of Tr_N(f) depend on no modulus or embedding
+    # root; where GF(p^N) is small enough to enumerate, verify compares an
+    # f whose route is the direct step at N with the oracle's default field
+    rng = random.Random(f"tower:{p}:{n}:{c}")
+    ctx, N = build_field_ctx(p, n), n * p**c
+    for _ in range(2):
+        coeffs = [ctx.from_encoding(rng.randrange(ctx.order)) for _ in range(4)]
+        coeffs[1] = coeffs[3] = ctx.from_encoding(rng.randrange(1, ctx.order))  # alpha = 1 is prime to p
+        f = QuadFunc.from_terms(ctx, [(a, i) for i, a in enumerate(coeffs)])
+        assert type_direct(f, p**c, ctx=direct_field(ctx, N)) == type_direct(f, p**c)
+        if p**N <= 10**6:
+            assert plan(f, p**c).steps == (("direct", N),)
+            assert verify(f, p**c).equal

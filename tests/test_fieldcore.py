@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,19 @@ from quadsums import (
     FieldCtx,
     FieldElem,
     Poly,
+    QuadFunc,
     build_field_ctx,
     embed_element,
     embedding_roots,
+    evaluate,
     linearized_gcd_deg,
 )
 from tests import polyref
 from tests.linref import P_PAST_INT64
+from tests.test_primepoly import _rabin_ref
 from quadsums import _primepoly as pp
-from quadsums.fieldcore import _default_modulus, _find_root
+from quadsums import fieldcore
+from quadsums.fieldcore import _default_modulus, _find_root, direct_field
 from quadsums.errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -521,3 +527,62 @@ def test_element_textual_format():
     x = ctx.parse_elem("1,2")
     assert str(x) == "1,2"
     assert x == ctx.elem((1, 2))
+
+
+# -- direct bases on Artin-Schreier towers ---------------------------------------
+
+# (p, n, N) with N = n * p^c, c >= 1
+TOWERS = [(3, 1, 3), (3, 1, 81), (3, 2, 18), (3, 3, 27), (5, 1, 25), (5, 2, 10), (5, 3, 15), (7, 2, 14), (7, 3, 21)]
+USER_GF9 = (2, 1, 1)  # x^2 + x + 2, not the default x^2 + 1
+
+
+def test_direct_field_at_the_base_degree_is_the_base():
+    for ctx in (build_field_ctx(5, 1), build_field_ctx(3, 3), build_field_ctx(3, 2, USER_GF9)):
+        assert direct_field(ctx, ctx.d) is ctx
+
+
+def test_evaluate_on_a_user_modulus_builds_no_default_base(monkeypatch):
+    # the direct step at N = n and the twist base n read f.ctx itself, and
+    # the tower at N = 6 grows from it
+    ctx = build_field_ctx(3, 2, USER_GF9)
+    f = QuadFunc.from_terms(ctx, [(ctx.from_encoding(5), 0), (ctx.one(), 1)])
+    requested = []
+    cached = fieldcore._ctx_cached
+    monkeypatch.setattr(fieldcore, "_ctx_cached", lambda p, d, modulus: requested.append((p, d, modulus)) or cached(p, d, modulus))
+    for m in (1, 2, 3, 6):
+        assert evaluate(f, m).N == 2 * m
+    assert (3, 2, None) not in requested
+    assert all(modulus is not None for p, d, modulus in requested if d > 1)
+
+
+@pytest.mark.parametrize("p,n,N", TOWERS)
+def test_direct_field_modulus_is_irreducible_of_degree_N(p, n, N):
+    dst = direct_field(build_field_ctx(p, n), N)
+    assert dst.d == N and len(dst.modulus) == N + 1 and dst.modulus[-1] == 1
+    assert _rabin_ref(np.array(dst.modulus, dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p,n,N,modulus", [t + (None,) for t in TOWERS if t[1] > 1] + [(3, 2, 6, USER_GF9)])
+def test_direct_field_caches_the_conjugates_of_a_root(p, n, N, modulus):
+    # against a root split out of the tower field by Cantor-Zassenhaus
+    src = build_field_ctx(p, n, modulus)
+    dst = direct_field(src, N)
+    roots = dst._cache["roots"][src.key]
+    r = _find_root(Poly.from_ints(dst, src.modulus))
+    assert list(roots) == sorted({r.frobenius(k) for k in range(n)}, key=lambda e: e.encoding)
+    assert embedding_roots(src, dst) is roots
+
+
+@pytest.mark.parametrize("p,n,N", [(3, 1, 6), (3, 2, 9), (3, 2, 12), (5, 1, 15), (5, 2, 1), (7, 1, 0)])
+def test_direct_field_rejects_a_degree_past_a_power_of_p(p, n, N):
+    with pytest.raises(InvalidInput, match="power of"):
+        direct_field(build_field_ctx(p, n), N)
+
+
+def test_direct_field_is_deterministic(monkeypatch):
+    # a fresh pair of caches builds every tower with the same modulus
+    first = {t: direct_field(build_field_ctx(*t[:2]), t[2]) for t in TOWERS}
+    for name in ("_ctx_cached", "_direct_cached"):
+        monkeypatch.setattr(fieldcore, name, functools.lru_cache(maxsize=None)(getattr(fieldcore, name).__wrapped__))
+    again = {t: direct_field(build_field_ctx(*t[:2]), t[2]) for t in TOWERS}
+    assert all(again[t] is not first[t] and again[t].modulus == first[t].modulus for t in TOWERS)

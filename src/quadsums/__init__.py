@@ -48,7 +48,6 @@ from .lifts import (
     monomial_eval,
     shift_linear,
     twist,
-    twist_with,
     type_balanced,
     valuation,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "smallest_nonsquare",
     "splitting_exponent",
     "twist",
-    "twist_with",
     "type_balanced",
     "type_direct",
     "verify",

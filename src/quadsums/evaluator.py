@@ -9,16 +9,19 @@ ordered purely so provenance is reproducible; results are order
 independent.
 
 One loop runs the plan's steps; each step yields an ExpSumValue that
-records its own provenance entry.  The direct step and the two-power
-step's twist diagonalize at N = n p^c on ``fieldcore.direct_field(f.ctx,
-N)``: f's own field at c = 0, so a user-supplied modulus builds no default
-GF(p^n), and above it an Artin-Schreier tower over f's field, so no
-modulus search and no root split runs.  Their type and nullity depend on
-no modulus, embedding root or nonsquare (see :mod:`quadsums.fieldcore`).
+records its own provenance entry.  The direct step diagonalizes at its
+base n p^c on ``fieldcore.direct_field(f.ctx, n p^c)``, the one field a
+route builds: f's own field at c = 0, so a user-supplied modulus builds no
+default GF(p^n), and above it an Artin-Schreier tower over f's field, so
+no modulus search and no root split runs.  The type and nullity depend on
+no modulus or embedding root (see :mod:`quadsums.fieldcore`).  The
+two-power step diagonalizes f's twist f~ on that same field and carries
+it to its N through the plan's p-power steps: f~ has f's exponents, so
+``lift_p`` applies to it within the same bound.
 Every nullity comes from the one closed-form profile of f.  The
-diagonalizations at the direct base and of the twist are checked against
-it: l_base(f) = profile.nullity(base), and
-l_N(f~) = l_2N(f) - l_N(f) for the twist at base N (proved in
+diagonalization at the direct base and the twist's lifted nullity are
+checked against it: l_base(f) = profile.nullity(base), and
+l_N(f~) = l_2N(f) - l_N(f) for the twist at N (proved in
 :func:`quadsums.lifts.twist`); the value the route reaches must have
 (N, l) = (N, profile.nullity(N)).
 """
@@ -91,12 +94,6 @@ def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
             )
         steps.append(("direct", base))
     if a:
-        twist_base = f.n * p**c
-        if twist_base > DIRECT_LIMIT:
-            raise Unsupported(
-                "twist_base_too_large",
-                f"two-power lift needs the twist type at degree {twist_base} > {DIRECT_LIMIT}",
-            )
         steps.append(("two_power_lift", a))
     for q in sorted(fac):
         steps.append(("odd_prime_lift", q, fac[q]))
@@ -127,7 +124,8 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
                 v = replace(v, provenance=v.provenance + ({"step": "composition_cross_check", "t": composed.t},))
         elif kind == "direct":
             base = step[1]
-            t, l = type_direct(f, base // f.n, ctx=direct_field(f.ctx, base))
+            ctx = direct_field(f.ctx, base)
+            t, l = type_direct(f, base // f.n, ctx=ctx)
             l_profile = profile.nullity(base)
             if l != l_profile:
                 raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
@@ -135,14 +133,15 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
         elif kind == "p_power_lift":
             v = lift_p(v, f, step[1])
         elif kind == "two_power_lift":
-            ft = twist(f, direct_field(f.ctx, v.N))
-            tt, lt_diag = type_direct(ft, 1, ctx=ft.ctx)
+            ft = twist(f)
+            tt, lt = type_direct(ft, base // f.n, ctx=ctx)
+            vt = lift_p(ExpSumValue(p, base, lt, tt), ft, valuation(v.N // base, p))
             lt_profile = profile.nullity(2 * v.N) - profile.nullity(v.N)
-            if lt_diag != lt_profile:
+            if vt.l != lt_profile:
                 raise InternalInconsistency(
-                    f"twist diagonalization nullity {lt_diag} != l_2N - l_N = {lt_profile} at N={v.N}"
+                    f"twist diagonalization nullity {vt.l} != l_2N - l_N = {lt_profile} at N={v.N}"
                 )
-            v = lift_two(v, ExpSumValue(p, v.N, lt_diag, tt), step[1], profile.nullity(2 ** step[1] * v.N))
+            v = lift_two(v, vt, step[1], profile.nullity(2 ** step[1] * v.N))
         else:
             q, e = step[1], step[2]
             v = lift_odd_prime(v, q, e, profile.nullity(q**e * v.N))

@@ -75,9 +75,9 @@ to be a root of base.modulus and sorted by encoding, fill the
 ``embedding_roots`` cache.  The type and nullity of Tr_N(f) depend on
 none of these choices: a change of modulus or of root is a GF(p)-linear
 change of coordinates, and two embeddings differ by z -> z^(p^j), which
-keeps Tr_N; a twist by beta delta^2 instead of beta is f~(delta x).  So
-the evaluator reads these fields, and every field a user sees keeps the
-default modulus.
+keeps Tr_N.  So the evaluator's direct step reads these fields (f and
+its twist, both with coefficients in base), and every field a user sees
+keeps the default modulus.
 
 Products, powers and inverses.  Each is one call into the GF(p)[x]
 arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
@@ -377,6 +377,8 @@ class FieldElem:
 
     def __truediv__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, e: int):

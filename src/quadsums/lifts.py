@@ -30,14 +30,17 @@ from .errors import (
     ZeroCoefficient,
 )
 from ._numtheory import is_prime, multiplicative_order
-from .fieldcore import FieldCtx, FieldElem, build_field_ctx, embed_element
+from .fieldcore import FieldElem, build_field_ctx, embed_element
 from .nullity import QuadFunc, radical_poly
 from . import _linalg
 from .quadform import elem_quadratic_character, legendre, smallest_nonsquare
 
 
 def valuation(x: int, q: int) -> int | float:
-    """q-adic order of x; inf for x = 0 (the distinguished marker)."""
+    """q-adic order of x; inf for x = 0 (the distinguished marker).
+    InvalidInput for q < 2, where no order exists."""
+    if q < 2:
+        raise InvalidInput(f"valuation needs a base q >= 2, got {q}")
     if x == 0:
         return inf
     v = 0
@@ -108,19 +111,18 @@ def lift_odd_prime(v: ExpSumValue, q: int, s: int, l_target: int) -> ExpSumValue
     return ExpSumValue(p, q**s * v.N, l_target, t_new, v.provenance).record("odd_prime_lift", q=q, power=s)
 
 
-def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
-    """Companion function for the two-power lift: coefficients scaled by
-    beta^((p^alpha_i + 1)/2) for a nonsquare beta of the base field (f's own
-    field, or ctx_base when lifting from a larger base).  beta is the
-    smallest-encoding nonsquare of f's field, embedded, when the base has
-    odd degree k over it: its norm down is beta^k, so its character there
-    is (-1)^k = -1.  Otherwise it is the base's smallest-encoding nonsquare.
-    The twist's type and nullity do not depend on beta: beta delta^2 gives
-    f~(delta x).
+def twist(f: QuadFunc, beta: FieldElem | None = None) -> QuadFunc:
+    """Companion function for the two-power lift over beta's field:
+    coefficients scaled by beta^((p^alpha_i + 1)/2) for a nonsquare beta,
+    by default the smallest-encoding nonsquare of f's own field; a given
+    beta is checked to be a nonsquare, and its field must contain f's.  The
+    twist has f's exponents, and its type and nullity do not depend on
+    beta: beta delta^2 gives f~(delta x).
 
-    Nullity of the twist: with N the degree of the base, l_N(f~) =
-    l_2N(f) - l_N(f).  Proof: take gamma in GF(p^2N) with gamma^2 = beta.
-    Then gamma^(p^alpha + 1) = beta^((p^alpha + 1)/2), so f~(x) = f(gamma x).
+    Nullity of the twist: for N with beta a nonsquare of GF(p^N),
+    l_N(f~) = l_2N(f) - l_N(f).  Proof: take gamma in GF(p^2N) with
+    gamma^2 = beta.  Then gamma^(p^alpha + 1) = beta^((p^alpha + 1)/2), so
+    f~(x) = f(gamma x).
     As beta is a nonsquare, sigma: z -> z^(p^N) sends gamma to -gamma, and
     GF(p^2N) = GF(p^N) + gamma GF(p^N), the +1 and -1 eigenspaces of sigma.
     The polar form of Tr_2N(f) takes z in GF(p^N) and w = gamma y to
@@ -129,24 +131,17 @@ def twist(f: QuadFunc, ctx_base: FieldCtx | None = None) -> QuadFunc:
     two summands are orthogonal, so sigma splits the radical over GF(p^2N)
     into its parts in GF(p^N) and in gamma GF(p^N).  On GF(p^N), Tr_2N(f)
     is 2 Tr_N(f); on gamma GF(p^N), x -> gamma x carries 2 Tr_N(f~) to it.
-    Scaling by 2 keeps the radical, so l_2N(f) = l_N(f) + l_N(f~)."""
-    ctx = ctx_base or f.ctx
-    if ctx.p != f.p or ctx.d % f.n:
-        raise InvalidInput("twist base must contain the coefficient field")
-    if ctx.d // f.n % 2:
-        return _twisted(f, ctx, embed_element(f.ctx, ctx, smallest_nonsquare(f.ctx)))
-    return _twisted(f, ctx, smallest_nonsquare(ctx))
-
-
-def twist_with(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
-    """The twist by a caller's beta, which must be a nonsquare of ctx."""
-    if elem_quadratic_character(beta) != -1:
+    Scaling by 2 keeps the radical, so l_2N(f) = l_N(f) + l_N(f~).  A
+    nonsquare of GF(p^n) stays one in GF(p^(n p^c)), its norm down being
+    beta^(p^c), so the default twist serves every N = n p^c; the evaluator
+    reads it there as it reads f."""
+    if beta is None:
+        beta = smallest_nonsquare(f.ctx)
+    elif beta.ctx.p != f.p or beta.ctx.d % f.n:
+        raise InvalidInput("the twist's field must contain the coefficient field")
+    elif elem_quadratic_character(beta) != -1:
         raise InvalidInput("beta must be a nonsquare")
-    return _twisted(f, ctx, beta)
-
-
-def _twisted(f: QuadFunc, ctx: FieldCtx, beta: FieldElem) -> QuadFunc:
-    return QuadFunc.from_terms(ctx, [(c * beta ** ((f.p**a + 1) // 2), a) for c, a in f.terms_in(ctx)])
+    return QuadFunc.from_terms(beta.ctx, [(c * beta ** ((f.p**a + 1) // 2), a) for c, a in f.terms_in(beta.ctx)])
 
 
 def lift_two(v: ExpSumValue, v_tilde: ExpSumValue, s: int, l_target: int) -> ExpSumValue:

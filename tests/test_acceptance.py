@@ -30,7 +30,6 @@ from quadsums import (
     radical_poly,
     shift_linear,
     twist,
-    twist_with,
     type_balanced,
     type_direct,
     verify,
@@ -248,7 +247,7 @@ def test_criterion_10_invariant_suites():
         t1, l1 = type_direct(f, 1)
         results = set()
         for beta_code in (2, 3):
-            ft = twist_with(f, f.ctx, f.ctx.elem(beta_code))
+            ft = twist(f, f.ctx.elem(beta_code))
             tt, lt = type_direct(ft, 1)
             st = lift_two(ExpSumValue(5, 1, l1, t1), ExpSumValue(5, 1, lt, tt), 1, prof.nullity(2))
             results.add(st.t)

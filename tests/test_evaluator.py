@@ -13,6 +13,7 @@ from quadsums import (
     matrix_kernel_nullity,
     nullity_profile,
     plan,
+    twist,
     type_direct,
     verify,
 )
@@ -20,6 +21,7 @@ from quadsums import evaluator
 from quadsums.fieldcore import direct_field
 from quadsums.errors import ConditionViolated, InvalidInput, TooLarge, Unsupported
 from quadsums.lifts import lift_p
+from quadsums.quadform import DEFAULT_CAP
 from tests.conftest import random_quadfunc
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -338,3 +340,66 @@ def test_tower_base_types_match_the_default_field(p, n, c):
         if p**N <= 10**6:
             assert plan(f, p**c).steps == (("direct", N),)
             assert verify(f, p**c).equal
+
+
+# Every (p, n, c) with p in {3, 5, 7}, n <= 3, c >= 0 and n * p^c <= 81.
+TWIST_GRID = [(p, n, c) for p in (3, 5, 7) for n in (1, 2, 3) for c in range(5) if n * p**c <= 81]
+
+
+@pytest.mark.parametrize("p,n,c", TWIST_GRID)
+def test_lifted_twist_matches_the_twist_at_the_top_of_the_tower(p, n, c):
+    # f~ has f's exponents, so the two-power step reads it at N = n p^c as
+    # it reads f: diagonalized at the plan's direct base and carried up by
+    # the p-power lift.  The value must be the twist's own at N, which is
+    # its diagonalization on the tower GF(p^N), and its nullity l_2N - l_N.
+    rng = random.Random(f"twist:{p}:{n}:{c}")
+    ctx, N = build_field_ctx(p, n), n * p**c
+    for _ in range(3):
+        # alpha = (0, p^c): nu_p(alpha) >= c, and alpha = 0 keeps f off the
+        # balanced route
+        f = QuadFunc.from_terms(ctx, [(ctx.from_encoding(rng.randrange(1, ctx.order)), a) for a in (0, p**c)])
+        v = evaluate(f, 2 * p**c)
+        two = next(s for s in v.provenance if s["step"] == "two_power_lift")
+        if c and n % p:
+            assert [s["step"] for s in v.provenance][:2] == ["direct_diagonalization", "p_power_lift"]
+        assert (two["twist_t"], two["twist_l"]) == type_direct(twist(f), p**c, ctx=direct_field(ctx, N))
+        prof = nullity_profile(f)
+        assert two["twist_l"] == prof.nullity(2 * N) - prof.nullity(N)
+        if p ** (2 * N) <= DEFAULT_CAP:
+            assert verify(f, 2 * p**c).equal
+
+
+def test_twist_past_the_direct_limit_is_lifted():
+    # GF(3^86) with alpha = (0, 3): f needs no direct work above n = 86,
+    # and neither does its twist, whose type at 258 > DIRECT_LIMIT comes
+    # from the p-power lift
+    ctx = build_field_ctx(3, 86)
+    f = QuadFunc.from_terms(ctx, [(ctx.one(), 0), (ctx.one(), 3)])
+    v = evaluate(f, 6)
+    assert [(s["step"], s["N"]) for s in v.provenance] == [
+        ("direct_diagonalization", 86), ("p_power_lift", 258), ("two_power_lift", 516)
+    ]
+    assert v.exact_str() == "-g^513*p^3"
+
+
+def test_one_field_per_composition_route(monkeypatch):
+    calls = []
+
+    def counting(base, N):
+        calls.append(N)
+        return direct_field(base, N)
+
+    monkeypatch.setattr(evaluator, "direct_field", counting)
+    balanced = QuadFunc.from_terms(build_field_ctx(5, 1), [(3, 1), (1, 3)])
+    cases = [
+        (F5_RUNNING, 26, [1]),  # direct, two-power, odd prime
+        (QuadFunc.from_dense(3, [1, 0, 0, 1]), 6, [1]),  # direct, p-power, two-power
+        (QuadFunc.from_dense(3, [1, 1]), 6, [3]),  # direct at n p, two-power
+        (QuadFunc.from_dense(3, [1, 2, 0, 1]), 18, [9]),  # direct at n p^2, two-power
+        (balanced, 4, [1]),  # the balanced form, cross-checked by direct and two-power
+        (QuadFunc.from_dense(3, [0, 1]), 6, []),  # monomial
+    ]
+    for f, m, expected in cases:
+        calls.clear()
+        evaluate(f, m)
+        assert calls == expected, (f, m)

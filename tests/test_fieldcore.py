@@ -1,4 +1,5 @@
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ def test_field_arith_examples():
         assert a ** (ctx.order - 1) == ctx.one()
     with pytest.raises(DivisionByZero):
         f5.elem(0).inverse()
+
+
+def test_operators_defer_on_foreign_operands():
+    # every binary operator answers NotImplemented for an operand that is
+    # neither an element nor an integer, so Python raises TypeError
+    a = build_field_ctx(3, 2).gen()
+    assert a.__truediv__(1.5) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, 1.5)
+    assert a / 2 == a * a.ctx.elem(2).inverse()
 
 
 def test_frobenius_examples():

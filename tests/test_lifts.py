@@ -28,7 +28,6 @@ from quadsums import (
     shift_linear,
     smallest_nonsquare,
     twist,
-    twist_with,
     type_balanced,
     type_direct,
     valuation,
@@ -56,6 +55,14 @@ def test_valuation_and_order():
     assert multiplicative_order(8, 7) == 1  # p = 1 mod q
     with pytest.raises(InvalidInput):
         multiplicative_order(13, 13)
+
+
+def test_valuation_rejects_bases_below_two():
+    # q = 1 divides everything, so the loop would never end
+    for q in (1, 0, -3):
+        with pytest.raises(InvalidInput, match="q >= 2"):
+            valuation(5, q)
+    assert valuation(-18, 3) == 2
 
 
 def test_gcd_plus_plus_examples():
@@ -155,7 +162,7 @@ def test_double_twist_is_scaling_substitution(rng):
 
 def test_twist_takes_no_character_of_the_cached_nonsquare(monkeypatch):
     # once the context holds its nonsquare, twist tests no element again;
-    # twist_with still tests the caller's beta
+    # a caller's beta is still tested
     ctx = build_field_ctx(5, 2)
     f = QuadFunc.from_terms(ctx, [(ctx.from_encoding(7), 0), (ctx.one(), 1)])
     beta = smallest_nonsquare(ctx)
@@ -165,10 +172,12 @@ def test_twist_takes_no_character_of_the_cached_nonsquare(monkeypatch):
         monkeypatch.setattr(module, "elem_quadratic_character", lambda a: calls.append(a) or character(a))
     ft = twist(f)
     assert calls == []
-    assert twist_with(f, ctx, beta) == ft and calls == [beta]
+    assert twist(f, beta) == ft and calls == [beta]
     for y in (ctx.one(), ctx.from_encoding(7)):
         with pytest.raises(InvalidInput, match="nonsquare"):
-            twist_with(f, ctx, y * y)
+            twist(f, y * y)
+    with pytest.raises(InvalidInput, match="coefficient field"):
+        twist(f, smallest_nonsquare(build_field_ctx(5, 3)))  # GF(5^3) holds no GF(5^2)
 
 
 def test_lift_two_examples():
@@ -199,7 +208,7 @@ def test_lift_two_beta_independence(rng):
         ]
         results = set()
         for beta in nonsquares:
-            ft = twist_with(f, f.ctx, beta)
+            ft = twist(f, beta)
             tt, lt = type_direct(ft, 1)
             st = lift_two(ExpSumValue(p, 1, l1, t1), ExpSumValue(p, 1, lt, tt), 2, prof.nullity(4))
             results.add(st.t)
@@ -229,7 +238,7 @@ def test_twist_nullity_is_l2N_minus_lN():
             N = k * f.n
             if f.p ** (2 * N) > 3**12:
                 continue
-            ft = twist(f, f.ctx if k == 1 else build_field_ctx(f.p, N))
+            ft = twist(f, smallest_nonsquare(build_field_ctx(f.p, N)))
             l_twist = type_direct(ft, 1)[1]
             assert l_twist == prof.nullity(2 * N) - prof.nullity(N), (f, N)
             assert l_twist == matrix_kernel_nullity(ft, N), (f, N)

@@ -19,14 +19,15 @@ power basis of the modulus root.
 
 Frobenius and trace are GF(p)-linear, so the scalar maps are cached exact
 linear maps: a context keeps, as Python-int tuples, the images of the power
-basis under z -> z^(p^j) for each j asked for (one x ** p**j and d
-products) and Tr(x^u) for u < d (the sum of the d conjugates of each basis
-element, checked to lie in GF(p)).  Those products and powers run on
-:mod:`quadsums._primepoly` (below), so a context keeps no reduction table.
-``FieldElem.frobenius`` is then an O(d^2) linear combination and
-``FieldElem.trace`` an O(d) dot product.  The brute-force oracle uses
-these scalar maps alone, and only it reads a trace through the O(d^4)
-conjugate sums.
+basis under z -> z^(p^j) for each j asked for and Tr(x^u) for u < d.  The
+table for j = 1 takes one x ** p and d - 1 products (which run on
+:mod:`quadsums._primepoly`, below, so a context keeps no reduction table),
+and the table for j is its j-th matrix power.  Tr(x^u) is the definition,
+the sum of the d conjugates of x^u: row u of the sum of the first d
+powers of that table, checked to lie in GF(p).  ``FieldElem.frobenius`` is
+then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
+product.  The brute-force oracle uses these maps alone, and only it reads
+a trace through the conjugate sums.
 
 The matrix route is separate and equally exact: ``frob_mat_power`` (powers
 of Q transposed), ``mult_mat`` (rows a x^u, each the last times the cached
@@ -218,40 +219,60 @@ class FieldCtx:
 
     def frob_images(self, j: int) -> tuple[tuple[int, ...], ...]:
         """Images of the power basis 1, x, ..., x^(d-1) under z -> z^(p^j),
-        as coordinate tuples; built once per j from one x ** p**j and d
-        multiplications."""
+        as coordinate tuples, cached for each j asked for.  Row u is the
+        image of x^u, so a coordinate row times the table applies the map,
+        and the table for j is the j-th matrix power of F, the table for
+        j = 1.  j = 0 and j = 1 take one x ** p**j and d - 1 products;
+        j >= 2 takes F^j by square and multiply in the exact dtype, and
+        caches no table in between."""
         j %= self.d
         tables = self._cache.setdefault("frob_images", {})
         rows = tables.get(j)
         if rows is None:
-            y = self.gen() ** (self.p**j)
-            cur = self.one()
-            rows = []
-            for _ in range(self.d):
-                rows.append(cur.coeffs)
-                cur = cur * y
-            rows = tables[j] = tuple(rows)
+            if j < 2:
+                rows = self._powers_of(self.gen() ** (self.p**j))
+            else:
+                p = self.p
+                F = np.array(tables.get(1) or self._powers_of(self.gen() ** p), dtype=pp.exact_dtype(p, self.d))
+                P, e = None, j
+                while e:
+                    if e & 1:
+                        P = F if P is None else P @ F % p
+                    e >>= 1
+                    if e:
+                        F = F @ F % p
+                rows = tuple(map(tuple, P.tolist()))
+            tables[j] = rows
         return rows
 
+    def _powers_of(self, y: "FieldElem") -> tuple[tuple[int, ...], ...]:
+        """Coordinates of 1, y, ..., y^(d-1), by d - 1 products."""
+        cur = self.one()
+        rows = [cur.coeffs]
+        for _ in range(self.d - 1):
+            cur = cur * y
+            rows.append(cur.coeffs)
+        return tuple(rows)
+
     def basis_traces(self) -> tuple[int, ...]:
-        """Tr(x^u) for u < d, each summed over the d conjugates of x^u; every
-        sum must lie in GF(p).  The oracle's definitional trace, O(d^4);
-        production reads row 0 of ``trace_form`` instead."""
+        """Tr(x^u) for u < d by the definition Tr(z) = sum_(j<d) z^(p^j):
+        with F the table of ``frob_images(1)``, row u of S = sum_(j<d) F^j
+        is the sum of the d conjugates of x^u, one running product per
+        conjugate.  Column 0 of S holds the traces and every other column
+        must vanish.  The oracle's definitional trace; production reads row
+        0 of ``trace_form`` instead."""
         traces = self._cache.get("basis_traces")
         if traces is None:
             p, d = self.p, self.d
-            sums = [[0] * d for _ in range(d)]
-            y = self.gen()
-            for _ in range(d):  # y runs over the conjugates x^(p^j)
-                cur = self.one()
-                for row in sums:
-                    for i, c in enumerate(cur.coeffs):
-                        row[i] += c
-                    cur = cur * y
-                y = y**p
-            if any(c % p for row in sums for c in row[1:]):
+            F = np.array(self.frob_images(1), dtype=pp.exact_dtype(p, d))
+            S = Fj = np.eye(d, dtype=F.dtype)
+            for _ in range(d - 1):
+                Fj = Fj @ F % p
+                S = S + Fj
+            S %= p
+            if np.any(S[:, 1:]):
                 raise InternalInconsistency("trace image escaped the prime field")
-            traces = self._cache["basis_traces"] = tuple(row[0] % p for row in sums)
+            traces = self._cache["basis_traces"] = tuple(int(t) for t in S[:, 0])
         return traces
 
     # -- cached exact matrices ------------------------------------------------
@@ -422,7 +443,8 @@ class FieldElem:
 
     def trace(self) -> int:
         """Tr down to GF(p): the coordinates dotted with ``basis_traces``,
-        O(d) once those are cached.  The oracle's definitional trace."""
+        the conjugate sums of the basis, O(d) once those are cached.  The
+        oracle's definitional trace."""
         ctx = self.ctx
         return sum(c * t for c, t in zip(self.coeffs, ctx.basis_traces())) % ctx.p
 

@@ -18,14 +18,22 @@ evaluator checks this nullity against the closed-form profile
 
 The brute-force oracle enumerates every x in GF(p^N), tallies Tr_N(f(x))
 by residue and returns the exact element of Z[zeta_p].  Tr_N(f(x)) = x G x^T
-with G[u, v] = Tr(x^u y_v), y_v = sum_i c_i (x^v)^(p^(a_i)).  The trace is
-GF(p)-linear, so Tr(x^u y) = sum_w y_w Tr(x^(u+w)): each term adds Hc Y^T,
-with Hc[u, w] = Tr(x^(u+w)) a Hankel matrix of conjugate sums, built once
-per context and kept read-only, and Y[v] = c x^(v p^a), c times row v of
-the context's Frobenius images; a shifted sum's linear vector is Hc b.  All
-of it is in the exact dtype, reduced mod p after every product and sum.  The
-oracle reads none of the Gram route's ``trace_form`` (Newton's identities),
-``mult_mat``, ``frob_mat_power`` or ``gram_matrix``.
+with G[u, v] = sum_i Tr(x^u c_i (x^v)^(p^(a_i))).  The trace is GF(p)-linear
+and row v of R = ``frob_images(a)`` holds (x^v)^(p^a), so a term c adds
+
+    G[u, v] += Tr(x^u c (x^v)^(p^a)) = sum_w R[v, w] Tr(c x^(u+w)),
+
+one Hankel product H R^T with H[u, w] = t[u + w], t[k] = Tr(c x^k).  With
+Hc[u, w] = Tr(x^(u+w)) the Hankel of the basis traces, Tr(a b) = a Hc b^T
+on coordinates, so t = X Hc c^T, X the coordinate rows of x^k for
+k < 2N - 1; a shifted sum's linear vector Hc b^T is t's first N entries
+for c = b (X starts with the identity).  X and Hc are built once per
+context and kept read-only; Hc's entries are the definitional traces of
+``basis_traces`` (sums of conjugates) and ``FieldElem.trace``.  All of it
+is in the exact dtype, reduced mod p after every product and sum, and no
+scalar product is taken per row or per term.  The oracle reads none of the
+Gram route's ``trace_form`` (Newton's identities), ``mult_mat``,
+``frob_mat_power`` or ``gram_matrix``.
 
 The enumeration is blocked: with x = (lo, hi), lo the first k = N // 2
 coordinates,
@@ -180,30 +188,46 @@ def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, 
 
 
 @functools.lru_cache(maxsize=None)
+def _power_coords(ctx: FieldCtx) -> np.ndarray:
+    """Coordinates of x^k for k < 2N - 1, one row each, read-only and built
+    once per context: the identity, then N - 1 products by x."""
+    N = ctx.d
+    rows = [ctx.from_encoding(ctx.p**u).coeffs for u in range(N)]
+    x, xk = ctx.gen(), FieldElem(ctx, rows[-1])
+    for _ in range(N - 1):
+        xk = xk * x
+        rows.append(xk.coeffs)
+    X = np.array(rows, dtype=exact_dtype(ctx.p, N))
+    X.setflags(write=False)
+    return X
+
+
+@functools.lru_cache(maxsize=None)
 def _trace_hankel(ctx: FieldCtx) -> np.ndarray:
     """Hc[u, w] = Tr(x^(u+w)), read-only and built once per context:
     ``basis_traces`` for u + w < N, and the ``trace`` of x^N, ..., x^(2N-2)
-    by N - 1 multiplications by x."""
+    from ``_power_coords``."""
     N = ctx.d
-    s = list(ctx.basis_traces())
-    x, xk = ctx.gen(), ctx.from_encoding(ctx.p ** (N - 1))
-    for _ in range(N - 1):
-        xk = xk * x
-        s.append(xk.trace())
+    powers = _power_coords(ctx)[N:].tolist()
+    s = list(ctx.basis_traces()) + [FieldElem(ctx, tuple(row)).trace() for row in powers]
     Hc = np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
     Hc.setflags(write=False)
     return Hc
 
 
 def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarray:
-    """G with Tr(f(sum x_u b_u)) = x G x^T on the power basis b_u = x^u: per
-    term, Hc Y^T mod p with Y[v] = c x^(v p^a), c times row v of
-    ``frob_images(a)`` (see the module docstring)."""
+    """G with Tr(f(sum x_u b_u)) = x G x^T on the power basis b_u = x^u,
+    Hc = ``_trace_hankel(ctx_big)``: per term, G += H R^T mod p with
+    H[u, w] = t[u + w] and R the table ``frob_images(a)`` (see the module
+    docstring)."""
     p, N = ctx_big.p, ctx_big.d
+    X = _power_coords(ctx_big)
+    idx = np.add.outer(np.arange(N), np.arange(N))
     G = np.zeros((N, N), dtype=Hc.dtype)
     for c, a in f.terms_in(ctx_big):
-        Y = np.array([(c * FieldElem(ctx_big, row)).coeffs for row in ctx_big.frob_images(a)], dtype=Hc.dtype)
-        G = (G + Hc @ Y.T % p) % p
+        t = X @ (Hc @ np.array(c.coeffs, dtype=Hc.dtype) % p) % p  # t[k] = Tr(c x^k)
+        R = np.array(ctx_big.frob_images(a), dtype=Hc.dtype)
+        G = (G + t[idx] @ R.T % p) % p
     return G
 
 

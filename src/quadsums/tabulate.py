@@ -13,7 +13,6 @@ the shipped CSVs.
 from __future__ import annotations
 
 import importlib.resources
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,6 +56,8 @@ def generate_table(p: int, alpha_max: int, jobs: int = 1) -> list[TableRow]:
     pickling, through ``FieldCtx`` and ``FieldElem.__reduce__``)."""
     work = enumerate_functions(p, alpha_max)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing; only jobs > 1 pays
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_row_for, work, chunksize=8))
     return [_row_for(w) for w in work]

@@ -2,8 +2,9 @@
 coefficients ascending, the zero polynomial the empty array.
 
 The tests' independent Euclid: the powmod Rabin reference, the
-materialized gcd oracle and the checks of ``_primepoly.rem`` and
-``gcd`` use it, and nothing in the package does.  Arrays are int64
+materialized gcd oracle, the checks of ``_primepoly.rem`` and ``gcd`` and
+the conjugate-sum reference of ``FieldCtx.basis_traces`` use it, and
+nothing in the package does.  Arrays are int64
 while (p-1)^2 < 2^63 and Python ints (``dtype=object``) beyond that."""
 
 import numpy as np
@@ -62,3 +63,36 @@ def gcd(a, b, p):
     while len(b):
         a, b = b, rem(a, b, p)
     return a if len(a) == 0 else a * pow(int(a[-1]), -1, p) % p
+
+
+def powmod(a, e, m, p):
+    """a^e mod m by square and multiply."""
+    result, base = make([1], p), rem(a, m, p)
+    while e:
+        if e & 1:
+            result = rem(mul(result, base, p), m, p)
+        e >>= 1
+        if e:
+            base = rem(mul(base, base, p), m, p)
+    return result
+
+
+def conjugate_traces(modulus, p):
+    """Tr(x^u) for u < d modulo the monic irreducible ``modulus`` of degree
+    d >= 2, by the definition: each the sum of the d conjugates (x^u)^(p^j)
+    = (x^(p^j))^u, O(d^4) residue products.  ValueError if a conjugate sum
+    leaves GF(p)."""
+    m = make(modulus, p)
+    d = deg(m)
+    sums = [[0] * d for _ in range(d)]
+    y = make([0, 1], p)
+    for _ in range(d):  # y runs over the conjugates x^(p^j) mod m
+        cur = make([1], p)
+        for row in sums:
+            for i, c in enumerate(cur.tolist()):
+                row[i] += c
+            cur = rem(mul(cur, y, p), m, p)
+        y = powmod(y, p, m, p)
+    if any(c % p for row in sums for c in row[1:]):
+        raise ValueError("a conjugate sum left GF(p)")
+    return tuple(row[0] % p for row in sums)

@@ -189,6 +189,45 @@ def test_newton_power_traces_match_conjugate_sums(p, d):
     assert ctx.trace_form()[0].tolist() == list(ctx.basis_traces())
 
 
+# (p, d, modulus) for the tables' references: default moduli, and past
+# int64, where the arrays are Python ints, the binomials x^2 - 2 and x^4 - 2
+# (2 is a nonsquare mod 2^63 + 29 and p - 1 is 4 times an odd number).
+TABLE_FIELDS = [
+    (3, 2, None), (3, 7, None), (3, 12, None), (5, 4, None), (5, 9, None), (7, 3, None), (7, 10, None),
+    (2**61 - 1, 2, None), (2**61 - 1, 5, None),
+    (P_PAST_INT64, 2, (P_PAST_INT64 - 2, 0, 1)), (P_PAST_INT64, 4, (P_PAST_INT64 - 2, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p,d,modulus", TABLE_FIELDS)
+def test_frob_images_match_scalar_powers(p, d, modulus):
+    # the table for j >= 2 is a matrix power of the table for j = 1; row u
+    # must be (x^(p^j))^u by scalar powering, also for j >= d
+    ctx = FieldCtx(p, d, modulus)
+    for j in list(range(d)) + [d, d + 3]:
+        y, cur, want = ctx.gen() ** (p**j), ctx.one(), []
+        for _ in range(d):
+            want.append(cur.coeffs)
+            cur = cur * y
+        assert ctx.frob_images(j) == tuple(want), j
+
+
+@pytest.mark.parametrize("p,d,modulus", TABLE_FIELDS)
+def test_basis_traces_match_conjugate_sum_reference(p, d, modulus):
+    ctx = FieldCtx(p, d, modulus)
+    assert ctx.basis_traces() == polyref.conjugate_traces(ctx.modulus, p)
+
+
+def test_frob_images_caches_only_the_tables_asked_for():
+    ctx = FieldCtx(3, 7, build_field_ctx(3, 7).modulus)
+    ctx.frob_images(5)
+    ctx.frob_images(10)
+    assert sorted(ctx._cache["frob_images"]) == [3, 5]
+    ctx.frob_images(1)
+    ctx.frob_images(6)
+    assert sorted(ctx._cache["frob_images"]) == [1, 3, 5, 6]
+
+
 @pytest.mark.parametrize(
     "p,d,modulus",
     [(3, 2, None), (7, 3, None), (3, 27, None), (2**61 - 1, 3, None), (2**63 + 29, 2, (2**63 + 27, 0, 1))],

@@ -468,9 +468,9 @@ def test_trace_hankel_is_built_once_per_context_and_read_only():
 
 
 def test_bilinear_matrix_takes_no_scalar_frobenius(monkeypatch, rng):
-    # row v of Y is c times row v of frob_images(a), which already holds
-    # x^(v p^a); the values are checked against the per-entry reference in
-    # test_bilinear_matrix_matches_per_entry_reference
+    # each term is one Hankel product with the table frob_images(a), whose
+    # row v already holds x^(v p^a); the values are checked against the
+    # per-entry reference in test_bilinear_matrix_matches_per_entry_reference
     cases = list(_hankel_cases(rng))
     expected = [_bilinear_matrix(f, ctx, _trace_hankel(ctx)).tolist() for f, ctx in cases]
 

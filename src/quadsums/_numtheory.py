@@ -14,7 +14,7 @@ digits, and a number with two larger ones is out of reach."""
 from __future__ import annotations
 
 import functools
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
 
@@ -157,6 +157,20 @@ def digits(code: int, p: int, k: int) -> list[int]:
         out.append(code % p)
         code //= p
     return out
+
+
+def valuation(x: int, q: int) -> int | float:
+    """q-adic order of x; inf for x = 0 (the distinguished marker).
+    InvalidInput for q < 2, where no order exists."""
+    if q < 2:
+        raise InvalidInput(f"valuation needs a base q >= 2, got {q}")
+    if x == 0:
+        return inf
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -19,6 +19,11 @@ modulo one factor and a nonsquare modulo another, so one pass splits g.
 x^(p^k) and t^(p^i) are rows times the Frobenius matrix Q, and
 t^((p^k - 1)/2) is the product of the t^(p^i), i < k, to the (p - 1)/2.
 
+``matpow`` is the one square-and-multiply of a matrix, or of a stack of
+matrices: X^p in ``frobenius_matrix`` and every Frobenius table of a field
+(:mod:`quadsums.fieldcore`) are its powers.  ``order`` keeps its own
+squares X^(2^i), each shared by every exponent it tests.
+
 ``is_irreducible`` is Rabin's test.  z -> z^p on GF(p)[x]/(a), a monic of
 degree d, has the matrix Q (``frobenius_matrix``), whose row u is
 x^(p*u) mod a, and x^(p^k) mod a is the row of x times Q^k.  a is
@@ -270,17 +275,24 @@ def _companion(a, p: int) -> np.ndarray:
     return X
 
 
+def matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A^e mod p for e >= 1, squaring from the top bit of e down, in A's
+    dtype; for a stack of matrices (a leading axis), each one's power."""
+    P = A
+    for bit in bin(e)[3:]:
+        P = P @ P % p
+        if bit == "1":
+            P = P @ A % p
+    return P
+
+
 def frobenius_matrix(a, p: int) -> np.ndarray:
     """Berlekamp's Q of the monic a of degree d >= 1, or of each row of a
     stack: row u is x^(p*u) mod a, in ``exact_dtype(p, d)``.  Rows with
     p*u < d are read off the identity; each other row is the last times
-    P = X^p, X the companion matrix, P by squaring."""
-    X = P = _companion(a, p)
-    d = X.shape[-1]
-    for bit in bin(p)[3:]:
-        P = P @ P % p
-        if bit == "1":
-            P = P @ X % p
+    P = X^p, X the companion matrix (``matpow``)."""
+    P = matpow(_companion(a, p), p, p)
+    d = P.shape[-1]
     direct = np.eye(d, dtype=P.dtype)[::p]
     Q = np.empty_like(P)
     Q[..., : len(direct), :] = direct

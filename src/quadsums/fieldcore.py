@@ -18,29 +18,34 @@ Contexts are immutable and cached; elements are coordinate vectors in the
 power basis of the modulus root.
 
 Frobenius and trace are GF(p)-linear, so the scalar maps are cached exact
-linear maps: a context keeps, as Python-int tuples, the images of the power
-basis under z -> z^(p^j) for each j asked for and Tr(x^u) for u < d.  The
-table for j = 1 takes one x ** p and d - 1 products (which run on
-:mod:`quadsums._primepoly`, below, so a context keeps no reduction table),
-and the table for j is its j-th matrix power.  Tr(x^u) is the definition,
-the sum of the d conjugates of x^u: row u of the sum of the first d
-powers of that table, checked to lie in GF(p).  ``FieldElem.frobenius`` is
-then an O(d^2) linear combination and ``FieldElem.trace`` an O(d) dot
-product.  The brute-force oracle uses these maps alone, and only it reads
-a trace through the conjugate sums.
+linear maps: a context keeps, as read-only arrays in the exact dtype
+(below), the images of the power basis under z -> z^(p^j) for each j asked
+for and Tr(x^u) for u < d.  ``FieldCtx.powers`` gives the coordinate rows
+of 1, y, ..., y^(k-1) by k - 1 products (which run on
+:mod:`quadsums._primepoly`, below, so a context keeps no reduction table);
+the table for j = 1 is the powers of x ** p, and the table for j its j-th
+matrix power.  Tr(x^u) is the definition, the sum of the d conjugates of
+x^u: row u of the sum of the first d powers of that table, checked to lie
+in GF(p).  ``FieldElem.frobenius`` is then one O(d^2) product of the
+coordinate row and the table, and ``FieldElem.trace`` one O(d) product.
+The brute-force oracle uses these maps alone, and only it reads a trace
+through the conjugate sums.
 
-The matrix route is separate and equally exact: ``frob_mat_power`` (powers
-of Q transposed), ``mult_mat`` (rows a x^u, each the last times the cached
-companion matrix of the modulus) and ``trace_form`` (the Hankel matrix of
-the power sums Tr(x^k), O(d^2) by Newton's identities on the modulus) back
-the Gram matrix in :mod:`quadsums.quadform`, the radical's linear map in
-:mod:`quadsums.nullity` and, by row 0, the phase of ``lifts.shift_linear``.
-Their entries are residues mod p, and every sum and product is reduced mod
-p before the next, so no intermediate exceeds a sum of d products of
-residues: the matrices are int64 while d*(p-1)^2 < 2^63 and Python ints
-(numpy ``dtype=object``) beyond that (``_primepoly.exact_dtype``).
-Nothing here is float64; only the oracle's enumeration is, under its own
-enforced bound.
+The matrix route is separate and equally exact: ``frob_mat_power`` (Q
+transposed, and its powers), ``mult_mat`` (rows a x^u, each the last times
+the cached companion matrix of the modulus) and ``trace_form`` (the Hankel
+matrix of the power sums Tr(x^k), O(d^2) by Newton's identities on the
+modulus) back the Gram matrix in :mod:`quadsums.quadform`, the radical's
+linear map in :mod:`quadsums.nullity` and, by row 0, the phase of
+``lifts.shift_linear``.  Both Frobenius tables come from one cached method,
+``_power_table``: each table for j is one power, j mod d, of the table for
+1 by square and multiply (``_primepoly.matpow``), and only the tables
+asked for are kept, none in between.  Their entries are residues mod p,
+and every sum and product is reduced mod p before the next, so no
+intermediate exceeds a sum of d products of residues: the matrices are
+int64 while d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``)
+beyond that (``_primepoly.exact_dtype``).  Nothing here is float64; only
+the oracle's enumeration is, under its own enforced bound.
 
 Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
 lie in K = GF(p^n), the kernel of F^n - I for F the Frobenius matrix, the
@@ -72,13 +77,13 @@ the first theta, 1 + y_1 + ... + y_c, qualifies.  The Krylov sequence of
 1 under theta gives its minimal polynomial mu, the modulus of the field
 built (Rabin's test stays in the constructor), and one solve gives x_0 in
 the power basis of theta.  The images of x_0's n conjugates, each checked
-to be a root of base.modulus and sorted by encoding, fill the
-``embedding_roots`` cache.  The type and nullity of Tr_N(f) depend on
-none of these choices: a change of modulus or of root is a GF(p)-linear
-change of coordinates, and two embeddings differ by z -> z^(p^j), which
-keeps Tr_N.  So the evaluator's direct step reads these fields (f and
-its twist, both with coefficients in base), and every field a user sees
-keeps the default modulus.
+to be a root of base.modulus and sorted by encoding (``_cache_roots``, as
+for a split root), fill the ``embedding_roots`` cache.  The type and
+nullity of Tr_N(f) depend on none of these choices: a change of modulus or
+of root is a GF(p)-linear change of coordinates, and two embeddings differ
+by z -> z^(p^j), which keeps Tr_N.  So the evaluator's direct step reads
+these fields (f and its twist, both with coefficients in base), and every
+field a user sees keeps the default modulus.
 
 Products, powers and inverses.  Each is one call into the GF(p)[x]
 arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
@@ -106,7 +111,7 @@ import numpy as np
 
 from . import _linalg
 from . import _primepoly as pp
-from ._numtheory import digits, is_prime, prime_divisors
+from ._numtheory import digits, is_prime, prime_divisors, valuation
 from .errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -217,79 +222,70 @@ class FieldCtx:
 
     # -- cached exact linear maps -----------------------------------------------
 
-    def frob_images(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """Images of the power basis 1, x, ..., x^(d-1) under z -> z^(p^j),
-        as coordinate tuples, cached for each j asked for.  Row u is the
-        image of x^u, so a coordinate row times the table applies the map,
-        and the table for j is the j-th matrix power of F, the table for
-        j = 1.  j = 0 and j = 1 take one x ** p**j and d - 1 products;
-        j >= 2 takes F^j by square and multiply in the exact dtype, and
-        caches no table in between."""
-        j %= self.d
-        tables = self._cache.setdefault("frob_images", {})
-        rows = tables.get(j)
-        if rows is None:
-            if j < 2:
-                rows = self._powers_of(self.gen() ** (self.p**j))
-            else:
-                p = self.p
-                F = np.array(tables.get(1) or self._powers_of(self.gen() ** p), dtype=pp.exact_dtype(p, self.d))
-                P, e = None, j
-                while e:
-                    if e & 1:
-                        P = F if P is None else P @ F % p
-                    e >>= 1
-                    if e:
-                        F = F @ F % p
-                rows = tuple(map(tuple, P.tolist()))
-            tables[j] = rows
-        return rows
-
-    def _powers_of(self, y: "FieldElem") -> tuple[tuple[int, ...], ...]:
-        """Coordinates of 1, y, ..., y^(d-1), by d - 1 products."""
+    def powers(self, y: "FieldElem", k: int) -> np.ndarray:
+        """Coordinate rows of 1, y, ..., y^(k-1), read-only in the exact
+        dtype, by k - 1 products (y times the last, cheap for a sparse y)."""
         cur = self.one()
         rows = [cur.coeffs]
-        for _ in range(self.d - 1):
-            cur = cur * y
+        for _ in range(k - 1):
+            cur = y * cur
             rows.append(cur.coeffs)
-        return tuple(rows)
+        out = np.array(rows, dtype=pp.exact_dtype(self.p, self.d))
+        out.setflags(write=False)
+        return out
 
-    def basis_traces(self) -> tuple[int, ...]:
-        """Tr(x^u) for u < d by the definition Tr(z) = sum_(j<d) z^(p^j):
-        with F the table of ``frob_images(1)``, row u of S = sum_(j<d) F^j
-        is the sum of the d conjugates of x^u, one running product per
-        conjugate.  Column 0 of S holds the traces and every other column
-        must vanish.  The oracle's definitional trace; production reads row
-        0 of ``trace_form`` instead."""
+    def _power_table(self, name: str, j: int, first) -> np.ndarray:
+        """The j-th matrix power of the table first() (the map for j = 1),
+        j taken mod d, read-only and cached under name for each j asked
+        for: ``pp.matpow`` from the cached table for 1 or a fresh first(),
+        and no table in between is kept."""
+        j %= self.d
+        tables = self._cache.setdefault(name, {})
+        T = tables.get(j)
+        if T is None:
+            if j == 0:
+                T = np.eye(self.d, dtype=pp.exact_dtype(self.p, self.d))
+            else:
+                T = pp.matpow(tables[1] if 1 in tables else first(), j, self.p)
+            T.setflags(write=False)
+            tables[j] = T
+        return T
+
+    def frob_images(self, j: int) -> np.ndarray:
+        """Images of the power basis 1, x, ..., x^(d-1) under z -> z^(p^j),
+        one coordinate row each, so a coordinate row times the table
+        applies the map.  The table for 1 is the powers of x ** p, and the
+        table for j its j-th matrix power (``_power_table``)."""
+        return self._power_table("frob_images", j, lambda: self.powers(self.gen() ** self.p, self.d))
+
+    def basis_traces(self) -> np.ndarray:
+        """Tr(x^u) for u < d by the definition Tr(z) = sum_(j<d) z^(p^j),
+        read-only in the exact dtype: with F the table ``frob_images(1)``,
+        row u of S = sum_(j<d) F^j is the sum of the d conjugates of x^u,
+        one running product per conjugate.  Column 0 of S holds the traces
+        and every other column must vanish.  The oracle's definitional
+        trace; production reads row 0 of ``trace_form`` instead."""
         traces = self._cache.get("basis_traces")
         if traces is None:
-            p, d = self.p, self.d
-            F = np.array(self.frob_images(1), dtype=pp.exact_dtype(p, d))
-            S = Fj = np.eye(d, dtype=F.dtype)
-            for _ in range(d - 1):
-                Fj = Fj @ F % p
+            F = self.frob_images(1)
+            S = Fj = np.eye(self.d, dtype=F.dtype)
+            for _ in range(self.d - 1):
+                Fj = Fj @ F % self.p
                 S = S + Fj
-            S %= p
+            S %= self.p
             if np.any(S[:, 1:]):
                 raise InternalInconsistency("trace image escaped the prime field")
-            traces = self._cache["basis_traces"] = tuple(int(t) for t in S[:, 0])
+            traces = self._cache["basis_traces"] = S[:, 0]
+            traces.setflags(write=False)
         return traces
 
     # -- cached exact matrices ------------------------------------------------
 
     def frob_mat_power(self, j: int) -> np.ndarray:
-        """Matrix of z -> z^(p^j), columns = images of the power basis."""
-        j %= self.d
-        mats = self._cache.setdefault("frob_pows", {})
-        if j not in mats:
-            p, d = self.p, self.d
-            if j == 0:
-                mats[j] = np.eye(d, dtype=pp.exact_dtype(p, d))
-            elif j == 1:  # d >= 2 here; Q's rows are the basis images
-                mats[j] = pp.frobenius_matrix(self.modulus, p).T
-            else:
-                mats[j] = self.frob_mat_power(1) @ self.frob_mat_power(j - 1) % p
-        return mats[j]
+        """Matrix of z -> z^(p^j), columns = images of the power basis: the
+        j-th matrix power (``_power_table``) of Q transposed, Q the
+        Frobenius matrix of the modulus."""
+        return self._power_table("frob_pows", j, lambda: pp.frobenius_matrix(self.modulus, self.p).T)
 
     def mult_mat(self, a: "FieldElem") -> np.ndarray:
         """Matrix of z -> a*z, columns = images of the power basis: a x^u is
@@ -425,28 +421,23 @@ class FieldElem:
         return FieldElem(ctx, tuple(u) + (0,) * (ctx.d - len(u)))
 
     def frobenius(self, j: int) -> "FieldElem":
-        """j-fold p-power map x^(p^j): the coordinates applied to the cached
-        images of the power basis, O(d^2)."""
+        """j-fold p-power map x^(p^j): the coordinate row times the cached
+        table ``frob_images(j)``, one O(d^2) product."""
         if j < 0:
             raise InvalidInput("frobenius exponent must be >= 0")
         ctx = self.ctx
         j %= ctx.d
         if not j:
             return self
-        out = [0] * ctx.d
-        for c, img in zip(self.coeffs, ctx.frob_images(j)):
-            if c:
-                for i, v in enumerate(img):
-                    out[i] += c * v
-        p = ctx.p
-        return FieldElem(ctx, tuple(v % p for v in out))
+        R = ctx.frob_images(j)
+        return FieldElem(ctx, tuple((np.array(self.coeffs, dtype=R.dtype) @ R % ctx.p).tolist()))
 
     def trace(self) -> int:
-        """Tr down to GF(p): the coordinates dotted with ``basis_traces``,
-        the conjugate sums of the basis, O(d) once those are cached.  The
-        oracle's definitional trace."""
-        ctx = self.ctx
-        return sum(c * t for c, t in zip(self.coeffs, ctx.basis_traces())) % ctx.p
+        """Tr down to GF(p): the coordinate row times ``basis_traces``, the
+        conjugate sums of the basis, one O(d) product once those are
+        cached.  The oracle's definitional trace."""
+        t = self.ctx.basis_traces()
+        return int(np.array(self.coeffs, dtype=t.dtype) @ t % self.ctx.p)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -545,27 +536,30 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
     _require_subfield(src, dst)
     if src.d == 1:
         raise InvalidInput("prime field embeds without a root choice")
-    cache = dst._cache.setdefault("roots", {})
-    if src.key not in cache:
+    roots = dst._cache.get("roots", {}).get(src.key)
+    if roots is None:
         p, n = src.p, src.d
         for b in _subfield_elems(dst, n):
-            powers = [dst.one()]
-            while len(powers) <= n:
-                powers.append(powers[-1] * b)
-            mu = _linalg.krylov_mu(np.array([x.coeffs for x in powers], dtype=pp.exact_dtype(p, 1)).T, p)
+            mu = _linalg.krylov_mu(dst.powers(b, n + 1).T, p)
             if len(mu) == n + 1:  # b lies in no proper subfield
                 break
         else:
             raise NoRootFound("no element generates the fixed field; corrupt context")
         small = build_field_ctx(p, n, mu)
         r = _find_root(Poly.from_ints(small, src.modulus))
-        roots = {embed_element(small, dst, r.frobenius(j), root=b) for j in range(n)}
-        if len(roots) != n:
-            raise NoRootFound("conjugate count mismatch; corrupt context")
-        g = Poly.from_ints(dst, src.modulus)
-        if any(not g(root).is_zero() for root in roots):
-            raise NoRootFound("claimed root does not vanish; corrupt context")
-        cache[src.key] = tuple(sorted(roots, key=lambda e: e.encoding))
+        roots = _cache_roots(src, dst, [embed_element(small, dst, r.frobenius(j), root=b) for j in range(n)])
+    return roots
+
+
+def _cache_roots(src: FieldCtx, dst: FieldCtx, roots: Iterable[FieldElem]) -> tuple[FieldElem, ...]:
+    """The n = src.d conjugates ``roots`` of a root of src.modulus in dst,
+    checked to be n distinct roots, sorted by encoding and cached on dst
+    for ``embedding_roots``.  NoRootFound otherwise: a corrupt context."""
+    roots, g = set(roots), Poly.from_ints(dst, src.modulus)
+    if len(roots) != src.d or any(not g(root).is_zero() for root in roots):
+        raise NoRootFound(f"{len(roots)} claimed conjugates are not the {src.d} roots; corrupt context")
+    cache = dst._cache.setdefault("roots", {})
+    cache[src.key] = tuple(sorted(roots, key=lambda e: e.encoding))
     return cache[src.key]
 
 
@@ -591,7 +585,7 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
         root = embedding_roots(src, dst)[0]
     mats, key = dst._cache.setdefault("embed", {}), (src.key, root.coeffs)
     if key not in mats:
-        mats[key] = np.array([(root**i).coeffs for i in range(src.d)], dtype=pp.exact_dtype(dst.p, src.d))
+        mats[key] = dst.powers(root, src.d)
     out = np.array(x.coeffs, dtype=mats[key].dtype) @ mats[key] % dst.p
     return FieldElem(dst, tuple(int(c) for c in out))
 
@@ -605,14 +599,10 @@ def direct_field(base: FieldCtx, N: int) -> FieldCtx:
     base.modulus cached for ``embedding_roots`` (see the module docstring).
     Cached per (base, N); InvalidInput unless N / n is a power of p."""
     n, p = base.d, base.p
-    if N == n:
-        return base
-    k, c = N // n, 0
-    while k > 1 and k % p == 0:
-        k, c = k // p, c + 1
-    if N % n or k != 1:
+    c = valuation(N // n, p) if N > n and N % n == 0 else 0
+    if N != n * p**c:
         raise InvalidInput(f"{N} is not {n} times a positive power of {p}")
-    return _direct_cached(p, n, base.modulus, c)
+    return _direct_cached(p, n, base.modulus, c) if c else base
 
 
 @functools.lru_cache(maxsize=None)
@@ -653,11 +643,7 @@ def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
         if x0 is None:
             raise InternalInconsistency("the powers of theta span no basis")
         r = dst.elem(x0.tolist())
-        roots = {embed_element(base, dst, base.gen().frobenius(k), root=r) for k in range(n)}
-        g = Poly.from_ints(dst, base.modulus)
-        if len(roots) != n or any(not g(root).is_zero() for root in roots):
-            raise InternalInconsistency("the tower's conjugates of x_0 are not the roots of the base modulus")
-        dst._cache.setdefault("roots", {})[base.key] = tuple(sorted(roots, key=lambda e: e.encoding))
+        _cache_roots(base, dst, [embed_element(base, dst, base.gen().frobenius(k), root=r) for k in range(n)])
     return dst
 
 

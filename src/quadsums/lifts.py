@@ -29,25 +29,11 @@ from .errors import (
     ParityViolation,
     ZeroCoefficient,
 )
-from ._numtheory import is_prime, multiplicative_order
+from ._numtheory import is_prime, multiplicative_order, valuation
 from .fieldcore import FieldElem, build_field_ctx, embed_element
 from .nullity import QuadFunc, radical_poly
 from . import _linalg
 from .quadform import elem_quadratic_character, legendre, smallest_nonsquare
-
-
-def valuation(x: int, q: int) -> int | float:
-    """q-adic order of x; inf for x = 0 (the distinguished marker).
-    InvalidInput for q < 2, where no order exists."""
-    if q < 2:
-        raise InvalidInput(f"valuation needs a base q >= 2, got {q}")
-    if x == 0:
-        return inf
-    v = 0
-    while x % q == 0:
-        x //= q
-        v += 1
-    return v
 
 
 def gcd_plus_plus(p: int, exponents) -> int:

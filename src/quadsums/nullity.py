@@ -47,6 +47,7 @@ import numpy as np
 
 from . import _linalg
 from . import _primepoly as pp
+from ._numtheory import valuation
 from .errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 from .fieldcore import (
     FieldCtx,
@@ -315,12 +316,12 @@ class NullityProfile:
     def nullity(self, m: int) -> int:
         """With k = gcd(m/n, s/n) = k' p^v, p not dividing k', the sum of
         kernels[v] over the factors whose order divides k'."""
-        n, p, v = self.func.n, self.func.p, 0
+        n, p = self.func.n, self.func.p
         if m < 1 or m % n:
             raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
         k = gcd(m // n, self.s // n)
-        while k % p == 0:
-            k, v = k // p, v + 1
+        v = valuation(k, p)
+        k //= p**v
         return sum(ker[min(v, len(ker) - 1)] for _, _, o, ker in self.factors if k % o == 0)
 
     @functools.cached_property

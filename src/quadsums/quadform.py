@@ -190,16 +190,8 @@ def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, 
 @functools.lru_cache(maxsize=None)
 def _power_coords(ctx: FieldCtx) -> np.ndarray:
     """Coordinates of x^k for k < 2N - 1, one row each, read-only and built
-    once per context: the identity, then N - 1 products by x."""
-    N = ctx.d
-    rows = [ctx.from_encoding(ctx.p**u).coeffs for u in range(N)]
-    x, xk = ctx.gen(), FieldElem(ctx, rows[-1])
-    for _ in range(N - 1):
-        xk = xk * x
-        rows.append(xk.coeffs)
-    X = np.array(rows, dtype=exact_dtype(ctx.p, N))
-    X.setflags(write=False)
-    return X
+    once per context (``FieldCtx.powers``)."""
+    return ctx.powers(ctx.gen(), 2 * ctx.d - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +201,7 @@ def _trace_hankel(ctx: FieldCtx) -> np.ndarray:
     from ``_power_coords``."""
     N = ctx.d
     powers = _power_coords(ctx)[N:].tolist()
-    s = list(ctx.basis_traces()) + [FieldElem(ctx, tuple(row)).trace() for row in powers]
+    s = ctx.basis_traces().tolist() + [FieldElem(ctx, tuple(row)).trace() for row in powers]
     Hc = np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
     Hc.setflags(write=False)
     return Hc
@@ -226,8 +218,7 @@ def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarr
     G = np.zeros((N, N), dtype=Hc.dtype)
     for c, a in f.terms_in(ctx_big):
         t = X @ (Hc @ np.array(c.coeffs, dtype=Hc.dtype) % p) % p  # t[k] = Tr(c x^k)
-        R = np.array(ctx_big.frob_images(a), dtype=Hc.dtype)
-        G = (G + t[idx] @ R.T % p) % p
+        G = (G + t[idx] @ ctx_big.frob_images(a).T % p) % p
     return G
 
 

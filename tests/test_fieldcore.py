@@ -28,6 +28,7 @@ from quadsums.errors import (
     InternalInconsistency,
     InvalidInput,
     ModulusReducible,
+    NoRootFound,
     NotOdd,
     NotPrime,
     ZeroPolynomial,
@@ -202,30 +203,42 @@ TABLE_FIELDS = [
 @pytest.mark.parametrize("p,d,modulus", TABLE_FIELDS)
 def test_frob_images_match_scalar_powers(p, d, modulus):
     # the table for j >= 2 is a matrix power of the table for j = 1; row u
-    # must be (x^(p^j))^u by scalar powering, also for j >= d
+    # of frob_images(j), and column u of frob_mat_power(j), must be
+    # (x^(p^j))^u by scalar powering, also for j >= d
     ctx = FieldCtx(p, d, modulus)
     for j in list(range(d)) + [d, d + 3]:
         y, cur, want = ctx.gen() ** (p**j), ctx.one(), []
         for _ in range(d):
-            want.append(cur.coeffs)
+            want.append(list(cur.coeffs))
             cur = cur * y
-        assert ctx.frob_images(j) == tuple(want), j
+        assert ctx.frob_images(j).tolist() == want, j
+        assert ctx.frob_mat_power(j).T.tolist() == want, j
 
 
 @pytest.mark.parametrize("p,d,modulus", TABLE_FIELDS)
 def test_basis_traces_match_conjugate_sum_reference(p, d, modulus):
     ctx = FieldCtx(p, d, modulus)
-    assert ctx.basis_traces() == polyref.conjugate_traces(ctx.modulus, p)
+    assert tuple(ctx.basis_traces().tolist()) == polyref.conjugate_traces(ctx.modulus, p)
 
 
-def test_frob_images_caches_only_the_tables_asked_for():
+@pytest.mark.parametrize("table", ["frob_images", "frob_mat_power"])
+def test_frob_images_caches_only_the_tables_asked_for(table):
     ctx = FieldCtx(3, 7, build_field_ctx(3, 7).modulus)
-    ctx.frob_images(5)
-    ctx.frob_images(10)
-    assert sorted(ctx._cache["frob_images"]) == [3, 5]
-    ctx.frob_images(1)
-    ctx.frob_images(6)
-    assert sorted(ctx._cache["frob_images"]) == [1, 3, 5, 6]
+    power, name = getattr(ctx, table), {"frob_images": "frob_images", "frob_mat_power": "frob_pows"}[table]
+    power(5)
+    power(10)
+    assert sorted(ctx._cache[name]) == [3, 5]
+    power(1)
+    power(6)
+    assert sorted(ctx._cache[name]) == [1, 3, 5, 6]
+    assert not any(T.flags.writeable for T in ctx._cache[name].values())
+
+
+def test_frob_mat_power_keeps_one_table_at_degree_81():
+    # a fresh context, whose Frobenius table 80 alone is cached
+    ctx = FieldCtx(3, 81, tuple(PINNED_MODULI[3, 81].get(i, 0) for i in range(82)))
+    ctx.frob_mat_power(80)
+    assert list(ctx._cache["frob_pows"]) == [80]
 
 
 @pytest.mark.parametrize(
@@ -274,7 +287,7 @@ def test_skew_remainder_check_raises(monkeypatch):
     ctx = FieldCtx(5, 2)
     # z -> 2z is additive but not multiplicative, so the leading term of the
     # remainder step no longer cancels
-    monkeypatch.setitem(ctx._cache, "frob_images", {1: ((2, 0), (0, 2))})
+    monkeypatch.setitem(ctx._cache, "frob_images", {1: np.array([[2, 0], [0, 2]], dtype=np.int64)})
     a = [ctx.zero(), ctx.zero(), ctx.one()]
     b = [ctx.one(), ctx.gen()]
     with pytest.raises(InternalInconsistency, match="remainder"):
@@ -440,6 +453,15 @@ def test_embedding_roots_live_on_the_default_context(monkeypatch):
     assert all(r.ctx is dst for r in roots) and dst._cache["roots"][src.key] is roots
     assert 6 not in built
     assert embedding_roots(src, dst) is roots
+
+
+def test_cache_roots_rejects_too_few_roots_or_a_non_root():
+    src, dst = build_field_ctx(3, 2), FieldCtx(3, 4)
+    r0, r1 = embedding_roots(src, dst)
+    for roots in ([r0], [r0, r0], [r0, r1 + 1]):
+        with pytest.raises(NoRootFound):
+            fieldcore._cache_roots(src, dst, roots)
+    assert fieldcore._cache_roots(src, dst, [r1, r0]) == (r0, r1)
 
 
 INVERSE_FIELDS = [(3, 7), (7, 21), (3, 81), (2**31 - 1, 2), (2**61 - 1, 3), (P_PAST_INT64, 2)]
@@ -624,7 +646,9 @@ def test_direct_field_caches_the_conjugates_of_a_root(p, n, N, modulus):
     assert embedding_roots(src, dst) is roots
 
 
-@pytest.mark.parametrize("p,n,N", [(3, 1, 6), (3, 2, 9), (3, 2, 12), (5, 1, 15), (5, 2, 1), (7, 1, 0)])
+@pytest.mark.parametrize(
+    "p,n,N", [(3, 1, 6), (3, 2, 9), (3, 2, 12), (5, 1, 15), (5, 2, 1), (7, 1, 0), (3, 2, 0), (3, 1, -3), (3, 2, -6)]
+)
 def test_direct_field_rejects_a_degree_past_a_power_of_p(p, n, N):
     with pytest.raises(InvalidInput, match="power of"):
         direct_field(build_field_ctx(p, n), N)

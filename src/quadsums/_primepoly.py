@@ -19,6 +19,16 @@ modulo one factor and a nonsquare modulo another, so one pass splits g.
 x^(p^k) and t^(p^i) are rows times the Frobenius matrix Q, and
 t^((p^k - 1)/2) is the product of the t^(p^i), i < k, to the (p - 1)/2.
 
+``factor_reciprocal`` factors a monic palindromic a = x^m H(x + 1/x) of
+degree 2m through H, of degree m (Dickson polynomials; the proof is in
+:mod:`quadsums.nullity`): each irreducible q | H of degree j gives
+Q = x^j q(x + 1/x), which is (x -+ 1)^2 for q = y -+ 2, irreducible when
+q(2) q(-2) is a nonsquare mod p (Meyn), and else a reciprocal pair g g*
+of degree j each, returned unsplit.  ``order(g, p, k)`` takes the order
+of x modulo a square-free g whose roots lie in GF(p^k), from the factored
+p^k - 1; k = deg g for an irreducible g, k = j for such a pair (the roots
+of g* are the inverses of those of g, so both have one order).
+
 ``matpow`` is the one square-and-multiply of a matrix, or of a stack of
 matrices: X^p in ``frobenius_matrix`` and every Frobenius table of a field
 (:mod:`quadsums.fieldcore`) are its powers.  ``order`` keeps its own
@@ -45,7 +55,7 @@ ints.  Every result is exact for every p.
 from __future__ import annotations
 
 import functools
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -201,7 +211,7 @@ def _equal_degree(g: list[int], k: int, Q: np.ndarray, p: int) -> list[list[int]
 def factor(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(g, e) for the monic irreducible factors g of the monic a and their
     multiplicities e, a = prod g^e; memoized, as f and its multiples c f
-    (the two-power lift's twist among them) share the action's mu."""
+    share the action's mu."""
     out = []
     for w, i in _squarefree(trim(list(a)), p):
         Q = frobenius_matrix(w, p)
@@ -210,19 +220,50 @@ def factor(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...
     return tuple(out)
 
 
+def factor_reciprocal(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(Q, k, e) with a = prod Q^e, for the monic palindromic a of even
+    degree 2m, a = x^m H(x + 1/x): each Q is x - 1 or x + 1 (k = 1), a
+    self-reciprocal irreducible of degree 2j (k = 2j), or a reciprocal pair
+    g g*, g != g* irreducible of degree j (k = j), from an irreducible q | H
+    of degree j; k is the degree of each irreducible in Q.  Only H, of half
+    the degree, is factored (``factor``, memoized; this function is not, as
+    the rest is a few sums); no pair is split."""
+    m = (len(a) - 1) // 2
+    H, prev, cur = [a[m]] + [0] * m, [2], [0, 1]  # D_0, D_1
+    for c in a[m + 1 :]:  # x^i + x^(-i) = D_i(x + 1/x), D_(i+1) = y D_i - D_(i-1)
+        for t, v in enumerate(cur):
+            H[t] += c * v
+        prev, cur = cur, [u - (prev[t] if t < len(prev) else 0) for t, u in enumerate([0] + cur)]
+    out = []
+    for q, e in factor(tuple(c % p for c in H), p):
+        j = len(q) - 1
+        if j == 1 and q[0] in (2, p - 2):  # y + 2, y - 2: (x + 1)^2, (x - 1)^2
+            out.append(((1 if q[0] == 2 else p - 1, 1), 1, 2 * e))
+            continue
+        Q = [0] * (2 * j + 1)  # x^j q(x + 1/x) = sum q_i x^(j-i) (x^2 + 1)^i
+        for i, c in enumerate(q):
+            for t in range(i + 1):
+                Q[j - i + 2 * t] += c * comb(i, t)
+        norm = prod(sum(c * z**i for i, c in enumerate(q)) for z in (2, -2)) % p  # Norm(y^2 - 4)
+        out.append((tuple(c % p for c in Q), j if pow(norm, (p - 1) // 2, p) == 1 else 2 * j, e))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=4096)
-def order(g: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
-    """The order of x modulo the monic irreducible g != x of degree k, a
-    divisor of p^k - 1 = o = prod q^v (``factor_power_minus_one``), as
-    (q, j) pairs, q^j the least with x^(o/q^(v-j)) = 1.  x^e is the row of
-    1 times X^e, X the companion matrix of g, a product of the squares
-    X^(2^i) shared by every e (half the time of a ``powmod`` for each e).
-    Raises when x^o != 1."""
-    k, fac = len(g) - 1, factor_power_minus_one(p, len(g) - 1)
+def order(g: tuple[int, ...], p: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
+    """The order of x modulo the monic square-free g != x whose roots all
+    lie in GF(p^k), by default k = deg g (g irreducible): a divisor of
+    p^k - 1 = o = prod q^v (``factor_power_minus_one``), as (q, j) pairs,
+    q^j the least with x^(o/q^(v-j)) = 1.  x^e is the row of 1 times X^e,
+    X the companion matrix of g, a product of the squares X^(2^i) shared
+    by every e (half the time of a ``powmod`` for each e).  Raises when
+    x^o != 1."""
+    k = k or len(g) - 1
+    fac = factor_power_minus_one(p, k)
     o, squares = prod(q**v for q, v in fac), [_companion(g, p)]
     while len(squares) < o.bit_length():
         squares.append(squares[-1] @ squares[-1] % p)
-    one = np.eye(1, k, dtype=squares[0].dtype)[0]
+    one = np.eye(1, len(g) - 1, dtype=squares[0].dtype)[0]
 
     def is_one(e: int) -> bool:
         row = one

@@ -34,6 +34,32 @@ mod mu.  ``nullity``, ``entries`` (one pair per divisor of s, listed
 only when read) and ``pair_count`` are integer arithmetic.
 ``nullity_profile`` checks l_n against the skew-gcd ladder
 (``nullity_at``) and l_s against 2*alpha.
+
+Half of mu (``_primepoly.factor_reciprocal``).  When A is cyclic and mu
+is palindromic (mu = x^(2k) mu(1/x), deg mu = 2k = 2*alpha), mu = x^k
+H(x + 1/x) with H monic of degree k: x^i + x^(-i) = D_i(x + 1/x) for the
+Dickson polynomials D_0 = 2, D_1 = y, D_(i+1) = y D_i - D_(i-1) (Lidl
+and Niederreiter, ch. 7), so H = c_k + sum_(i>=1) c_(k+i) D_i.  Only H
+is factored.  An irreducible q | H of degree j gives Q = x^j q(x + 1/x),
+the product of x^2 - b x + 1 over the roots b of q; q = y -+ 2 gives
+(x -+ 1)^2, so x -+ 1 divides mu an even number of times.  Otherwise the
+roots r, 1/r of x^2 - b x + 1 are distinct (r = +-1 only for b = +-2),
+so Q is square-free.  r lies in GF(p^j), which holds b, iff b^2 - 4 is a
+square there, iff legendre(Norm(b^2 - 4), p) = 1; Norm(b - c) =
+(-1)^j q(c), so Norm(b^2 - 4) = q(2) q(-2) (Meyn, AAECC 1, 1990).
+GF(p)(r) holds b, so for a nonsquare r has degree 2j and Q is
+irreducible; for a square r has degree j and Q = g g*, g the minimal
+polynomial of r and g* that of 1/r, g != g* as Q is square-free.  The
+roots of g* are the inverses of those of g, so ord g* = ord g, and all
+lie in GF(p^j): the order of x modulo Q is ord g (``_primepoly.order``
+with k = j).  g and g* share the degree j, the multiplicity e of q and
+the order, and for A cyclic their kernels, j min(p^v, e) each: one row
+of Q, counted twice, stands for both, and a pair is split only to list
+``factors``.  A non-cyclic A reads its kernels off g itself, so it takes
+the full ``_primepoly.factor``.  At n = 1 mu is palindromic (ell has
+c_(alpha+i) = c_(alpha-i), as a^p = a on GF(p)); at n > 1 every cyclic
+mu tried was too, but that is not proved, so palindromy is checked and
+any other mu takes the full factorization.
 """
 
 from __future__ import annotations
@@ -290,39 +316,54 @@ class _Action:
 
 
 class NullityProfile:
-    """l_m for every m from mu = prod g^e: ``factors`` holds (g, e, ord g,
-    kernels), kernels[v] = dim ker g(A)^min(p^v, e) until p^v >= e, and
-    ``order`` is ord(A) = s/n, factored."""
+    """l_m for every m from mu = prod Q^e, each Q one irreducible g or a
+    reciprocal pair g g* (see above): the rows hold (Q, count, e, ord g,
+    kernels), count the irreducibles in Q and kernels[v] = dim ker
+    g(A)^min(p^v, e) until p^v >= e; ``factors`` lists (g, e, ord g,
+    kernels) for each g, and ``order`` is ord(A) = s/n, factored."""
 
     def __init__(self, f: QuadFunc):
         self.func, p, act = f, f.p, _Action(f)
-        factors = sorted(pp.factor(tuple(act.mu), p), key=lambda ge: (len(ge[0]), ge[0][::-1]))
-        if functools.reduce(lambda a, g: pp.mul(a, g, p), [g for g, e in factors for _ in range(e)], [1]) != act.mu:
-            raise InternalInconsistency(f"the factors {factors} do not multiply to mu = {act.mu}")
-        self.factors, order = [], {}
-        for g, e in factors:
+        if act.powers is None and act.mu == act.mu[::-1]:
+            rows = pp.factor_reciprocal(tuple(act.mu), p)
+        else:
+            rows = [(g, len(g) - 1, e) for g, e in pp.factor(tuple(act.mu), p)]
+        if functools.reduce(lambda a, g: pp.mul(a, g, p), [Q for Q, _, e in rows for _ in range(e)], [1]) != act.mu:
+            raise InternalInconsistency(f"the factors {rows} do not multiply to mu = {act.mu}")
+        self._rows, order = [], {}
+        for Q, k, e in rows:
             t = next(t for t in range(e) if p**t >= e)
-            js = [min(p**v, e) for v in range(t + 1)]  # cyclic A: deg g * j
-            kernels = tuple(act.nullity(pp.powmod(g, j, act.mu, p)) if act.powers is not None
-                            else (len(g) - 1) * j for j in js)
-            rev = tuple(c * pow(g[0], -1, p) % p for c in reversed(g))  # inverse roots: the same order
-            fac = pp.order(min(g, rev), p)
+            js = [min(p**v, e) for v in range(t + 1)]  # cyclic A: k * j
+            kernels = tuple(act.nullity(pp.powmod(Q, j, act.mu, p)) if act.powers is not None
+                            else k * j for j in js)
+            rev = tuple(c * pow(Q[0], -1, p) % p for c in reversed(Q))  # inverse roots: the same order
+            fac = pp.order(min(Q, rev), p, k)
             for q, v in fac + ((p, t),):
                 order[q] = max(order.get(q, 0), v)
-            self.factors.append((g, e, prod(q**v for q, v in fac), kernels))
+            self._rows.append((Q, (len(Q) - 1) // k, e, prod(q**v for q, v in fac), kernels))
         self.order = {q: v for q, v in sorted(order.items()) if v}
         self.s = f.n * prod(q**v for q, v in self.order.items())
 
+    @functools.cached_property
+    def factors(self) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
+        """(g, e, ord g, kernels) for the irreducible g | mu, sorted by
+        degree, then by coefficients from the top; each reciprocal pair is
+        split here (``_primepoly.factor``), only when read."""
+        p = self.func.p
+        out = [(g, e, o, ker) for Q, count, e, o, ker in self._rows
+               for g in ([Q] if count == 1 else [g for g, _ in pp.factor(Q, p)])]
+        return sorted(out, key=lambda row: (len(row[0]), row[0][::-1]))
+
     def nullity(self, m: int) -> int:
         """With k = gcd(m/n, s/n) = k' p^v, p not dividing k', the sum of
-        kernels[v] over the factors whose order divides k'."""
+        kernels[v] over the irreducible factors whose order divides k'."""
         n, p = self.func.n, self.func.p
         if m < 1 or m % n:
             raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
         k = gcd(m // n, self.s // n)
         v = valuation(k, p)
         k //= p**v
-        return sum(ker[min(v, len(ker) - 1)] for _, _, o, ker in self.factors if k % o == 0)
+        return sum(count * ker[min(v, len(ker) - 1)] for _, count, _, o, ker in self._rows if k % o == 0)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[int, int], ...]:

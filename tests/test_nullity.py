@@ -561,3 +561,64 @@ def test_corrupted_mu_fails_the_annihilation_check(monkeypatch):
     for f in (cyclic, QuadFunc.from_dense(3, [[0, 0, 1], [0, 2, 1]], n=3)):
         with pytest.raises(InternalInconsistency, match="does not annihilate"):
             nullity._Action(f)
+
+
+def test_profile_splits_a_reciprocal_pair_only_to_list_the_factors(monkeypatch):
+    # 2x^2 + 3x^6 + x^126 over GF(5): mu = g g* h with g != g* of order 24
+    # listed apart by h; s, entries and the nullities read the pair unsplit
+    # (no equal-degree split), the listed factors split it
+    f = QuadFunc.from_dense(5, [2, 3, 0, 1])
+    mu = tuple(nullity._Action(f).mu)
+    want = [(g, e, math.prod(q**v for q, v in pp.order(g, 5))) for g, e in
+            sorted(pp.factor(mu, 5), key=lambda ge: (len(ge[0]), ge[0][::-1]))]
+    pp.factor.cache_clear()
+    real, splits = pp._equal_degree, []
+    monkeypatch.setattr(pp, "_equal_degree", lambda *args: splits.append(args) or real(*args))
+    prof = nullity_profile.__wrapped__(f)
+    assert prof.s == 24 and prof.nullity(48) == 6
+    assert prof.entries == ((1, 0), (2, 0), (3, 0), (4, 0), (6, 2), (8, 0), (12, 2), (24, 6))
+    assert splits == []
+    assert prof.to_json_dict()["factors"] == [[2, 24, 1], [2, 6, 1], [2, 24, 1]]
+    assert splits and [(g, e, o) for g, e, o, _ in prof.factors] == want
+
+
+def test_reciprocal_product_check_raises(monkeypatch):
+    # rows of the half factoring that drop a factor no longer multiply to mu
+    real = pp.factor_reciprocal
+    monkeypatch.setattr(pp, "factor_reciprocal", lambda a, p: real(a, p)[1:])
+    with pytest.raises(InternalInconsistency, match="do not multiply to mu"):
+        nullity_profile.__wrapped__(F5_RUNNING)
+
+
+def _refuse_half_factoring(a, p):
+    raise AssertionError("factor_reciprocal called")
+
+
+@pytest.mark.parametrize("coeffs", [[[0, 0, 1], [0, 2, 1]], [[0, 0, 1], [0, 1, 2]]])
+def test_non_cyclic_actions_take_the_full_factorization(monkeypatch, coeffs):
+    # A = -I (mu = x + 1, palindromic) and A = I over GF(27) read their
+    # kernels off g itself
+    f = QuadFunc.from_dense(3, coeffs, n=3)
+    real, seen = pp.factor, []
+    monkeypatch.setattr(pp, "factor", lambda a, p: seen.append(a) or real(a, p))
+    monkeypatch.setattr(pp, "factor_reciprocal", _refuse_half_factoring)
+    nullity_profile.__wrapped__(f)
+    assert seen == [tuple(nullity._Action(f).mu)]
+
+
+def test_a_non_palindromic_mu_takes_the_full_factorization(monkeypatch):
+    # no cyclic mu met so far is anything but palindromic; one that is not,
+    # here the irreducible x^2 + x + 2 over GF(3) of order 8, is factored whole
+    real_init, seen = nullity._Action.__init__, []
+
+    def init(self, f):
+        real_init(self, f)
+        self.mu = [2, 1, 1]
+
+    real = pp.factor
+    monkeypatch.setattr(nullity._Action, "__init__", init)
+    monkeypatch.setattr(pp, "factor", lambda a, p: seen.append(a) or real(a, p))
+    monkeypatch.setattr(pp, "factor_reciprocal", _refuse_half_factoring)
+    prof = nullity.NullityProfile(QuadFunc.from_dense(3, [1, 1]))
+    assert seen == [(2, 1, 1)] and prof.s == 8
+    assert prof.factors == [((2, 1, 1), 1, 8, (2,))]

@@ -297,3 +297,86 @@ def test_order_matches_repeated_products(p, max_d):
             got = pp.order(tuple(g), p)
             assert math.prod(q**v for q, v in got) == e, (g, got)
             assert [q for q, _ in got] == sorted(q for q, _ in got)
+
+
+def _palindromic(low, mid):
+    return list(low) + [mid] + list(low)[::-1]
+
+
+def _rows_by_full_factoring(a, p):
+    """(deg g, ord g, e) for each irreducible g | a, by ``factor``."""
+    return sorted((len(g) - 1, math.prod(q**v for q, v in pp.order(g, p)), e) for g, e in pp.factor(tuple(a), p))
+
+
+def _rows_by_half_factoring(a, p):
+    """The same rows from ``factor_reciprocal``, a pair g g* twice."""
+    rows = []
+    for Q, k, e in pp.factor_reciprocal(tuple(a), p):
+        rows += [(k, math.prod(q**v for q, v in pp.order(Q, p, k)), e)] * ((len(Q) - 1) // k)
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("p,max_d", [(3, 8), (5, 6), (7, 4)])
+def test_factor_reciprocal_matches_factor_on_every_palindromic_polynomial(p, max_d):
+    # every monic palindromic a of even degree <= max_d; degree 0 is the mu
+    # of alpha = 0, with no rows
+    assert pp.factor_reciprocal((1,), p) == ()
+    for d in range(2, max_d + 1, 2):
+        for low in itertools.product(range(p), repeat=d // 2 - 1):
+            for mid in range(p):
+                a = _palindromic((1,) + low, mid)
+                assert _rows_by_half_factoring(a, p) == _rows_by_full_factoring(a, p), (p, a)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_factor_reciprocal_matches_factor_at_degree_12_and_16(p, rng):
+    for d in (12, 16):
+        for _ in range(10):
+            a = _palindromic([1] + [rng.randrange(p) for _ in range(d // 2 - 1)], rng.randrange(p))
+            assert _rows_by_half_factoring(a, p) == _rows_by_full_factoring(a, p), (p, a)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 + 29])
+def test_factor_reciprocal_matches_factor_at_large_primes(p, rng):
+    # products of palindromic quadratics x^2 - b x + 1, each a reciprocal
+    # pair of linear factors, a self-reciprocal irreducible or (x -+ 1)^2,
+    # some repeated: every order then needs only p - 1 and p + 1 factored
+    for d in (12, 16):
+        for _ in range(3):
+            pool = [2, p - 2] + [rng.randrange(p) for _ in range(3)]
+            a = [1]
+            for _ in range(d // 2):
+                a = pp.mul(a, [1, rng.choice(pool), 1], p)
+            assert _rows_by_half_factoring(a, p) == _rows_by_full_factoring(a, p), (p, a)
+
+
+def _dickson_lift(q, p):
+    """x^j q(x + 1/x) = sum q_i x^(j-i) (x^2 + 1)^i, by products."""
+    j, out = len(q) - 1, [0] * (2 * len(q) - 1)
+    for i, c in enumerate(q):
+        term = [0] * (j - i) + [1]
+        for _ in range(i):
+            term = pp.mul(term, [1, 0, 1], p)
+        for t, v in enumerate(term):
+            out[t] = (out[t] + c * v) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_meyn_criterion_and_the_orders_of_a_pair(p):
+    # every monic irreducible q of degree j <= 4 but y -+ 2: Q = x^j q(x + 1/x)
+    # is irreducible exactly when q(2) q(-2) is a nonsquare (k = 2j), and
+    # else g g* with g != g* of degree j, both of the order order(Q, p, j)
+    for j in range(1, 5):
+        for q in _monic_polys(p, j):
+            if not pp.is_irreducible(q, p) or (j == 1 and q[0] in (2, p - 2)):
+                continue
+            Q = tuple(_dickson_lift(q.tolist(), p))
+            ((got, k, e),) = pp.factor_reciprocal(Q, p)
+            assert got == Q and e == 1 and k in (j, 2 * j), (p, q)
+            assert (k == 2 * j) == pp.is_irreducible(np.array(Q, dtype=np.int64), p), (p, q)
+            if k == j:
+                (g, _), (h, _) = pp.factor(Q, p)
+                assert len(g) == len(h) == j + 1 and g != h, (p, q)
+                assert h == tuple(c * pow(g[0], -1, p) % p for c in reversed(g)), (p, q)
+                assert pp.order(Q, p, j) == pp.order(g, p) == pp.order(h, p), (p, q)

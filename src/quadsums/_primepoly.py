@@ -19,15 +19,18 @@ modulo one factor and a nonsquare modulo another, so one pass splits g.
 x^(p^k) and t^(p^i) are rows times the Frobenius matrix Q, and
 t^((p^k - 1)/2) is the product of the t^(p^i), i < k, to the (p - 1)/2.
 
-``factor_reciprocal`` factors a monic palindromic a = x^m H(x + 1/x) of
-degree 2m through H, of degree m (Dickson polynomials; the proof is in
-:mod:`quadsums.nullity`): each irreducible q | H of degree j gives
-Q = x^j q(x + 1/x), which is (x -+ 1)^2 for q = y -+ 2, irreducible when
-q(2) q(-2) is a nonsquare mod p (Meyn), and else a reciprocal pair g g*
-of degree j each, returned unsplit.  ``order(g, p, k)`` takes the order
-of x modulo a square-free g whose roots lie in GF(p^k), from the factored
-p^k - 1; k = deg g for an irreducible g, k = j for such a pair (the roots
-of g* are the inverses of those of g, so both have one order).
+``factor_reciprocal`` factors a monic a whose reciprocal x^(deg a)
+a(1/x) is +-a, the minimal polynomial of a symplectic map (the proof is
+in :mod:`quadsums.nullity`).  Each power of x + 1 and of x - 1, odd ones
+included, is stripped into one row.  The rest r has no root +-1, so it
+is palindromic of even degree 2m, r = x^m H(x + 1/x), and is factored
+through H, of degree m (Dickson polynomials); r not palindromic raises.
+Each irreducible q | H of degree j gives Q = x^j q(x + 1/x), irreducible
+when q(2) q(-2) is a nonsquare mod p (Meyn), and else a reciprocal pair
+g g* of degree j each, returned unsplit.  ``order(g, p, k)`` takes the
+order of x modulo a square-free g whose roots lie in GF(p^k), from the
+factored p^k - 1; k = deg g for an irreducible g, k = j for such a pair
+(the roots of g* are the inverses of those of g, so both have one order).
 
 ``matpow`` is the one square-and-multiply of a matrix, or of a stack of
 matrices: X^p in ``frobenius_matrix`` and every Frobenius table of a field
@@ -221,26 +224,28 @@ def factor(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...
 
 
 def factor_reciprocal(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """(Q, k, e) with a = prod Q^e, for the monic palindromic a of even
-    degree 2m, a = x^m H(x + 1/x): each Q is x - 1 or x + 1 (k = 1), a
+    """(Q, k, e) with a = prod Q^e, for the monic a with a* = +-a, a* =
+    x^(deg a) a(1/x): each Q is x + 1 or x - 1 (k = 1, any e), a
     self-reciprocal irreducible of degree 2j (k = 2j), or a reciprocal pair
-    g g*, g != g* irreducible of degree j (k = j), from an irreducible q | H
-    of degree j; k is the degree of each irreducible in Q.  Only H, of half
-    the degree, is factored (``factor``, memoized; this function is not, as
-    the rest is a few sums); no pair is split."""
-    m = (len(a) - 1) // 2
-    H, prev, cur = [a[m]] + [0] * m, [2], [0, 1]  # D_0, D_1
-    for c in a[m + 1 :]:  # x^i + x^(-i) = D_i(x + 1/x), D_(i+1) = y D_i - D_(i-1)
-        for t, v in enumerate(cur):
-            H[t] += c * v
+    g g*, g != g* irreducible of degree j (k = j), from an irreducible
+    q | H of degree j, where r = x^m H(x + 1/x) is a without x -+ 1; k is
+    the degree of each irreducible in Q.  Only H, of half the degree of r,
+    is factored (``factor``, memoized; this function is not, as the rest is
+    a few sums); no pair is split.  Raises when r is not palindromic, that
+    is when a* != +-a."""
+    a, powers = list(a), {1: 0, p - 1: 0}  # of x + 1 and x - 1
+    for z in powers:
+        while not rem(a, [z, 1], p):
+            a, powers[z] = _quotient(a, [z, 1], p), powers[z] + 1
+    if a != a[::-1]:
+        raise InternalInconsistency(f"a* != +-a: {a}, a without x -+ 1, is not palindromic")
+    H, prev, cur = [a[len(a) // 2]] + [0] * (len(a) // 2), [2], [0, 1]  # D_0, D_1; now deg a = 2m
+    for c in a[len(a) // 2 + 1 :]:  # x^i + x^(-i) = D_i(x + 1/x), D_(i+1) = y D_i - D_(i-1)
+        H[: len(cur)] = [h + c * v for h, v in zip(H, cur)]
         prev, cur = cur, [u - (prev[t] if t < len(prev) else 0) for t, u in enumerate([0] + cur)]
-    out = []
+    out = [((z, 1), 1, e) for z, e in powers.items() if e]
     for q, e in factor(tuple(c % p for c in H), p):
-        j = len(q) - 1
-        if j == 1 and q[0] in (2, p - 2):  # y + 2, y - 2: (x + 1)^2, (x - 1)^2
-            out.append(((1 if q[0] == 2 else p - 1, 1), 1, 2 * e))
-            continue
-        Q = [0] * (2 * j + 1)  # x^j q(x + 1/x) = sum q_i x^(j-i) (x^2 + 1)^i
+        j, Q = len(q) - 1, [0] * (2 * len(q) - 1)  # x^j q(x + 1/x) = sum q_i x^(j-i) (x^2 + 1)^i
         for i, c in enumerate(q):
             for t in range(i + 1):
                 Q[j - i + 2 * t] += c * comb(i, t)

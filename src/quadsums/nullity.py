@@ -16,50 +16,79 @@ annihilates the element 1 (a central z with z 1 in RL has z r = r z in RL
 for every r), so it is the first linear dependency of e_0, M e_0, ...,
 checked by mu(M) = 0.
 
-The profile from mu = prod g^e (``_primepoly.factor``, the product
-checked); no g is x, and ord(g) divides p^(deg g) - 1 (``_primepoly.order``).
-With k = k' p^v, p not dividing k', l_(kn) is the sum over the g with
-ord(g) | k' of kappa_g(v) = dim ker g(A)^min(p^v, e), and s = n * lcm of
-ord(g) p^t, p^t the least power >= e (Lidl and Niederreiter, Finite
-Fields, Thm 3.8, 3.9).  Proof, for A cyclic or not: V is the sum of the
-A-stable V_g = ker g(A)^e, which hold every ker g(A)^j.  x^k - 1 is
-(x^k' - 1)^(p^v), and x^k' - 1 the product of the distinct irreducibles
-h with ord(h) | k'.  If ord(g) does not divide k', A^k - I is invertible
-on V_g.  Else x^k' - 1 = g u with u(A) invertible on V_g, and there
-ker(A^k - I) = ker g(A)^(p^v) = ker g(A)^min(p^v, e).  ord(A) is the
-least k with mu | x^k - 1, the lcm of ord(g^e) = ord(g) p^t.  When
-deg mu = 2*alpha, A is cyclic and kappa_g(v) = deg g * min(p^v, e) (Thm
-3.62); otherwise (A = -I, say) it is dim ker y(M) / n, y = g^min(p^v, e)
-mod mu.  ``nullity``, ``entries`` (one pair per divisor of s, listed
-only when read) and ``pair_count`` are integer arithmetic.
+The profile from mu = prod Q^e (``_primepoly.factor_reciprocal``, below;
+the product checked); no factor is x, and ord(g) divides p^(deg g) - 1
+(``_primepoly.order``).  With k = k' p^v, p not dividing k', l_(kn) is
+the sum over the irreducible g | mu with ord(g) | k' of kappa_g(v) = dim
+ker g(A)^min(p^v, e), and s = n * lcm of ord(g) p^t, p^t the least power
+>= e (Lidl and Niederreiter, Finite Fields, Thm 3.8, 3.9).  Proof, for A
+cyclic or not: V is the sum of the A-stable V_g = ker g(A)^e, which hold
+every ker g(A)^j.  x^k - 1 is (x^k' - 1)^(p^v), and x^k' - 1 the product
+of the distinct irreducibles h with ord(h) | k'.  If ord(g) does not
+divide k', A^k - I is invertible on V_g.  Else x^k' - 1 = g u with u(A)
+invertible on V_g, and there ker(A^k - I) = ker g(A)^(p^v) = ker
+g(A)^min(p^v, e).  ord(A) is the least k with mu | x^k - 1, the lcm of
+ord(g^e) = ord(g) p^t.  When deg mu = 2*alpha, A is cyclic and dim ker
+Q(A)^j = j deg Q (Thm 3.62); otherwise (A = -I, say) it is dim ker y(M) /
+n, y = Q^j mod mu; kappa_g(v) is that, j = min(p^v, e), over the number
+of irreducibles in Q (one, or two for a pair, below).  ``nullity``,
+``entries`` (one pair per divisor of s, listed only when read, in one
+walk over the divisors) and ``pair_count`` are integer arithmetic.
 ``nullity_profile`` checks l_n against the skew-gcd ladder
 (``nullity_at``) and l_s against 2*alpha.
 
-Half of mu (``_primepoly.factor_reciprocal``).  When A is cyclic and mu
-is palindromic (mu = x^(2k) mu(1/x), deg mu = 2k = 2*alpha), mu = x^k
-H(x + 1/x) with H monic of degree k: x^i + x^(-i) = D_i(x + 1/x) for the
-Dickson polynomials D_0 = 2, D_1 = y, D_(i+1) = y D_i - D_(i-1) (Lidl
-and Niederreiter, ch. 7), so H = c_k + sum_(i>=1) c_(k+i) D_i.  Only H
-is factored.  An irreducible q | H of degree j gives Q = x^j q(x + 1/x),
-the product of x^2 - b x + 1 over the roots b of q; q = y -+ 2 gives
-(x -+ 1)^2, so x -+ 1 divides mu an even number of times.  Otherwise the
-roots r, 1/r of x^2 - b x + 1 are distinct (r = +-1 only for b = +-2),
-so Q is square-free.  r lies in GF(p^j), which holds b, iff b^2 - 4 is a
-square there, iff legendre(Norm(b^2 - 4), p) = 1; Norm(b - c) =
-(-1)^j q(c), so Norm(b^2 - 4) = q(2) q(-2) (Meyn, AAECC 1, 1990).
-GF(p)(r) holds b, so for a nonsquare r has degree 2j and Q is
-irreducible; for a square r has degree j and Q = g g*, g the minimal
-polynomial of r and g* that of 1/r, g != g* as Q is square-free.  The
-roots of g* are the inverses of those of g, so ord g* = ord g, and all
-lie in GF(p^j): the order of x modulo Q is ord g (``_primepoly.order``
-with k = j).  g and g* share the degree j, the multiplicity e of q and
-the order, and for A cyclic their kernels, j min(p^v, e) each: one row
-of Q, counted twice, stands for both, and a pair is split only to list
-``factors``.  A non-cyclic A reads its kernels off g itself, so it takes
-the full ``_primepoly.factor``.  At n = 1 mu is palindromic (ell has
-c_(alpha+i) = c_(alpha-i), as a^p = a on GF(p)); at n > 1 every cyclic
-mu tried was too, but that is not proved, so palindromy is checked and
-any other mu takes the full factorization.
+A is symplectic (van der Geer and van der Vlugt, Compositio Math. 84,
+1992).  On the algebraic closure, where z -> z^p is a bijection, let
+E(z) = sum_i a_i z^(p^alpha_i) + (a_i z)^(p^-alpha_i), so that L is
+E(z)^(p^alpha) and V = ker L = ker E.  The polar form of f is B(x, y) =
+f(x + y) - f(x) - f(y) = sum_i a_i (x^(p^alpha_i) y + x y^(p^alpha_i)).
+With wp(w) = w^p - w, u - u^(p^-k) = wp(sum_(t<k) u^(p^(t-k))), so B(x,
+y) = y E(x) + wp(c(x, y)), c(x, y) = sum_i sum_(t<alpha_i) (a_i x
+y^(p^alpha_i))^(p^(t-alpha_i)).  On V, B(x, y) = wp(c(x, y)), and as B is
+symmetric also wp(c(y, x)): the pairing <x, y> = c(x, y) - c(y, x) has
+wp(<x, y>) = 0, so it is GF(p)-valued.  c is additive in each argument
+and GF(p)-linear, so <,> is GF(p)-bilinear, and <x, x> = 0: it is
+alternating.  The a_i lie in GF(p^n), so z -> z^(p^n) takes c(x, y) to
+c(Ax, Ay), and <Ax, Ay> = <x, y>^(p^n) = <x, y>.  <,> is nondegenerate:
+for x != 0 in V (so alpha >= 1), <x, y> = <x, y>^(p^alpha) is a
+p-polynomial in y of degree at most p^(2*alpha - 1) (c(x, y) has the
+powers y^(p^t), 0 <= t < alpha, and c(y, x) the y^(p^(t - alpha_i)), t <
+alpha_i), whose coefficient at y^(p^(2*alpha - 1)) is (a x)^(p^(alpha -
+1)) != 0, a the coefficient of the top term (t = alpha - 1 there alone);
+it cannot vanish on all p^(2*alpha) points of V.  So A preserves <,>:
+with J the invertible alternating matrix of <,>, A^T J A = J, and A^(-1)
+= J^(-1) A^T J is similar to A^T, so to A.
+
+Hence mu* = +-mu, mu* = x^(deg mu) mu(1/x): the minimal polynomial of
+A^(-1) is mu*/mu(0), so mu* = mu(0) mu, and mu(0)^2 = 1 (the top and
+constant coefficients).  Nothing bounds the power of x -+ 1 in mu (A = -I
+has mu = x + 1; A = I has mu = x - 1, with mu* = -mu).  The rest r of mu
+without x -+ 1 has r* = +-r and r(+-1) != 0.  r* = -r would give r(1) =
+-r(1), and an odd degree r(-1) = -r(-1), so r is palindromic of even
+degree 2k.  ``_primepoly.factor_reciprocal`` strips every power of x -+ 1
+(one row each, Q = x -+ 1) and raises unless r is palindromic.
+
+Half of mu.  r = x^k H(x + 1/x) with H monic of degree k: x^i + x^(-i) =
+D_i(x + 1/x) for the Dickson polynomials D_0 = 2, D_1 = y, D_(i+1) = y
+D_i - D_(i-1) (Lidl and Niederreiter, ch. 7), so H = c_k + sum_(i>=1)
+c_(k+i) D_i.  Only H is factored.  An irreducible q | H of degree j gives
+Q = x^j q(x + 1/x), the product of x^2 - b x + 1 over the roots b of q.
+No b is +-2, as r(1) = H(2) and r(-1) = (-1)^k H(-2) do not vanish, so
+the roots w, 1/w of x^2 - b x + 1 are distinct and Q is square-free.  w
+lies in GF(p^j), which holds b, iff b^2 - 4 is a square there, iff
+legendre(Norm(b^2 - 4), p) = 1; Norm(b - c) = (-1)^j q(c), so Norm(b^2 -
+4) = q(2) q(-2) (Meyn, AAECC 1, 1990).  GF(p)(w) holds b, so for a
+nonsquare w has degree 2j and Q is irreducible; for a square w has degree
+j and Q = g g*, g the minimal polynomial of w and g* that of 1/w, g != g*
+as Q is square-free.  The roots of g* are the inverses of those of g, so
+ord g* = ord g, and all lie in GF(p^j): the order of x modulo Q is ord g
+(``_primepoly.order`` with k = j).  g and g* share the degree j, the
+multiplicity e, the order and the kernels: g*(A) is a unit times
+A^j g(A^(-1)), and g(A^(-1))^i = J^(-1) (g(A)^i)^T J has the rank of
+g(A)^i; g and g* are coprime, so ker Q(A)^i is the direct sum of ker
+g(A)^i and ker g*(A)^i, each half of it (``NullityProfile`` raises when
+it is odd).  One row of Q, counted twice, stands for both, and a pair is
+split only to list ``factors``.
 """
 
 from __future__ import annotations
@@ -324,23 +353,21 @@ class NullityProfile:
 
     def __init__(self, f: QuadFunc):
         self.func, p, act = f, f.p, _Action(f)
-        if act.powers is None and act.mu == act.mu[::-1]:
-            rows = pp.factor_reciprocal(tuple(act.mu), p)
-        else:
-            rows = [(g, len(g) - 1, e) for g, e in pp.factor(tuple(act.mu), p)]
+        rows = pp.factor_reciprocal(tuple(act.mu), p)
         if functools.reduce(lambda a, g: pp.mul(a, g, p), [Q for Q, _, e in rows for _ in range(e)], [1]) != act.mu:
             raise InternalInconsistency(f"the factors {rows} do not multiply to mu = {act.mu}")
         self._rows, order = [], {}
         for Q, k, e in rows:
-            t = next(t for t in range(e) if p**t >= e)
-            js = [min(p**v, e) for v in range(t + 1)]  # cyclic A: k * j
-            kernels = tuple(act.nullity(pp.powmod(Q, j, act.mu, p)) if act.powers is not None
-                            else k * j for j in js)
-            rev = tuple(c * pow(Q[0], -1, p) % p for c in reversed(Q))  # inverse roots: the same order
-            fac = pp.order(min(Q, rev), p, k)
+            t, count = next(t for t in range(e) if p**t >= e), (len(Q) - 1) // k
+            dims = [act.nullity(pp.powmod(Q, j, act.mu, p)) if act.powers is not None else (len(Q) - 1) * j
+                    for j in (min(p**v, e) for v in range(t + 1))]  # dim ker Q(A)^j; cyclic A: deg Q * j
+            if any(d % count for d in dims):
+                raise InternalInconsistency(f"ker Q(A)^j for the pair Q = {Q} has odd dimension: {dims}")
+            kernels = tuple(d // count for d in dims)
+            fac = pp.order(Q, p, k)
             for q, v in fac + ((p, t),):
                 order[q] = max(order.get(q, 0), v)
-            self._rows.append((Q, (len(Q) - 1) // k, e, prod(q**v for q, v in fac), kernels))
+            self._rows.append((Q, count, e, prod(q**v for q, v in fac), kernels))
         self.order = {q: v for q, v in sorted(order.items()) if v}
         self.s = f.n * prod(q**v for q, v in self.order.items())
 
@@ -362,15 +389,20 @@ class NullityProfile:
             raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
         k = gcd(m // n, self.s // n)
         v = valuation(k, p)
-        k //= p**v
+        return self._sum(k // p**v, v)
+
+    def _sum(self, k: int, v: int) -> int:
+        """l_(k p^v n) for k | s/n prime to p, p^v | s/n."""
         return sum(count * ker[min(v, len(ker) - 1)] for _, count, _, o, ker in self._rows if k % o == 0)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[int, int], ...]:
-        ms = [self.func.n]
-        for q, v in self.order.items():
-            ms = [m * q**i for m in ms for i in range(v + 1)]
-        return tuple((m, self.nullity(m)) for m in sorted(ms))
+        """(m, l_m) for each m = n d, d | s/n: one walk over the divisors
+        d = k p^v, k prime to p, each row summed by ``_sum``."""
+        n, p, divisors = self.func.n, self.func.p, [(1, 0)]
+        for q, e in self.order.items():
+            divisors = [(k, i) if q == p else (k * q**i, v) for k, v in divisors for i in range(e + 1)]
+        return tuple(sorted((n * k * p**v, self._sum(k, v)) for k, v in divisors))
 
     @property
     def entry_dict(self) -> dict[int, int]:

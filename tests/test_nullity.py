@@ -1,4 +1,6 @@
+import itertools
 import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -590,35 +592,86 @@ def test_reciprocal_product_check_raises(monkeypatch):
         nullity_profile.__wrapped__(F5_RUNNING)
 
 
-def _refuse_half_factoring(a, p):
-    raise AssertionError("factor_reciprocal called")
+def _profile_by_full_factoring(f):
+    """(factors, s, entries) by factoring mu whole: each irreducible g with
+    its order and kernels dim ker g(A)^min(p^v, e), and l_(dn) = dim
+    ker(A^d - I), deg gcd(x^d - 1, mu) for a cyclic A."""
+    p, act = f.p, nullity._Action(f)
+    mu, order, factors = tuple(act.mu), {}, []
+    for g, e in pp.factor(mu, p):
+        t = next(t for t in range(e) if p**t >= e)
+        js = [min(p**v, e) for v in range(t + 1)]
+        kernels = tuple(act.nullity(pp.powmod(g, j, act.mu, p)) if act.powers is not None
+                        else (len(g) - 1) * j for j in js)
+        fac = pp.order(g, p)
+        for q, v in fac + ((p, t),):
+            order[q] = max(order.get(q, 0), v)
+        factors.append((g, e, math.prod(q**v for q, v in fac), kernels))
+    factors.sort(key=lambda row: (len(row[0]), row[0][::-1]))
+    ord_a = math.prod(q**v for q, v in order.items())
+    entries = []
+    for d in (d for d in range(1, ord_a + 1) if ord_a % d == 0):
+        y = pp.powmod([0, 1], d, act.mu, p) or [0]
+        y = pp.trim([(y[0] - 1) % p] + y[1:])
+        ker = act.nullity(y) if act.powers is not None else len(pp.gcd(y, act.mu, p)) - 1
+        entries.append((d * f.n, ker))
+    return factors, f.n * ord_a, tuple(entries)
 
 
-@pytest.mark.parametrize("coeffs", [[[0, 0, 1], [0, 2, 1]], [[0, 0, 1], [0, 1, 2]]])
-def test_non_cyclic_actions_take_the_full_factorization(monkeypatch, coeffs):
-    # A = -I (mu = x + 1, palindromic) and A = I over GF(27) read their
-    # kernels off g itself
+@pytest.mark.parametrize("p,n,max_alpha,non_cyclic_anti", [(3, 2, 2, (60, 18)), (3, 3, 1, (52, 26)), (5, 2, 1, (8, 4))])
+def test_half_factoring_matches_full_factoring_on_every_small_function(p, n, max_alpha, non_cyclic_anti):
+    # every f over GF(9) with alpha <= 2 and over GF(27), GF(25) with
+    # alpha <= 1: factors, s and entries agree with factoring mu whole, on
+    # the non-cyclic actions and the anti-palindromic mu (mu* = -mu) too
+    ctx = build_field_ctx(p, n)
+    elems = list(ctx.elements())
+    non_cyclic = anti = 0
+    for alpha in range(max_alpha + 1):
+        for low in itertools.product(elems, repeat=alpha):
+            for top in (c for c in elems if not c.is_zero()):
+                f = QuadFunc.from_terms(ctx, [(c, j) for j, c in enumerate(low + (top,))])
+                prof = nullity.NullityProfile(f)
+                assert (prof.factors, prof.s, prof.entries) == _profile_by_full_factoring(f), f
+                act = nullity._Action(f)
+                non_cyclic += act.powers is not None
+                anti += [-c % p for c in act.mu[::-1]] == act.mu
+    assert (non_cyclic, anti) == non_cyclic_anti
+
+
+@pytest.mark.parametrize("coeffs,mu", [([[0, 0, 1], [0, 2, 1]], (1, 1)), ([[0, 0, 1], [0, 1, 2]], (2, 1))])
+def test_non_cyclic_actions_take_the_half_factoring(monkeypatch, coeffs, mu):
+    # A = -I (mu = x + 1) and A = I (mu = x - 1, anti-palindromic) over
+    # GF(27): factor_reciprocal strips x -+ 1, and factor never sees mu
     f = QuadFunc.from_dense(3, coeffs, n=3)
-    real, seen = pp.factor, []
+    real, seen, halved = pp.factor, [], []
+    real_half = pp.factor_reciprocal
     monkeypatch.setattr(pp, "factor", lambda a, p: seen.append(a) or real(a, p))
-    monkeypatch.setattr(pp, "factor_reciprocal", _refuse_half_factoring)
+    monkeypatch.setattr(pp, "factor_reciprocal", lambda a, p: halved.append(a) or real_half(a, p))
     nullity_profile.__wrapped__(f)
-    assert seen == [tuple(nullity._Action(f).mu)]
+    assert halved == [mu] and mu not in seen
 
 
-def test_a_non_palindromic_mu_takes_the_full_factorization(monkeypatch):
-    # no cyclic mu met so far is anything but palindromic; one that is not,
-    # here the irreducible x^2 + x + 2 over GF(3) of order 8, is factored whole
-    real_init, seen = nullity._Action.__init__, []
+def test_a_mu_that_is_not_its_own_reciprocal_raises(monkeypatch):
+    # the reciprocal 2x^2 + x + 1 of x^2 + x + 2 over GF(3) is neither it
+    # nor its negative: no symplectic A has it as mu
+    real_init = nullity._Action.__init__
 
     def init(self, f):
         real_init(self, f)
         self.mu = [2, 1, 1]
 
-    real = pp.factor
     monkeypatch.setattr(nullity._Action, "__init__", init)
-    monkeypatch.setattr(pp, "factor", lambda a, p: seen.append(a) or real(a, p))
-    monkeypatch.setattr(pp, "factor_reciprocal", _refuse_half_factoring)
-    prof = nullity.NullityProfile(QuadFunc.from_dense(3, [1, 1]))
-    assert seen == [(2, 1, 1)] and prof.s == 8
-    assert prof.factors == [((2, 1, 1), 1, 8, (2,))]
+    with pytest.raises(InternalInconsistency, match="not palindromic"):
+        nullity.NullityProfile(QuadFunc.from_dense(3, [1, 1]))
+
+
+def test_an_odd_kernel_of_a_pair_raises(monkeypatch):
+    # over GF(9), mu = (x + 1)(x^4 + 1) is not cyclic, x^4 + 1 a pair g g*;
+    # ker Q(A)^j, twice ker g(A)^j, cannot be odd
+    f = QuadFunc.from_dense(3, [[0, 0], [1, 1], [0, 0], [1, 1]], n=2)
+    prof = nullity_profile.__wrapped__(f)
+    assert [(len(g) - 1, o, e) for g, e, o, _ in prof.factors] == [(1, 2, 1), (2, 8, 1), (2, 8, 1)]
+    real = nullity._Action.nullity
+    monkeypatch.setattr(nullity._Action, "nullity", lambda self, y: real(self, y) + 1)
+    with pytest.raises(InternalInconsistency, match="odd dimension"):
+        nullity.NullityProfile(f)

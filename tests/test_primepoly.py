@@ -318,14 +318,17 @@ def _rows_by_half_factoring(a, p):
 
 @pytest.mark.parametrize("p,max_d", [(3, 8), (5, 6), (7, 4)])
 def test_factor_reciprocal_matches_factor_on_every_palindromic_polynomial(p, max_d):
-    # every monic palindromic a of even degree <= max_d; degree 0 is the mu
-    # of alpha = 0, with no rows
+    # every monic palindromic a of even degree <= max_d, and a times odd and
+    # even powers of x -+ 1, anti-palindromic when x - 1 has an odd power;
+    # degree 0 is the mu of alpha = 0, with no rows
     assert pp.factor_reciprocal((1,), p) == ()
-    for d in range(2, max_d + 1, 2):
-        for low in itertools.product(range(p), repeat=d // 2 - 1):
-            for mid in range(p):
-                a = _palindromic((1,) + low, mid)
-                assert _rows_by_half_factoring(a, p) == _rows_by_full_factoring(a, p), (p, a)
+    minus, plus = [p - 1, 1], [1, 1]
+    cofactors = [[1], minus, _expand([(plus, 1), (minus, 3)], p), _expand([(plus, 3), (minus, 2)], p)]
+    palindromes = [[1]] + [_palindromic((1,) + low, mid) for d in range(2, max_d + 1, 2)
+                           for low in itertools.product(range(p), repeat=d // 2 - 1) for mid in range(p)]
+    for a, u in itertools.product(palindromes, cofactors):
+        a = pp.mul(a, u, p)
+        assert _rows_by_half_factoring(a, p) == _rows_by_full_factoring(a, p), (p, a)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -32,10 +32,11 @@ order of x modulo a square-free g whose roots lie in GF(p^k), from the
 factored p^k - 1; k = deg g for an irreducible g, k = j for such a pair
 (the roots of g* are the inverses of those of g, so both have one order).
 
-``matpow`` is the one square-and-multiply of a matrix, or of a stack of
-matrices: X^p in ``frobenius_matrix`` and every Frobenius table of a field
-(:mod:`quadsums.fieldcore`) are its powers.  ``order`` keeps its own
-squares X^(2^i), each shared by every exponent it tests.
+``power`` is the one square-and-multiply, under any product: ``powmod``,
+``matpow`` (X^p in ``frobenius_matrix`` and every Frobenius table of a
+field are its powers), ``Poly.powmod`` and ``CyclotomicInt.__pow__`` call
+it.  ``order`` keeps its own squares X^(2^i), each shared by every
+exponent it tests.
 
 ``is_irreducible`` is Rabin's test.  z -> z^p on GF(p)[x]/(a), a monic of
 degree d, has the matrix Q (``frobenius_matrix``), whose row u is
@@ -152,13 +153,20 @@ def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     return [c % p for c in out[:d]]
 
 
-def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m, trimmed, squaring from the top bit of e down by ``mulmod``."""
-    out = a = rem(a if e else [1], m, p)
+def power(a, e: int, mul):
+    """a^e for e >= 1 under the product mul, from the top bit of e down."""
+    out = a
     for bit in bin(e)[3:]:
-        out = mulmod(out, out, m, p)
-        out = mulmod(out, a, m, p) if bit == "1" else out
-    return trim(out)
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
+
+
+def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m, trimmed, by ``power`` through ``mulmod``."""
+    a = rem(a if e else [1], m, p)
+    return trim(power(a, e, lambda u, v: mulmod(u, v, m, p)) if e else a)
 
 
 def _squarefree(a: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -322,14 +330,9 @@ def _companion(a, p: int) -> np.ndarray:
 
 
 def matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
-    """A^e mod p for e >= 1, squaring from the top bit of e down, in A's
-    dtype; for a stack of matrices (a leading axis), each one's power."""
-    P = A
-    for bit in bin(e)[3:]:
-        P = P @ P % p
-        if bit == "1":
-            P = P @ A % p
-    return P
+    """A^e mod p for e >= 1 by ``power``, in A's dtype; for a stack of
+    matrices (a leading axis), each one's power."""
+    return power(A, e, lambda U, V: U @ V % p)
 
 
 def frobenius_matrix(a, p: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from ._primepoly import power
 from .errors import InvalidInput, MixedPrimes
 
 
@@ -96,15 +97,7 @@ class CyclotomicInt:
     def __pow__(self, e: int):
         if e < 0:
             raise InvalidInput("negative powers leave Z[zeta_p]")
-        result = CyclotomicInt.from_int(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, CyclotomicInt.__mul__) if e else CyclotomicInt.from_int(self.p, 1)
 
     def conj(self) -> "CyclotomicInt":
         """Complex conjugation, zeta -> zeta^(-1)."""

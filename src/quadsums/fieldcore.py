@@ -15,46 +15,50 @@ code p, which leaves the result unchanged.  ``frob_mat_power(1)`` is Q
 transposed.
 
 Contexts are immutable and cached; elements are coordinate vectors in the
-power basis of the modulus root.
+power basis of the modulus root.  Every table a context keeps, here and in
+:mod:`quadsums.quadform`, is built once by ``FieldCtx.table``, which makes
+each array it hands out read-only.
 
 Frobenius and trace are GF(p)-linear, so the scalar maps are cached exact
-linear maps: a context keeps, as read-only arrays in the exact dtype
-(below), the images of the power basis under z -> z^(p^j) for each j asked
-for and Tr(x^u) for u < d.  ``FieldCtx.powers`` gives the coordinate rows
-of 1, y, ..., y^(k-1) by k - 1 products (which run on
-:mod:`quadsums._primepoly`, below, so a context keeps no reduction table);
-the table for j = 1 is the powers of x ** p, and the table for j its j-th
-matrix power.  Tr(x^u) is the definition, the sum of the d conjugates of
-x^u: row u of the sum of the first d powers of that table, checked to lie
-in GF(p).  ``FieldElem.frobenius`` is then one O(d^2) product of the
-coordinate row and the table, and ``FieldElem.trace`` one O(d) product.
-The brute-force oracle uses these maps alone, and only it reads a trace
-through the conjugate sums.
+linear maps: a context keeps, in the exact dtype (below), the images of
+the power basis under z -> z^(p^j) for each j asked for and Tr(x^u) for
+u < d.  ``FieldCtx.powers`` gives the coordinate rows of 1, y, ...,
+y^(k-1) by k - 1 products (which run on :mod:`quadsums._primepoly`,
+below, so a context keeps no reduction table); the table for j = 1 is the
+powers of x ** p, and the table for j its j-th matrix power.  Tr(x^u) is
+the definition, the sum of the d conjugates of x^u: row u of the sum of
+the first d powers of that table, checked to lie in GF(p).
+``FieldElem.frobenius`` is then one O(d^2) product of the coordinate row
+and the table, and ``FieldElem.trace`` one O(d) product.  The brute-force
+oracle uses these maps alone, and only it reads a trace through the
+conjugate sums.
 
 The matrix route is separate and equally exact: ``frob_mat_power`` (Q
 transposed, and its powers), ``mult_mat`` (rows a x^u, each the last times
-the cached companion matrix of the modulus) and ``trace_form`` (the Hankel
-matrix of the power sums Tr(x^k), O(d^2) by Newton's identities on the
-modulus) back the Gram matrix in :mod:`quadsums.quadform`, the radical's
-linear map in :mod:`quadsums.nullity` and, by row 0, the phase of
-``lifts.shift_linear``.  Both Frobenius tables come from one cached method,
-``_power_table``: each table for j is one power, j mod d, of the table for
-1 by square and multiply (``_primepoly.matpow``), and only the tables
-asked for are kept, none in between.  Their entries are residues mod p,
-and every sum and product is reduced mod p before the next, so no
-intermediate exceeds a sum of d products of residues: the matrices are
-int64 while d*(p-1)^2 < 2^63 and Python ints (numpy ``dtype=object``)
-beyond that (``_primepoly.exact_dtype``).  Nothing here is float64; only
-the oracle's enumeration is, under its own enforced bound.
+the companion matrix of the modulus), ``p_poly_matrix`` (z -> sum c
+z^(p^a), the sum of their products) and ``trace_form`` (the Hankel matrix
+of the power sums Tr(x^k), O(d^2) by Newton's identities on the modulus)
+back the Gram matrix in :mod:`quadsums.quadform`, the radical's linear map
+in :mod:`quadsums.nullity` and, by row 0, the phase of
+``lifts.shift_linear``.  Both Frobenius tables come from ``_power_table``:
+each table for j is one power, j mod d, of the table for 1 by square and
+multiply (``_primepoly.matpow``), and only the tables asked for are kept,
+none in between.  Their entries are residues mod p, and every sum and
+product is reduced mod p before the next, so no intermediate exceeds a sum
+of d products of residues: the matrices are int64 while d*(p-1)^2 < 2^63
+and Python ints (numpy ``dtype=object``) beyond that
+(``_primepoly.exact_dtype``).  Nothing here is float64; only the oracle's
+enumeration is, under its own enforced bound.
 
 Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
 lie in K = GF(p^n), the kernel of F^n - I for F the Frobenius matrix, the
 one subfield of that order (Lidl and Niederreiter, Thm 2.14).  The first
 b of K, in code order from p, of degree n has a minimal polynomial mu_b
 (``_linalg.krylov_mu``) that builds a copy of K; ``_find_root`` splits g
-there, and x -> b carries the n conjugates of that root into GF(p^N).
-The sorted root set, and so the default embedding (the smallest-encoding
-root), depends neither on the root found nor on b.
+there, and x -> b carries that root into GF(p^N), where its orbit under
+z -> z^p is all n roots (``_conjugates``).  The sorted root set, and so
+the default embedding (the smallest-encoding root), depends neither on the
+root found nor on b.  The rows of a root's powers check that g vanishes.
 
 Direct bases.  ``direct_field(base, N)`` builds GF(p^N), N = n p^c over
 base = GF(p^n), as an Artin-Schreier tower, with no modulus search and no
@@ -76,14 +80,14 @@ coset of b modulo its intersection with base, of order p^(n/r); at n = 1
 the first theta, 1 + y_1 + ... + y_c, qualifies.  The Krylov sequence of
 1 under theta gives its minimal polynomial mu, the modulus of the field
 built (Rabin's test stays in the constructor), and one solve gives x_0 in
-the power basis of theta.  The images of x_0's n conjugates, each checked
-to be a root of base.modulus and sorted by encoding (``_cache_roots``, as
-for a split root), fill the ``embedding_roots`` cache.  The type and
-nullity of Tr_N(f) depend on none of these choices: a change of modulus or
-of root is a GF(p)-linear change of coordinates, and two embeddings differ
-by z -> z^(p^j), which keeps Tr_N.  So the evaluator's direct step reads
-these fields (f and its twist, both with coefficients in base), and every
-field a user sees keeps the default modulus.
+the power basis of theta.  The orbit of x_0 under z -> z^p, checked and
+sorted as for a split root (``_conjugates``), fills the
+``embedding_roots`` table.  The type and nullity of Tr_N(f) depend on
+none of these choices: a change of modulus or of root is a GF(p)-linear
+change of coordinates, and two embeddings differ by z -> z^(p^j), which
+keeps Tr_N.  So the evaluator's direct step reads these fields (f and its
+twist, both with coefficients in base), and every field a user sees keeps
+the default modulus.
 
 Products, powers and inverses.  Each is one call into the GF(p)[x]
 arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
@@ -220,53 +224,56 @@ class FieldCtx:
     def parse_elem(self, text: str) -> "FieldElem":
         return self.elem([int(t) for t in text.split(",")])
 
-    # -- cached exact linear maps -----------------------------------------------
+    # -- cached tables -----------------------------------------------------------
+
+    def table(self, name: str, key, build=None):
+        """The table ``name`` under key, from build() on the first call and
+        read-only if an array; with no build, the cached table or None."""
+        try:
+            return self._cache[name][key]
+        except KeyError:
+            if build is None:
+                return None
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache.setdefault(name, {})[key] = value
+            return value
 
     def powers(self, y: "FieldElem", k: int) -> np.ndarray:
-        """Coordinate rows of 1, y, ..., y^(k-1), read-only in the exact
-        dtype, by k - 1 products (y times the last, cheap for a sparse y)."""
+        """Coordinate rows of 1, y, ..., y^(k-1) in the exact dtype, by k - 1
+        products (y times the last, cheap for a sparse y)."""
         cur = self.one()
         rows = [cur.coeffs]
         for _ in range(k - 1):
             cur = y * cur
             rows.append(cur.coeffs)
-        out = np.array(rows, dtype=pp.exact_dtype(self.p, self.d))
-        out.setflags(write=False)
-        return out
+        return np.array(rows, dtype=pp.exact_dtype(self.p, self.d))
 
     def _power_table(self, name: str, j: int, first) -> np.ndarray:
-        """The j-th matrix power of the table first() (the map for j = 1),
-        j taken mod d, read-only and cached under name for each j asked
-        for: ``pp.matpow`` from the cached table for 1 or a fresh first(),
-        and no table in between is kept."""
+        """The j-th matrix power, j mod d, of the table first() (the map for
+        j = 1), cached under name: ``pp.matpow`` of the cached table for 1
+        or of a fresh first(), and no table in between is kept."""
         j %= self.d
-        tables = self._cache.setdefault(name, {})
-        T = tables.get(j)
-        if T is None:
-            if j == 0:
-                T = np.eye(self.d, dtype=pp.exact_dtype(self.p, self.d))
-            else:
-                T = pp.matpow(tables[1] if 1 in tables else first(), j, self.p)
-            T.setflags(write=False)
-            tables[j] = T
-        return T
+        if j == 0:
+            return self.table(name, 0, lambda: np.eye(self.d, dtype=pp.exact_dtype(self.p, self.d)))
+        F = self.table(name, 1)
+        return self.table(name, j, lambda: pp.matpow(first() if F is None else F, j, self.p))
 
     def frob_images(self, j: int) -> np.ndarray:
         """Images of the power basis 1, x, ..., x^(d-1) under z -> z^(p^j),
-        one coordinate row each, so a coordinate row times the table
-        applies the map.  The table for 1 is the powers of x ** p, and the
-        table for j its j-th matrix power (``_power_table``)."""
+        one coordinate row each, so a coordinate row times the table applies
+        the map; the table for 1 is the powers of x ** p (``_power_table``)."""
         return self._power_table("frob_images", j, lambda: self.powers(self.gen() ** self.p, self.d))
 
     def basis_traces(self) -> np.ndarray:
-        """Tr(x^u) for u < d by the definition Tr(z) = sum_(j<d) z^(p^j),
-        read-only in the exact dtype: with F the table ``frob_images(1)``,
-        row u of S = sum_(j<d) F^j is the sum of the d conjugates of x^u,
-        one running product per conjugate.  Column 0 of S holds the traces
-        and every other column must vanish.  The oracle's definitional
-        trace; production reads row 0 of ``trace_form`` instead."""
-        traces = self._cache.get("basis_traces")
-        if traces is None:
+        """Tr(x^u) for u < d by the definition Tr(z) = sum_(j<d) z^(p^j), in
+        the exact dtype: with F the table ``frob_images(1)``, row u of S =
+        sum_(j<d) F^j is the sum of the d conjugates of x^u, one running
+        product per conjugate.  Column 0 of S holds the traces and every
+        other column must vanish.  The oracle's definitional trace;
+        production reads row 0 of ``trace_form`` instead."""
+        def build():
             F = self.frob_images(1)
             S = Fj = np.eye(self.d, dtype=F.dtype)
             for _ in range(self.d - 1):
@@ -275,9 +282,9 @@ class FieldCtx:
             S %= self.p
             if np.any(S[:, 1:]):
                 raise InternalInconsistency("trace image escaped the prime field")
-            traces = self._cache["basis_traces"] = S[:, 0]
-            traces.setflags(write=False)
-        return traces
+            return S[:, 0]
+
+        return self.table("basis_traces", None, build)
 
     # -- cached exact matrices ------------------------------------------------
 
@@ -289,17 +296,23 @@ class FieldCtx:
 
     def mult_mat(self, a: "FieldElem") -> np.ndarray:
         """Matrix of z -> a*z, columns = images of the power basis: a x^u is
-        a x^(u-1) times the companion matrix of the modulus, cached."""
+        a x^(u-1) times the cached companion matrix of the modulus."""
         p, d = self.p, self.d
         rows = np.zeros((d, d), dtype=pp.exact_dtype(p, d))
         rows[0] = a.coeffs
         if d > 1:
-            X = self._cache.get("companion")
-            if X is None:
-                X = self._cache["companion"] = pp._companion(self.modulus, p)
+            X = self.table("companion", None, lambda: pp._companion(self.modulus, p))
             for u in range(1, d):
                 rows[u] = rows[u - 1] @ X % p
         return rows.T
+
+    def p_poly_matrix(self, terms) -> np.ndarray:
+        """Matrix of z -> sum c z^(p^a) over the terms (c, a), columns =
+        images of the power basis: the sum of mult_mat(c) frob_mat_power(a)."""
+        M = np.zeros((self.d, self.d), dtype=pp.exact_dtype(self.p, self.d))
+        for c, a in terms:
+            M = (M + self.mult_mat(c) @ self.frob_mat_power(a) % self.p) % self.p
+        return M
 
     def trace_form(self) -> np.ndarray:
         """Hankel matrix H[u, w] = Tr(x^(u+w)) of the trace form on the power
@@ -307,17 +320,16 @@ class FieldCtx:
         x^d + c_(d-1) x^(d-1) + ... + c_0 follow from Newton's identities,
         s_k = -(k c_(d-k) + sum_(j=1..min(k-1,d)) c_(d-j) s_(k-j)), with
         c_(d-k) = 0 for k > d (Lidl and Niederreiter, Thm 1.75)."""
-        H = self._cache.get("trace_form")
-        if H is None:
+        def build():
             p, d, c = self.p, self.d, self.modulus  # c is None only when d = 1
             s = [d % p]
             for k in range(1, 2 * d - 1):
                 acc = k * c[d - k] if k <= d else 0
                 acc += sum(c[d - j] * s[k - j] for j in range(1, min(k - 1, d) + 1))
                 s.append(-acc % p)
-            idx = np.add.outer(np.arange(d), np.arange(d))
-            H = self._cache["trace_form"] = np.array(s, dtype=pp.exact_dtype(p, d))[idx]
-        return H
+            return np.array(s, dtype=pp.exact_dtype(p, d))[np.add.outer(np.arange(d), np.arange(d))]
+
+        return self.table("trace_form", None, build)
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,7 +441,9 @@ class FieldElem:
         j %= ctx.d
         if not j:
             return self
-        R = ctx.frob_images(j)
+        R = ctx.table("frob_images", j)  # a hit, the common case, in one call
+        if R is None:
+            R = ctx.frob_images(j)
         return FieldElem(ctx, tuple((np.array(self.coeffs, dtype=R.dtype) @ R % ctx.p).tolist()))
 
     def trace(self) -> int:
@@ -536,8 +550,8 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
     _require_subfield(src, dst)
     if src.d == 1:
         raise InvalidInput("prime field embeds without a root choice")
-    roots = dst._cache.get("roots", {}).get(src.key)
-    if roots is None:
+
+    def build():
         p, n = src.p, src.d
         for b in _subfield_elems(dst, n):
             mu = _linalg.krylov_mu(dst.powers(b, n + 1).T, p)
@@ -547,20 +561,21 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
             raise NoRootFound("no element generates the fixed field; corrupt context")
         small = build_field_ctx(p, n, mu)
         r = _find_root(Poly.from_ints(small, src.modulus))
-        roots = _cache_roots(src, dst, [embed_element(small, dst, r.frobenius(j), root=b) for j in range(n)])
-    return roots
+        return _conjugates(src, dst, embed_element(small, dst, r, root=b))
+
+    return dst.table("roots", src.key, build)
 
 
-def _cache_roots(src: FieldCtx, dst: FieldCtx, roots: Iterable[FieldElem]) -> tuple[FieldElem, ...]:
-    """The n = src.d conjugates ``roots`` of a root of src.modulus in dst,
-    checked to be n distinct roots, sorted by encoding and cached on dst
-    for ``embedding_roots``.  NoRootFound otherwise: a corrupt context."""
-    roots, g = set(roots), Poly.from_ints(dst, src.modulus)
-    if len(roots) != src.d or any(not g(root).is_zero() for root in roots):
-        raise NoRootFound(f"{len(roots)} claimed conjugates are not the {src.d} roots; corrupt context")
-    cache = dst._cache.setdefault("roots", {})
-    cache[src.key] = tuple(sorted(roots, key=lambda e: e.encoding))
-    return cache[src.key]
+def _conjugates(src: FieldCtx, dst: FieldCtx, r: FieldElem) -> tuple[FieldElem, ...]:
+    """The orbit of a root r of src.modulus in dst under z -> z^p, sorted by
+    encoding: all n = src.d roots.  NoRootFound unless r is a root and the
+    orbit closes after n distinct elements: a corrupt context."""
+    orbit = [r]
+    for _ in range(src.d - 1):
+        orbit.append(orbit[-1].frobenius(1))
+    if orbit[-1].frobenius(1) != r or len(set(orbit)) != src.d or not Poly.from_ints(dst, src.modulus)(r).is_zero():
+        raise NoRootFound(f"the orbit of {r} is not the {src.d} roots of {src.modulus}; corrupt context")
+    return tuple(sorted(orbit, key=lambda e: e.encoding))
 
 
 def _require_subfield(src: FieldCtx, dst: FieldCtx):
@@ -583,11 +598,18 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
         return dst.elem(x.coeffs[0])
     if root is None:
         root = embedding_roots(src, dst)[0]
-    mats, key = dst._cache.setdefault("embed", {}), (src.key, root.coeffs)
-    if key not in mats:
-        mats[key] = dst.powers(root, src.d)
-    out = np.array(x.coeffs, dtype=mats[key].dtype) @ mats[key] % dst.p
+    R = dst.table("embed", (src.key, root.coeffs), lambda: _root_powers(src, dst, root))
+    out = np.array(x.coeffs, dtype=R.dtype) @ R % dst.p
     return FieldElem(dst, tuple(int(c) for c in out))
+
+
+def _root_powers(src: FieldCtx, dst: FieldCtx, root: FieldElem) -> np.ndarray:
+    """Rows of root^u for u < n = src.d, cut from those for u <= n, which
+    give src.modulus at root: InvalidInput unless it vanishes there."""
+    R = dst.powers(root, src.d + 1)
+    if ((np.array(src.modulus[:-1], dtype=R.dtype) @ R[:-1] % dst.p + R[-1]) % dst.p).any():
+        raise InvalidInput(f"{root} is not a root of the modulus of GF({src.p}^{src.d})")
+    return R[:-1]
 
 
 # -- direct bases on Artin-Schreier towers -------------------------------------
@@ -643,7 +665,7 @@ def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
         if x0 is None:
             raise InternalInconsistency("the powers of theta span no basis")
         r = dst.elem(x0.tolist())
-        _cache_roots(base, dst, [embed_element(base, dst, base.gen().frobenius(k), root=r) for k in range(n)])
+        dst.table("roots", base.key, lambda: _conjugates(base, dst, r))
     return dst
 
 
@@ -743,14 +765,9 @@ class Poly:
         return a.monic()
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
-        result = Poly(self.ctx, (self.ctx.one(),))
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        if not e:
+            return Poly(self.ctx, (self.ctx.one(),))
+        return pp.power(self % modulus, e, lambda a, b: a * b % modulus)
 
     def __call__(self, x: FieldElem) -> FieldElem:
         acc = self.ctx.zero()

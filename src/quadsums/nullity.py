@@ -239,15 +239,9 @@ class LinearizedPoly:
 
     def linear_map_matrix(self, ctx_big: FieldCtx):
         """Matrix over GF(p) of z -> f*(z) acting on ctx_big, coefficients
-        embedded; columns act on coordinate vectors."""
-        p = ctx_big.p
-        M = 0
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cE = embed_element(self.ctx, ctx_big, c)
-            M = (M + ctx_big.mult_mat(cE) @ ctx_big.frob_mat_power(j) % p) % p
-        return M
+        embedded; columns act on coordinate vectors (``p_poly_matrix``)."""
+        terms = [(embed_element(self.ctx, ctx_big, c), j) for j, c in enumerate(self.coeffs) if not c.is_zero()]
+        return ctx_big.p_poly_matrix(terms)
 
 
 def radical_poly(f: QuadFunc) -> LinearizedPoly:

@@ -4,9 +4,9 @@ summation oracle.
 Tr_N(f(x)) is a quadratic form on GF(p)^N once GF(p^N) is identified with
 coordinate vectors.  For a term c x^(p^a + 1), Tr(x * c x^(p^a)) = x^T H
 M_c F^a x, where H[u, w] = Tr(x^(u+w)) is the trace form, M_c is
-multiplication by c and F^a is the a-th power of Frobenius (all cached by
-the :class:`FieldCtx`).  So the Gram matrix is G = sum_i H M_(c_i) F^(a_i)
-and B = (G + G^T)/2: three matrix products per term, reduced mod p after
+multiplication by c and F^a is the a-th power of Frobenius.  So the Gram
+matrix is G = H P, P = sum_i M_(c_i) F^(a_i) (``p_poly_matrix``), and B =
+(G + G^T)/2: one trace-form product per function, reduced mod p after
 every sum and product, in the context's exact dtype (int64, or Python ints
 for large p; see :mod:`quadsums.fieldcore`), so B is exact for every p.
 Its rank and type come from the one elimination of :mod:`quadsums._linalg`
@@ -27,13 +27,13 @@ one Hankel product H R^T with H[u, w] = t[u + w], t[k] = Tr(c x^k).  With
 Hc[u, w] = Tr(x^(u+w)) the Hankel of the basis traces, Tr(a b) = a Hc b^T
 on coordinates, so t = X Hc c^T, X the coordinate rows of x^k for
 k < 2N - 1; a shifted sum's linear vector Hc b^T is t's first N entries
-for c = b (X starts with the identity).  X and Hc are built once per
-context and kept read-only; Hc's entries are the definitional traces of
+for c = b (X starts with the identity).  X and Hc are context tables
+under names of their own; Hc's entries are the definitional traces of
 ``basis_traces`` (sums of conjugates) and ``FieldElem.trace``.  All of it
 is in the exact dtype, reduced mod p after every product and sum, and no
 scalar product is taken per row or per term.  The oracle reads none of the
-Gram route's ``trace_form`` (Newton's identities), ``mult_mat``,
-``frob_mat_power`` or ``gram_matrix``.
+Gram route's ``trace_form``, ``mult_mat``, ``frob_mat_power``,
+``p_poly_matrix`` or ``gram_matrix``.
 
 The enumeration is blocked: with x = (lo, hi), lo the first k = N // 2
 coordinates,
@@ -60,7 +60,6 @@ it evaluates).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +105,14 @@ def smallest_nonsquare(ctx: FieldCtx) -> FieldElem:
     """Non-square of GF(p^d) with the smallest integer encoding, found once
     per context.  For even d every element of GF(p) (codes below p) is a
     square, so the scan starts at code p."""
-    beta = ctx._cache.get("nonsquare")
-    if beta is None:
+    def build():
         for code in range(ctx.p if ctx.d % 2 == 0 else 1, ctx.order):
             x = ctx.from_encoding(code)
             if elem_quadratic_character(x) == -1:
-                beta = ctx._cache["nonsquare"] = x
-                break
-        else:
-            raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
-    return beta
+                return x
+        raise InternalInconsistency("no nonsquare found; field of odd order > 1 must have one")
+
+    return ctx.table("nonsquare", None, build)
 
 
 # -- Gram matrix and its rank and type ------------------------------------------
@@ -131,11 +128,7 @@ def gram_matrix(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> np.ndarray:
     if ctx_big.d != N:
         raise InvalidInput("context degree does not match m*n")
     p = f.p
-    H = ctx_big.trace_form()
-    G = 0
-    for c, a in f.terms_in(ctx_big):
-        y = ctx_big.mult_mat(c) @ ctx_big.frob_mat_power(a) % p  # z -> c z^(p^a)
-        G = (G + H @ y % p) % p
+    G = ctx_big.trace_form() @ ctx_big.p_poly_matrix(f.terms_in(ctx_big)) % p
     return (G + G.T) % p * pow(2, -1, p) % p
 
 
@@ -187,24 +180,22 @@ def type_direct(f: QuadFunc, m: int, ctx: FieldCtx | None = None) -> tuple[int, 
 # -- brute-force oracle ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _power_coords(ctx: FieldCtx) -> np.ndarray:
-    """Coordinates of x^k for k < 2N - 1, one row each, read-only and built
-    once per context (``FieldCtx.powers``)."""
-    return ctx.powers(ctx.gen(), 2 * ctx.d - 1)
+    """Coordinates of x^k for k < 2N - 1, one row each, a context table
+    (``FieldCtx.powers``)."""
+    return ctx.table("power_coords", None, lambda: ctx.powers(ctx.gen(), 2 * ctx.d - 1))
 
 
-@functools.lru_cache(maxsize=None)
 def _trace_hankel(ctx: FieldCtx) -> np.ndarray:
-    """Hc[u, w] = Tr(x^(u+w)), read-only and built once per context:
-    ``basis_traces`` for u + w < N, and the ``trace`` of x^N, ..., x^(2N-2)
-    from ``_power_coords``."""
-    N = ctx.d
-    powers = _power_coords(ctx)[N:].tolist()
-    s = ctx.basis_traces().tolist() + [FieldElem(ctx, tuple(row)).trace() for row in powers]
-    Hc = np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
-    Hc.setflags(write=False)
-    return Hc
+    """Hc[u, w] = Tr(x^(u+w)), a context table: ``basis_traces`` for u + w <
+    N, and the ``trace`` of x^N, ..., x^(2N-2) from ``_power_coords``."""
+    def build():
+        N = ctx.d
+        powers = _power_coords(ctx)[N:].tolist()
+        s = ctx.basis_traces().tolist() + [FieldElem(ctx, tuple(row)).trace() for row in powers]
+        return np.array(s, dtype=exact_dtype(ctx.p, N))[np.add.outer(np.arange(N), np.arange(N))]
+
+    return ctx.table("trace_hankel", None, build)
 
 
 def _bilinear_matrix(f: QuadFunc, ctx_big: FieldCtx, Hc: np.ndarray) -> np.ndarray:

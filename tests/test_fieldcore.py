@@ -340,6 +340,33 @@ def test_embed_is_the_sum_of_root_powers(p, n, N, rng):
     assert {(src.key, r.coeffs) for r in roots} <= set(dst._cache["embed"])
 
 
+def test_embed_element_rejects_a_root_that_is_not_a_root():
+    # x -> (2,1,0,0) is no embedding of GF(9) in GF(81): x^2 would go to
+    # (2,0,0,0), while (2,1,0,0)^2 = (1,1,1,0)
+    src, dst = build_field_ctx(3, 2), FieldCtx(3, 4)
+    bad = dst.from_encoding(5)
+    for x in (src.gen(), src.gen() ** 2):
+        with pytest.raises(InvalidInput, match="not a root"):
+            embed_element(src, dst, x, root=bad)
+    assert dst.table("embed", (src.key, bad.coeffs)) is None
+    for r in embedding_roots(src, dst):
+        assert embed_element(src, dst, src.gen(), root=r) == r
+        assert embed_element(src, dst, src.gen() ** 2, root=r) == r * r
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 3), (7, 1), (2**61 - 1, 2)])
+def test_p_poly_matrix_applies_the_p_polynomial(p, d, rng):
+    # columns act on coordinate vectors: M z = sum c z^(p^a), a past d too
+    ctx = build_field_ctx(p, d)
+    terms = [(ctx.elem([rng.randrange(p) for _ in range(d)]), a) for a in (0, 1, d + 1)]
+    M = ctx.p_poly_matrix(terms)
+    for _ in range(5):
+        z = ctx.elem([rng.randrange(p) for _ in range(d)])
+        want = sum((c * z.frobenius(a) for c, a in terms), ctx.zero())
+        assert tuple(int(v) for v in M @ np.array(z.coeffs, dtype=M.dtype) % p) == want.coeffs
+    assert ctx.p_poly_matrix([]).tolist() == [[0] * d] * d
+
+
 def test_embed_trace_transitivity(rng):
     f9 = build_field_ctx(3, 2)
     f81 = build_field_ctx(3, 4)
@@ -456,12 +483,28 @@ def test_embedding_roots_live_on_the_default_context(monkeypatch):
 
 
 def test_cache_roots_rejects_too_few_roots_or_a_non_root():
+    # the orbit of r under z -> z^p must close after n distinct elements at
+    # a root: an element of GF(3) gives too few, one of degree 4 never
+    # closes, and r0 + 1 is no root
     src, dst = build_field_ctx(3, 2), FieldCtx(3, 4)
     r0, r1 = embedding_roots(src, dst)
-    for roots in ([r0], [r0, r0], [r0, r1 + 1]):
+    for r in (dst.elem(2), dst.gen(), r0 + 1):
         with pytest.raises(NoRootFound):
-            fieldcore._cache_roots(src, dst, roots)
-    assert fieldcore._cache_roots(src, dst, [r1, r0]) == (r0, r1)
+            fieldcore._conjugates(src, dst, r)
+    assert fieldcore._conjugates(src, dst, r1) == fieldcore._conjugates(src, dst, r0) == (r0, r1)
+
+
+def test_root_set_takes_one_evaluation_of_the_modulus(monkeypatch):
+    # the other n - 1 roots are the Frobenius orbit of the first, so g is
+    # evaluated once, not at each of the n roots
+    calls = []
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda g, x: calls.append(x) or call(g, x))
+    src, dst = build_field_ctx(3, 4), FieldCtx(3, 8)
+    roots = embedding_roots(src, dst)
+    assert len(roots) == 4 and len(calls) == 1
+    g = Poly.from_ints(dst, src.modulus)
+    assert all(call(g, r).is_zero() for r in roots)
 
 
 INVERSE_FIELDS = [(3, 7), (7, 21), (3, 81), (2**31 - 1, 2), (2**61 - 1, 3), (P_PAST_INT64, 2)]

@@ -29,8 +29,10 @@ from quadsums.quadform import (
     DEFAULT_CAP,
     _bilinear_matrix,
     _trace_counts,
+    _power_coords,
     _trace_hankel,
     elem_quadratic_character,
+    smallest_nonsquare,
 )
 from tests.conftest import random_quadfunc
 from tests.linref import P_PAST_INT64, gauss_jordan, leibniz_det
@@ -267,7 +269,7 @@ def test_oracle_reads_no_gram_route(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("the oracle read the Gram route")
 
-    for name in ("trace_form", "mult_mat", "frob_mat_power"):
+    for name in ("trace_form", "mult_mat", "frob_mat_power", "p_poly_matrix"):
         monkeypatch.setattr(FieldCtx, name, banned)
     monkeypatch.setattr(quadform, "gram_matrix", banned)
     for (f, m), (b, plain, shifted) in zip(cases, expected):
@@ -461,10 +463,29 @@ def test_trace_hankel_is_built_once_per_context_and_read_only():
         assert _trace_hankel(ctx) is Hc and not Hc.flags.writeable
         with pytest.raises(ValueError):
             Hc[0, 0] = 1
-        fresh = _trace_hankel.__wrapped__(FieldCtx(p, N, ctx.modulus))
-        assert fresh.tolist() == Hc.tolist()
+        fresh = _trace_hankel(FieldCtx(p, N, ctx.modulus))  # an uncached context
+        assert fresh is not Hc and fresh.tolist() == Hc.tolist()
         x = ctx.gen()
         assert Hc.tolist() == [[(x ** (u + w)).trace() for w in range(N)] for u in range(N)], (p, N)
+
+
+def test_every_table_a_context_keeps_is_read_only():
+    # FieldCtx.table freezes every array it hands out, so no caller can
+    # change a later gram_matrix or oracle sum through the array it holds
+    src, dst = FieldCtx(3, 2), FieldCtx(3, 4)
+    dst.frob_images(2), dst.frob_mat_power(3), dst.basis_traces(), dst.mult_mat(dst.gen())
+    embed_element(src, dst, src.gen())
+    embed_element(src, dst, src.gen(), embedding_roots(src, dst)[1])
+    smallest_nonsquare(dst), _power_coords(dst), _trace_hankel(dst)
+    with pytest.raises(ValueError):
+        dst.trace_form()[0, 0] += 1
+    with pytest.raises(ValueError):
+        dst.table("companion", None)[0, 0] = 1
+    arrays = {(name, key): T for name, tables in dst._cache.items() for key, T in tables.items() if isinstance(T, np.ndarray)}
+    names = {name for name, _ in arrays}
+    assert names == {"frob_images", "frob_pows", "basis_traces", "trace_form", "companion", "embed", "power_coords", "trace_hankel"}
+    assert [k for k, T in arrays.items() if T.flags.writeable] == []
+    assert set(dst._cache) == names | {"roots", "nonsquare"}
 
 
 def test_bilinear_matrix_takes_no_scalar_frobenius(monkeypatch, rng):

@@ -36,3 +36,27 @@ def test_array_conversions_name_a_dtype():
     assert calls
     found = [f"{name}:{node.lineno}" for name, node in calls if not any(k.arg == "dtype" for k in node.keywords)]
     assert found == []
+
+
+def test_only_the_table_store_touches_the_cache():
+    # FieldCtx.table is the one get-or-build of per-field tables: only
+    # FieldCtx.__init__ and FieldCtx.table name _cache, and quadform keeps
+    # no lru_cache keyed by a context
+    allowed, uses = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if path.name == "fieldcore.py" and isinstance(cls, ast.ClassDef) and cls.name == "FieldCtx":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "table"):
+                        allowed |= {id(node) for node in ast.walk(fn)}
+        uses += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+    assert uses
+    assert [f"{name}:{node.lineno}" for name, node in uses if id(node) not in allowed] == []
+    lru = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name == "quadform.py"
+        and (isinstance(node, ast.Attribute) and node.attr == "lru_cache" or isinstance(node, ast.Name) and node.id == "lru_cache")
+    ]
+    assert lru == []

@@ -73,6 +73,16 @@ def kernel_basis(A: np.ndarray, p: int) -> list[list[int]]:
     return basis
 
 
+def krylov(M: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The Krylov columns e_0, M e_0, ..., M^k e_0 of the square M mod p,
+    in M's dtype, by k matrix-vector products (e_0 is empty when M is)."""
+    K = np.zeros((len(M), k + 1), dtype=M.dtype)
+    K[:1, 0] = 1
+    for i in range(k):
+        K[:, i + 1] = M @ K[:, i] % p
+    return K
+
+
 def krylov_mu(K: np.ndarray, p: int) -> list[int]:
     """The minimal polynomial of M on v, monic with ascending coefficients,
     from the Krylov columns v, M v, M^2 v, ... of K: with the first r

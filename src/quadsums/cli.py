@@ -7,7 +7,8 @@ with the QuadsumsError subclasses that give each:
   1  invalid input: InvalidInput and its subclasses NotPrime, NotOdd,
      ModulusReducible, ZeroPolynomial, MixedPrimes, NotSymmetric,
      NotMultipleOfBase, ZeroCoefficient, MalformedReference; also
-     DivisionByZero and any other ValueError
+     DivisionByZero, any other ValueError, and an OSError (a table --diff
+     or --out path that cannot be read or written)
   2  unsupported, a limit rather than an input error: Unsupported,
      TooLarge, SearchBudgetExceeded
   3  internal inconsistency, always a bug: InternalInconsistency,
@@ -344,7 +345,7 @@ def main(argv=None, out=None) -> int:
             errors.ConditionViolated, errors.NotApplicable, errors.DivisibilityViolated) as exc:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (errors.QuadsumsError, ValueError) as exc:
+    except (errors.QuadsumsError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -58,7 +58,9 @@ b of K, in code order from p, of degree n has a minimal polynomial mu_b
 there, and x -> b carries that root into GF(p^N), where its orbit under
 z -> z^p is all n roots (``_conjugates``).  The sorted root set, and so
 the default embedding (the smallest-encoding root), depends neither on the
-root found nor on b.  The rows of a root's powers check that g vanishes.
+root found nor on b.  g is checked once, at the smallest root, on the rows
+of its powers that the default embedding reads; g has coefficients in
+GF(p), so it then vanishes on the whole orbit.
 
 Direct bases.  ``direct_field(base, N)`` builds GF(p^N), N = n p^c over
 base = GF(p^n), as an Artin-Schreier tower, with no modulus search and no
@@ -568,14 +570,18 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
 
 def _conjugates(src: FieldCtx, dst: FieldCtx, r: FieldElem) -> tuple[FieldElem, ...]:
     """The orbit of a root r of src.modulus in dst under z -> z^p, sorted by
-    encoding: all n = src.d roots.  NoRootFound unless r is a root and the
-    orbit closes after n distinct elements: a corrupt context."""
+    encoding: all n = src.d roots.  NoRootFound unless the orbit closes
+    after n distinct elements and src.modulus vanishes at the smallest, on
+    the rows of its powers, kept as the default embedding's table: then
+    every element of the orbit is a root, and no other is."""
     orbit = [r]
     for _ in range(src.d - 1):
         orbit.append(orbit[-1].frobenius(1))
-    if orbit[-1].frobenius(1) != r or len(set(orbit)) != src.d or not Poly.from_ints(dst, src.modulus)(r).is_zero():
+    roots = tuple(sorted(orbit, key=lambda e: e.encoding))
+    closed = orbit[-1].frobenius(1) == r and len(set(roots)) == src.d
+    if not closed or dst.table("embed", (src.key, roots[0].coeffs), lambda: _root_powers(src, dst, roots[0])) is None:
         raise NoRootFound(f"the orbit of {r} is not the {src.d} roots of {src.modulus}; corrupt context")
-    return tuple(sorted(orbit, key=lambda e: e.encoding))
+    return roots
 
 
 def _require_subfield(src: FieldCtx, dst: FieldCtx):
@@ -599,16 +605,19 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
     if root is None:
         root = embedding_roots(src, dst)[0]
     R = dst.table("embed", (src.key, root.coeffs), lambda: _root_powers(src, dst, root))
+    if R is None:
+        raise InvalidInput(f"{root} is not a root of the modulus of GF({src.p}^{src.d})")
     out = np.array(x.coeffs, dtype=R.dtype) @ R % dst.p
     return FieldElem(dst, tuple(int(c) for c in out))
 
 
-def _root_powers(src: FieldCtx, dst: FieldCtx, root: FieldElem) -> np.ndarray:
+def _root_powers(src: FieldCtx, dst: FieldCtx, root: FieldElem) -> np.ndarray | None:
     """Rows of root^u for u < n = src.d, cut from those for u <= n, which
-    give src.modulus at root: InvalidInput unless it vanishes there."""
+    give src.modulus at root: None, cached as such, unless it vanishes
+    there."""
     R = dst.powers(root, src.d + 1)
     if ((np.array(src.modulus[:-1], dtype=R.dtype) @ R[:-1] % dst.p + R[-1]) % dst.p).any():
-        raise InvalidInput(f"{root} is not a root of the modulus of GF({src.p}^{src.d})")
+        return None
     return R[:-1]
 
 
@@ -650,10 +659,7 @@ def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
     lift = np.eye(p**c, dtype=dtype)
     for code in range(base.gen().encoding, base.order):  # theta = b + y_1 + ... + y_c
         T = (np.kron(lift, base.mult_mat(base.from_encoding(code))) + Y) % p
-        K = np.zeros((N, N + 1), dtype=dtype)
-        K[0, 0] = 1
-        for i in range(N):
-            K[:, i + 1] = T @ K[:, i] % p
+        K = _linalg.krylov(T, N, p)
         mu = _linalg.krylov_mu(K, p)
         if len(mu) == N + 1:
             break

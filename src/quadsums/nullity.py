@@ -10,11 +10,24 @@ A's minimal polynomial mu has degree at most 2*alpha (mu(T^n) is the
 bound of L in R = GF(p^n)[T; sigma]: Giesbrecht, J. Symbolic Comput. 26,
 1998).  For n = 1 it is ell/lead(ell), ell(x) = sum c_j x^j.  For n > 1,
 left multiplication by the central T^n on R/RL is a 2*alpha*n square
-matrix M over GF(p), n copies of A, whose column 0 is T^n mod L and each
-next one T times the last, reduced by a left multiple of L; mu
+matrix M over GF(p), n copies of A, on the coordinates of the T^j
+coefficients of a remainder, block j.  M = S^n (``_primepoly.matpow``),
+S left multiplication by T (``_step_matrix``): T c T^i = c^p T^(i+1), so
+block (i + 1, i) of S is the Frobenius matrix F, and c^p T^(2*alpha) =
+-sum_j c^p (L_j / lead L) T^j mod L fills block column 2*alpha - 1.  mu
 annihilates the element 1 (a central z with z 1 in RL has z r = r z in RL
-for every r), so it is the first linear dependency of e_0, M e_0, ...,
-checked by mu(M) = 0.
+for every r), so it is the first linear dependency of the Krylov columns
+e_0, M e_0, ..., M^(2*alpha) e_0 (``_linalg.krylov``).
+
+mu(M) = 0 is checked by mu(M) e_0 = 0 and by every n x n block of M
+commuting with G = mult_mat(x), which the true M passes, as T^n x = x T^n.
+That suffices.  The blocks commute with G iff M commutes with D = diag(G,
+..., G), left multiplication by x, and then Z = mu(M) commutes with D, and
+with S, as M is a power of S.  So Z e_0 = 0 gives Z S^i D^k e_0 = 0.  The
+D^k e_0 = x^k, k < n, span block 0, and S^i, i < 2*alpha, maps block 0 to
+block i by F^i alone (the subdiagonal), which is invertible: the S^i D^k
+e_0 span the space, and Z = 0.  Powers of M are formed only when A is not
+cyclic (``_Action``).
 
 The profile from mu = prod Q^e (``_primepoly.factor_reciprocal``, below;
 the product checked); no factor is x, and ord(g) divides p^(deg g) - 1
@@ -278,37 +291,29 @@ def splitting_exponent(f: QuadFunc) -> int:
     return nullity_profile(f).s
 
 
-def _block_matrix(f: QuadFunc) -> np.ndarray:
-    """M for n > 1, block (j, i) the mult_mat of the T^j coefficient of
-    r_i = T^(n+i) mod L.  On the 2*alpha x n coordinate array of T^k mod L,
-    from T^0 = 1, each step T r - q L shifts the rows up, each times F^T
-    (F the Frobenius matrix), and q L, q = lead(T r)/lead(L), is q times
-    the stack of L X_k^T, with X the stack of mult_mat(x^k), k < n.  The
-    blocks are one tensordot with X."""
-    ctx, n, p = f.ctx, f.n, f.p
-    L = radical_poly(f).coeffs
-    dim = len(L) - 1
-    dtype = pp.exact_dtype(p, dim * n)
-    X = np.array([ctx.mult_mat(ctx.from_encoding(p**k)) for k in range(n)], dtype=dtype)
-    F = np.array(ctx.frob_mat_power(1).T, dtype=dtype)
-    low = np.array([c.coeffs for c in L[:-1]], dtype=dtype).reshape(dim, n)
-    qL = (low @ X.transpose(0, 2, 1) % p).reshape(n, dim * n)
-    lead_inv = np.array(ctx.mult_mat(L[-1].inverse()).T, dtype=dtype)
-    r = np.zeros((n + dim, dim, n), dtype=dtype)  # r[k] = T^k mod L
-    r[0, :1, :1] = 1
-    for k in range(1, n + dim if dim else 0):  # alpha = 0 takes no step
-        s = r[k - 1] @ F % p
-        q = s[-1] @ lead_inv % p
-        r[k, 1:] = s[:-1]
-        r[k] = (r[k] - (q @ qL).reshape(dim, n)) % p
-    blocks = np.tensordot(r[n:], X, axes=([2], [0])) % p  # blocks[i, j] is block (j, i)
-    return blocks.transpose(1, 2, 0, 3).reshape(dim * n, dim * n)
+def _step_matrix(f: QuadFunc) -> np.ndarray:
+    """S for n > 1, left multiplication by T on R/RL in the coordinates of
+    M (block j the T^j coefficient): T c T^i = c^p T^(i+1) puts F, the
+    Frobenius matrix, in block (i + 1, i), and T^(2*alpha) = -sum_j (L_j /
+    lead L) T^j mod L puts mult_mat(-L_j / lead L) F in block (j, 2*alpha
+    - 1)."""
+    ctx, p, n, L = f.ctx, f.p, f.n, radical_poly(f).coeffs
+    dim, F = len(L) - 1, ctx.frob_mat_power(1)
+    S = np.zeros((dim, n, dim, n), dtype=pp.exact_dtype(p, dim * n))
+    S[range(1, dim), :, range(dim - 1)] = F  # every block (i + 1, i)
+    for j, c in enumerate(L[:-1]):
+        S[j, :, dim - 1] = ctx.mult_mat(-c / L[-1]) @ F % p
+    return S.reshape(dim * n, dim * n)
 
 
 class _Action:
     """The action A on the root space, of dimension ``dim`` = 2*alpha: its
     minimal polynomial ``mu`` (ascending, monic) and, when A is not cyclic
-    (deg mu < dim), M^0, ..., M^(deg mu - 1) in ``powers``, else None."""
+    (deg mu < dim), M^0, ..., M^(deg mu - 1) in ``powers``, else None.  For
+    n > 1, M = S^n is the one matrix power formed for a cyclic A, and mu
+    comes from its 2*alpha + 1 Krylov columns; InternalInconsistency
+    unless every n x n block of M commutes with G = mult_mat(x) and mu(M)
+    e_0 = 0, which give mu(M) = 0 (above)."""
 
     def __init__(self, f: QuadFunc):
         p, n = f.p, f.n
@@ -317,17 +322,20 @@ class _Action:
         if n == 1:  # ell made monic
             self.mu = pp.gcd([c.coeffs[0] for c in L], [], p)
             return
-        M = _block_matrix(f)
-        powers = [np.eye(len(M), dtype=M.dtype), M]
-        while len(powers) <= self.dim:
-            powers.append(powers[-1] @ M % p)
-        powers = np.array(powers[: self.dim + 1], dtype=M.dtype)
-        self.mu = _linalg.krylov_mu(powers[:, :, :1].reshape(self.dim + 1, len(M)).T, p)
+        M = pp.matpow(_step_matrix(f), n, p)
+        G, blocks = f.ctx.mult_mat(f.ctx.gen()), M.reshape(self.dim, n, self.dim, n).transpose(0, 2, 1, 3)
+        if ((blocks @ G - G @ blocks) % p).any():
+            raise InternalInconsistency("a block of M does not commute with mult_mat(x)")
+        K = _linalg.krylov(M, self.dim, p)
+        self.mu = _linalg.krylov_mu(K, p)
         r = len(self.mu) - 1
-        if (np.tensordot(np.array(self.mu, dtype=M.dtype), powers[: r + 1], 1) % p).any():
+        if (K[:, : r + 1] @ np.array(self.mu, dtype=M.dtype) % p).any():
             raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
         if r < self.dim:
-            self.powers = powers[:r]
+            self.powers = np.empty((r,) + M.shape, dtype=M.dtype)
+            self.powers[0] = np.eye(len(M), dtype=M.dtype)
+            for k in range(1, r):
+                self.powers[k] = self.powers[k - 1] @ M % p
 
     def nullity(self, y: list[int]) -> int:
         """dim ker y(A), A not cyclic: dim ker y(M) / n, for deg y < deg mu."""

@@ -206,6 +206,18 @@ def test_table_diff_failure_exit_code(tmp_path):
     assert "1 diffs" in out
 
 
+@pytest.mark.parametrize("option", ["--diff", "--out"])
+def test_table_path_that_cannot_be_used_exits_1(option, tmp_path, capsys):
+    # a missing reference and an output path naming a directory end in one
+    # "invalid input" line, not a traceback
+    path = tmp_path / "missing.csv" if option == "--diff" else tmp_path
+    code, _ = run(["table", "--p", "3", "--alpha-max", "1", option, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("invalid input: ") and len(err.splitlines()) == 1, err
+    for text in (cli.__doc__, README.read_text()):
+        assert _documented_exit_codes(text)["OSError"] == [1]
+
+
 def _documented_exit_codes(text: str) -> dict[str, list[int]]:
     """{word: [codes]} from an exit-code list: each entry starts with its
     code ("  1  ..." in the docstring, "  - `1` ..." in the README) and runs

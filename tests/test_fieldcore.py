@@ -496,13 +496,17 @@ def test_cache_roots_rejects_too_few_roots_or_a_non_root():
 
 def test_root_set_takes_one_evaluation_of_the_modulus(monkeypatch):
     # the other n - 1 roots are the Frobenius orbit of the first, so g is
-    # evaluated once, not at each of the n roots
-    calls = []
-    call = Poly.__call__
+    # checked once, on the rows of the smallest root's powers, which the
+    # default embedding then reads; no Horner evaluation of g
+    calls, built = [], []
+    call, rows = Poly.__call__, fieldcore._root_powers
     monkeypatch.setattr(Poly, "__call__", lambda g, x: calls.append(x) or call(g, x))
+    monkeypatch.setattr(fieldcore, "_root_powers", lambda s, d, r: built.append((s.key, r)) or rows(s, d, r))
     src, dst = build_field_ctx(3, 4), FieldCtx(3, 8)
     roots = embedding_roots(src, dst)
-    assert len(roots) == 4 and len(calls) == 1
+    assert embed_element(src, dst, src.gen()) == roots[0]
+    assert len(roots) == 4 and calls == []
+    assert [r for key, r in built if key == src.key] == [roots[0]]
     g = Poly.from_ints(dst, src.modulus)
     assert all(call(g, r).is_zero() for r in roots)
 

@@ -55,3 +55,19 @@ def test_row_echelon_matches_gauss_jordan(p, rng):
         assert R.tolist() == R_ref and pivots == pivots_ref and scale % p == scale_ref, (p, A)
         if len(A) == len(A[0]):
             assert _linalg.det(M, p) == (scale_ref if len(pivots_ref) == len(A) else 0)
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1])
+def test_krylov_columns_are_powers_on_e0(p, rng):
+    # column i is M^i e_0, one product at a time in pure Python, in M's
+    # dtype; an empty M has no e_0
+    dtype = object if p > 2**31 else np.int64
+    assert _linalg.krylov(np.zeros((0, 0), dtype=dtype), 0, p).shape == (0, 1)
+    for n in range(1, 6):
+        A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        K = _linalg.krylov(np.array(A, dtype=dtype), n, p)
+        v = [1] + [0] * (n - 1)
+        for i in range(n + 1):
+            assert K[:, i].tolist() == v, (A, i)
+            v = [sum(a * b for a, b in zip(row, v)) % p for row in A]
+        assert K.dtype == dtype

@@ -412,26 +412,60 @@ def _blockwise_action(f):
     return gen
 
 
-def test_extension_base_action_matches_blockwise_remainders(rng):
-    # the block matrix M, built by array skew steps T r_i - q L, against a
-    # fresh remainder per column
+def _extension_funcs(rng):
+    # random n > 1 functions with alpha < 5, and four over GF((2^61 - 1)^2),
+    # whose action is object dtype
     funcs = [_random_func(rng, p, n, alpha) for p, n in CLOSED_FORM_BASES if n > 1 for alpha in range(5)]
     big = build_field_ctx(2**61 - 1, 2)
-    funcs += [
+    return funcs + [
         QuadFunc.from_terms(big, [(big.elem([rng.randrange(big.p) for _ in range(2)]), j) for j in range(alpha + 1)])
         for alpha in range(1, 5)
     ]
-    assert funcs[-1].ctx is big
-    for f in funcs:
-        M = nullity._block_matrix(f)
+
+
+def test_extension_base_action_matches_blockwise_remainders(rng):
+    # M = S^n, S the step matrix of left multiplication by T, against a
+    # fresh remainder per column, dtype included
+    for f in _extension_funcs(rng):
+        M = pp.matpow(nullity._step_matrix(f), f.n, f.p)
         want = _blockwise_action(f)
         assert M.dtype == want.dtype and np.array_equal(M, want), f
-    assert M.dtype == object
+    assert f.p == 2**61 - 1 and M.dtype == object
+
+
+@pytest.mark.parametrize("block", ["frobenius", "reduction"])
+def test_a_corrupt_step_matrix_fails_the_commutation_check(rng, monkeypatch, block):
+    # one wrong entry in block (1, 0), a copy of F, or in block (0, 2*alpha
+    # - 1), the reduction column: M = S^n is no longer GF(p^n)-linear
+    real = nullity._step_matrix
+
+    def corrupt(f):
+        S, n = real(f).copy(), f.n
+        i, j = (n, 0) if block == "frobenius" else (0, len(S) - n)
+        S[i, j] = (S[i, j] + 1) % f.p
+        return S
+
+    monkeypatch.setattr(nullity, "_step_matrix", corrupt)
+    for f in _extension_funcs(rng):
+        if f.top_alpha:
+            with pytest.raises(InternalInconsistency, match="does not commute"):
+                nullity._Action(f)
+
+
+def test_a_cyclic_action_of_size_324_over_gf27():
+    # x^2 + x x^(3^27 + 1) + x^2 x^(3^54 + 1) over GF(27): a 324 x 324 M,
+    # deg mu = 108, and no power of M kept
+    ctx = build_field_ctx(3, 3)
+    f = QuadFunc.from_terms(ctx, [(ctx.one(), 0), (ctx.gen(), 27), (ctx.gen() ** 2, 54)])
+    assert nullity._Action(f).powers is None
+    prof = nullity_profile.__wrapped__(f)
+    assert prof.s == 756
+    assert [(len(g) - 1, o, e) for g, e, o, _ in prof.factors] == [(6, 28, 9), (6, 14, 9)]
 
 
 def test_action_builds_without_remainders_at_prime_base(monkeypatch):
-    # n = 1 reads the companion matrix off ell; n > 1 reaches T^n mod L by
-    # its own column steps from T^0, so neither takes a skew remainder
+    # n = 1 reads mu off ell; n > 1 takes M = S^n, S built from F and the
+    # coefficients of L, so neither takes a skew remainder
     assert not hasattr(nullity, "_rrem_elem")
     calls = []
     real = fieldcore._rrem_elem

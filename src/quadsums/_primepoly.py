@@ -22,15 +22,22 @@ t^((p^k - 1)/2) is the product of the t^(p^i), i < k, to the (p - 1)/2.
 ``factor_reciprocal`` factors a monic a whose reciprocal x^(deg a)
 a(1/x) is +-a, the minimal polynomial of a symplectic map (the proof is
 in :mod:`quadsums.nullity`).  Each power of x + 1 and of x - 1, odd ones
-included, is stripped into one row.  The rest r has no root +-1, so it
-is palindromic of even degree 2m, r = x^m H(x + 1/x), and is factored
-through H, of degree m (Dickson polynomials); r not palindromic raises.
-Each irreducible q | H of degree j gives Q = x^j q(x + 1/x), irreducible
-when q(2) q(-2) is a nonsquare mod p (Meyn), and else a reciprocal pair
-g g* of degree j each, returned unsplit.  ``order(g, p, k)`` takes the
-order of x modulo a square-free g whose roots lie in GF(p^k), from the
-factored p^k - 1; k = deg g for an irreducible g, k = j for such a pair
-(the roots of g* are the inverses of those of g, so both have one order).
+included, is found by a(-+1) = 0 and stripped into one row.  The rest r
+is palindromic of even degree 2m, r = x^m H(x + 1/x); r not palindromic
+raises.  ``half`` takes H, of degree m (Dickson polynomials), and only H
+is factored.  ``half_rows`` turns the factors of any H into rows: y -+ 2
+gives (x -+ 1)^2, and any other irreducible q | H of degree j gives Q =
+x^j q(x + 1/x), irreducible when q(2) q(-2) is a nonsquare mod p (Meyn),
+and else a reciprocal pair g g* of degree j each, returned unsplit.
+``factorizations(p, k)`` lists every monic a of degree <= k with its
+factors, found by products, not by factoring: degree by degree, each
+reducible a is g h for g its last irreducible factor (in the order found)
+and h with no later factor, one product each, and the a left over are
+the irreducibles.  ``order(g, p, k)`` takes the order of x modulo a
+square-free g whose roots lie in GF(p^k), from the factored p^k - 1; k =
+j for a pair (the roots of g* are the inverses of those of g, so both
+have one order); for a self-reciprocal irreducible of degree 2j, from
+the factored p^j + 1 (:mod:`quadsums.nullity`).
 
 ``power`` is the one square-and-multiply, under any product: ``powmod``,
 ``matpow`` (X^p in ``frobenius_matrix`` and every Frobenius table of a
@@ -59,11 +66,12 @@ ints.  Every result is exact for every p.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import comb, prod
 
 import numpy as np
 
-from ._numtheory import digits, factor_power_minus_one, prime_divisors
+from ._numtheory import digits, factor_power_minus_one, prime_divisors, valuation
 from .errors import DivisionByZero, InternalInconsistency
 
 
@@ -242,17 +250,31 @@ def factor_reciprocal(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...]
     a few sums); no pair is split.  Raises when r is not palindromic, that
     is when a* != +-a."""
     a, powers = list(a), {1: 0, p - 1: 0}  # of x + 1 and x - 1
-    for z in powers:
-        while not rem(a, [z, 1], p):
+    for z, w in ((1, -1), (p - 1, 1)):  # x + z vanishes at w
+        while not (sum(a[::2]) + w * sum(a[1::2])) % p:
             a, powers[z] = _quotient(a, [z, 1], p), powers[z] + 1
     if a != a[::-1]:
         raise InternalInconsistency(f"a* != +-a: {a}, a without x -+ 1, is not palindromic")
-    H, prev, cur = [a[len(a) // 2]] + [0] * (len(a) // 2), [2], [0, 1]  # D_0, D_1; now deg a = 2m
+    return tuple(((z, 1), 1, e) for z, e in powers.items() if e) + half_rows(factor(tuple(half(a, p)), p), p)
+
+
+def half(a: list[int], p: int) -> list[int]:
+    """H with a = x^m H(x + 1/x), for the palindromic a of degree 2m."""
+    H, prev, cur = [a[len(a) // 2]] + [0] * (len(a) // 2), [2], [0, 1]  # D_0, D_1
     for c in a[len(a) // 2 + 1 :]:  # x^i + x^(-i) = D_i(x + 1/x), D_(i+1) = y D_i - D_(i-1)
         H[: len(cur)] = [h + c * v for h, v in zip(H, cur)]
         prev, cur = cur, [u - (prev[t] if t < len(prev) else 0) for t, u in enumerate([0] + cur)]
-    out = [((z, 1), 1, e) for z, e in powers.items() if e]
-    for q, e in factor(tuple(c % p for c in H), p):
+    return [c % p for c in H]
+
+
+def half_rows(factors, p: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The rows (Q, k, e) of ``factor_reciprocal`` for x^m H(x + 1/x), from
+    the factors (q, e) of H (see above)."""
+    out = []
+    for q, e in factors:
+        if len(q) == 2 and q[0] in (2, p - 2):
+            out.append(((1 if q[0] == 2 else p - 1, 1), 1, 2 * e))
+            continue
         j, Q = len(q) - 1, [0] * (2 * len(q) - 1)  # x^j q(x + 1/x) = sum q_i x^(j-i) (x^2 + 1)^i
         for i, c in enumerate(q):
             for t in range(i + 1):
@@ -262,17 +284,37 @@ def factor_reciprocal(a: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...]
     return tuple(out)
 
 
+def factorizations(p: int, k: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """{a: ((g, e), ...)}, a = prod g^e, for every monic a of degree <= k."""
+    out, last, irr, first = {(1,): ()}, {}, [], [0]  # last[a]: the index in irr of a's last factor
+    for d in range(1, k + 1):
+        first.append(len(irr))  # first[j]: the index of the first irreducible of degree j
+        for h, fac in [item for item in out.items() if len(item[0]) > 1]:
+            j = d - len(h) + 1
+            for i in range(max(last[h], first[j]), first[j + 1]):
+                a = tuple(mul(irr[i], h, p))
+                out[a], last[a] = fac[:-1] + ((irr[i], fac[-1][1] + 1),) if i == last[h] else fac + ((irr[i], 1),), i
+        for a in (low + (1,) for low in itertools.product(range(p), repeat=d)):
+            if a not in out:
+                out[a], last[a] = ((a, 1),), len(irr)
+                irr.append(a)
+    return out
+
+
 @functools.lru_cache(maxsize=4096)
 def order(g: tuple[int, ...], p: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
     """The order of x modulo the monic square-free g != x whose roots all
-    lie in GF(p^k), by default k = deg g (g irreducible): a divisor of
-    p^k - 1 = o = prod q^v (``factor_power_minus_one``), as (q, j) pairs,
-    q^j the least with x^(o/q^(v-j)) = 1.  x^e is the row of 1 times X^e,
+    lie in GF(p^k), as (q, j) pairs, q^j the least with x^(o/q^(v-j)) = 1:
+    a divisor of o = prod q^v, o = p^k - 1 (``factor_power_minus_one``).
+    By default g is irreducible and k = deg g, and then o = p^(k/2) + 1
+    when g is palindromic of even degree.  x^e is the row of 1 times X^e,
     X the companion matrix of g, a product of the squares X^(2^i) shared
     by every e (half the time of a ``powmod`` for each e).  Raises when
     x^o != 1."""
-    k = k or len(g) - 1
-    fac = factor_power_minus_one(p, k)
+    fac, group = factor_power_minus_one(p, k or len(g) - 1), f"{p}^{k or len(g) - 1} - 1"
+    if k is None and len(g) % 2 and g == g[::-1]:  # a root w has w^(p^j) = 1/w (see :mod:`quadsums.nullity`)
+        j = len(g) // 2
+        fac, group = tuple((q, v) for q, _ in fac if (v := valuation(p**j + 1, q))), f"{p}^{j} + 1"
     o, squares = prod(q**v for q, v in fac), [_companion(g, p)]
     while len(squares) < o.bit_length():
         squares.append(squares[-1] @ squares[-1] % p)
@@ -286,7 +328,7 @@ def order(g: tuple[int, ...], p: int, k: int | None = None) -> tuple[tuple[int, 
         return bool((row == one).all())
 
     if not is_one(o):
-        raise InternalInconsistency(f"x has no order dividing {p}^{k} - 1 modulo {list(g)}")
+        raise InternalInconsistency(f"x has no order dividing {group} modulo {list(g)}")
     out = []
     for q, v in fac:
         j = v

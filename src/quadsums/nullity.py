@@ -91,10 +91,13 @@ the roots w, 1/w of x^2 - b x + 1 are distinct and Q is square-free.  w
 lies in GF(p^j), which holds b, iff b^2 - 4 is a square there, iff
 legendre(Norm(b^2 - 4), p) = 1; Norm(b - c) = (-1)^j q(c), so Norm(b^2 -
 4) = q(2) q(-2) (Meyn, AAECC 1, 1990).  GF(p)(w) holds b, so for a
-nonsquare w has degree 2j and Q is irreducible; for a square w has degree
-j and Q = g g*, g the minimal polynomial of w and g* that of 1/w, g != g*
-as Q is square-free.  The roots of g* are the inverses of those of g, so
-ord g* = ord g, and all lie in GF(p^j): the order of x modulo Q is ord g
+nonsquare w has degree 2j and Q is irreducible; then 1/w = w^(p^i), 0 < i
+< 2j (1/w != w), so w^(p^(2i)) = (1/w)^(p^i) = w, 2j | 2i and i = j:
+w^(p^j + 1) = 1, and ``_primepoly.order`` searches ord Q among the
+divisors of p^j + 1, not of p^(2j) - 1.  For a square w has degree j and
+Q = g g*, g the minimal polynomial of w and g* that of 1/w, g != g* as Q
+is square-free.  The roots of g* are the inverses of those of g, so ord
+g* = ord g, and all lie in GF(p^j): the order of x modulo Q is ord g
 (``_primepoly.order`` with k = j).  g and g* share the degree j, the
 multiplicity e, the order and the kernels: g*(A) is a unit times
 A^j g(A^(-1)), and g(A^(-1))^i = J^(-1) (g(A)^i)^T J has the rank of
@@ -351,11 +354,12 @@ class NullityProfile:
     reciprocal pair g g* (see above): the rows hold (Q, count, e, ord g,
     kernels), count the irreducibles in Q and kernels[v] = dim ker
     g(A)^min(p^v, e) until p^v >= e; ``factors`` lists (g, e, ord g,
-    kernels) for each g, and ``order`` is ord(A) = s/n, factored."""
+    kernels) for each g, and ``order`` is ord(A) = s/n, factored.  Given
+    rows replace ``factor_reciprocal``'s, under the same product check."""
 
-    def __init__(self, f: QuadFunc):
+    def __init__(self, f: QuadFunc, rows=None):
         self.func, p, act = f, f.p, _Action(f)
-        rows = pp.factor_reciprocal(tuple(act.mu), p)
+        rows = pp.factor_reciprocal(tuple(act.mu), p) if rows is None else rows
         if functools.reduce(lambda a, g: pp.mul(a, g, p), [Q for Q, _, e in rows for _ in range(e)], [1]) != act.mu:
             raise InternalInconsistency(f"the factors {rows} do not multiply to mu = {act.mu}")
         self._rows, order = [], {}
@@ -366,7 +370,7 @@ class NullityProfile:
             if any(d % count for d in dims):
                 raise InternalInconsistency(f"ker Q(A)^j for the pair Q = {Q} has odd dimension: {dims}")
             kernels = tuple(d // count for d in dims)
-            fac = pp.order(Q, p, k)
+            fac = pp.order(Q, p, k if count > 1 else None)  # Q irreducible: the default
             for q, v in fac + ((p, t),):
                 order[q] = max(order.get(q, 0), v)
             self._rows.append((Q, count, e, prod(q**v for q, v in fac), kernels))
@@ -429,8 +433,9 @@ class NullityProfile:
 
 
 @functools.lru_cache(maxsize=512)
-def nullity_profile(f: QuadFunc) -> NullityProfile:
-    prof = NullityProfile(f)
+def nullity_profile(f: QuadFunc, rows=None) -> NullityProfile:
+    """The profile of f (rows as in ``NullityProfile``), l_n and l_s checked."""
+    prof = NullityProfile(f, rows)
     l_n, ladder = prof.nullity(f.n), nullity_at(f, f.n)
     if l_n != ladder:
         raise InternalInconsistency(f"closed form gives l_{f.n} = {l_n}, the ladder {ladder}")

@@ -8,6 +8,13 @@ change any l_m, so monic top coefficients lose no generality.  Row order is
 fixed by the enumeration (k ascending, then the little-endian integer
 encoding of a_0..a_{k-1}), so regenerated output is byte-comparable with
 the shipped CSVs.
+
+No row factors anything.  At n = 1 and alpha >= 1, mu = ell = x^alpha H(x +
+1/x) with H = sum a_i D_i (:mod:`quadsums.nullity`, D_0 = 2), triangular in
+the a_i: f -> H maps the p^alpha monic f of top exponent alpha one to one
+onto the monic H of degree alpha.  ``_primepoly.factorizations`` lists each
+H with its factors, ``half_rows`` makes mu's rows of them, and
+``nullity_profile`` checks those rows as its own.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import importlib.resources
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import _primepoly as pp
 from ._numtheory import digits
 from .errors import InvalidInput, MalformedReference
 from .nullity import QuadFunc, nullity_profile
@@ -44,17 +52,22 @@ def enumerate_functions(p: int, alpha_max: int) -> Iterator[tuple[tuple[int, ...
             yield coeffs, QuadFunc.from_dense(p, coeffs)
 
 
-def _row_for(item: tuple[tuple[int, ...], QuadFunc]) -> TableRow:
-    coeffs, f = item
-    prof = nullity_profile(f)
+def _row_for(item: tuple[tuple[int, ...], QuadFunc, tuple]) -> TableRow:
+    coeffs, f, rows = item
+    prof = nullity_profile(f, rows)
     return TableRow(coeffs=coeffs, s=prof.s, pairs=prof.entries)
 
 
 def generate_table(p: int, alpha_max: int, jobs: int = 1) -> list[TableRow]:
     """All rows for base GF(p); embarrassingly parallel, output order fixed
     by the enumeration regardless of jobs (functions reach the workers by
-    pickling, through ``FieldCtx`` and ``FieldElem.__reduce__``)."""
-    work = enumerate_functions(p, alpha_max)
+    pickling, through ``FieldCtx`` and ``FieldElem.__reduce__``), mu's
+    rows read off f's H (above)."""
+    funcs = list(enumerate_functions(p, alpha_max))  # a bad p or alpha_max raises here, before any work
+    factors, work = pp.factorizations(p, alpha_max), []
+    for coeffs, f in funcs:
+        mu = pp.gcd([*coeffs[:0:-1], 2 * coeffs[0], *coeffs[1:]], [], p)  # ell made monic, as ``_Action`` takes it
+        work.append((coeffs, f, pp.half_rows(factors[tuple(pp.half(mu, p))], p)))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing; only jobs > 1 pays
 

@@ -273,13 +273,13 @@ def test_profile_ladder_cross_check_raises(monkeypatch):
 
 
 def test_order_check_raises(monkeypatch):
-    # the running example's factors have degree 4 and orders 13 and 26; a
-    # factorization of 5^4 - 1 = 2^4 * 3 * 13 that misses 13 leaves an
-    # order that does not divide it
+    # the running example's factors are self-reciprocal of degree 4, of
+    # orders 13 and 26, searched in 5^2 + 1 = 2 * 13; a factorization of
+    # 5^4 - 1 = 2^4 * 3 * 13 that misses 13 leaves 2, which they do not divide
     monkeypatch.setattr(pp, "factor_power_minus_one", lambda p, k: ((2, 4), (3, 1)))
     pp.order.cache_clear()
     try:
-        with pytest.raises(InternalInconsistency, match="no order dividing 5\\^4 - 1"):
+        with pytest.raises(InternalInconsistency, match="no order dividing 5\\^2 \\+ 1"):
             nullity_profile.__wrapped__(F5_RUNNING)
     finally:
         pp.order.cache_clear()

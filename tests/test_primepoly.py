@@ -383,3 +383,81 @@ def test_meyn_criterion_and_the_orders_of_a_pair(p):
                 assert len(g) == len(h) == j + 1 and g != h, (p, q)
                 assert h == tuple(c * pow(g[0], -1, p) % p for c in reversed(g)), (p, q)
                 assert pp.order(Q, p, j) == pp.order(g, p) == pp.order(h, p), (p, q)
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (5, 4), (7, 3)])
+def test_factorizations_list_every_monic_polynomial_once(p, k, monkeypatch):
+    # every monic a of degree <= k is a key, with prod g^e = a; a reducible
+    # a takes one product, and the a with one factor g = a, e = 1 are the
+    # irreducibles of Rabin's test
+    real, products = pp.mul, []
+    monkeypatch.setattr(pp, "mul", lambda a, b, p: products.append(1) or real(a, b, p))
+    fac = pp.factorizations(p, k)
+    monkeypatch.undo()
+    every = [tuple(a.tolist()) for d in range(k + 1) for a in _monic_polys(p, d)]
+    assert len(fac) == len(every) == (p ** (k + 1) - 1) // (p - 1) and set(fac) == set(every)
+    irreducible = set()
+    for a, factors in fac.items():
+        assert _expand(factors, p) == list(a), (a, factors)
+        assert all(fac[g] == ((g, 1),) for g, _ in factors), (a, factors)
+        if factors == ((a, 1),):
+            irreducible.add(a)
+    assert len(products) == len(fac) - 1 - len(irreducible)
+    want = {tuple(a.tolist()) for d in range(1, k + 1) for a in _monic_polys(p, d) if pp.is_irreducible(a, p)}
+    assert irreducible == want
+
+
+def _palindromic_irreducibles(p, max_d):
+    for d in range(2, max_d + 1, 2):
+        for low in itertools.product(range(p), repeat=d // 2):
+            g = tuple(_palindromic((1,) + low[:-1], low[-1]))
+            if pp.is_irreducible(np.array(g, dtype=np.int64), p):
+                yield g
+
+
+@pytest.mark.parametrize("p,max_d", [(3, 8), (5, 6)])
+def test_self_reciprocal_orders_in_p_to_the_j_plus_one(p, max_d):
+    # a palindromic irreducible g of degree 2j: the default order(g, p)
+    # searches p^j + 1, an explicit k = 2j all of p^(2j) - 1; they agree
+    found = list(_palindromic_irreducibles(p, max_d))
+    assert {len(g) - 1 for g in found} == set(range(2, max_d + 1, 2))
+    for g in found:
+        got = pp.order(g, p)
+        assert got == pp.order(g, p, len(g) - 1), (p, g)
+        assert (p ** ((len(g) - 1) // 2) + 1) % math.prod(q**v for q, v in got) == 0, (p, g, got)
+
+
+def test_self_reciprocal_orders_at_a_large_prime(rng):
+    # x^2 - b x + 1 with b^2 - 4 a nonsquare, and x^2 q(x + 1/x) for an
+    # irreducible quadratic q with q(2) q(-2) a nonsquare, at p = 2^61 - 1
+    p = 2**61 - 1
+
+    def nonsquare(c):
+        return pow(c % p, (p - 1) // 2, p) == p - 1
+
+    found = []
+    while len(found) < 4:
+        b, s, t = (rng.randrange(p) for _ in range(3))
+        if len(found) < 2 and nonsquare(b * b - 4):
+            found.append((1, -b % p, 1))
+        elif len(found) >= 2 and nonsquare(s * s - 4 * t) and nonsquare((4 + 2 * s + t) * (4 - 2 * s + t)):
+            found.append(tuple(_dickson_lift([t, s, 1], p)))
+    for g in found:
+        assert pp.is_irreducible(np.array(g, dtype=object), p) and g == g[::-1], g
+        assert pp.order(g, p) == pp.order(g, p, len(g) - 1), g
+
+
+def test_a_doctored_self_reciprocal_order_raises():
+    # x^2 + 6x + 1 = (x - 3)(x - 5) over GF(7) is palindromic, not
+    # irreducible: 3 has order 6, which does not divide 7 + 1; with its
+    # roots' field named (k = 2) the order is found in 7^2 - 1
+    g = (1, 6, 1)
+    assert pp.order(g, 7, 2) == ((2, 1), (3, 1))
+    with pytest.raises(InternalInconsistency, match="no order dividing 7\\^1 \\+ 1"):
+        pp.order(g, 7)
+    # a reciprocal pair g g* over GF(5), whose order 24 divides 5^2 - 1,
+    # passed off as an irreducible of degree 4
+    pair = tuple(_dickson_lift([3, 0, 1], 5))
+    assert not pp.is_irreducible(np.array(pair, dtype=np.int64), 5)
+    with pytest.raises(InternalInconsistency, match="no order dividing 5\\^2 \\+ 1"):
+        pp.order(pair, 5)

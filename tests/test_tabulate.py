@@ -1,7 +1,9 @@
 import pytest
 
 from quadsums import QuadFunc, nullity_profile
-from quadsums.errors import MalformedReference
+from quadsums import _primepoly as pp
+from quadsums import nullity, tabulate
+from quadsums.errors import InternalInconsistency, MalformedReference, NotOdd, NotPrime
 from quadsums.tabulate import (
     TableRow,
     diff_reference,
@@ -97,3 +99,51 @@ def test_parallel_generation_matches_serial():
     serial = generate_table(3, 2)
     parallel = generate_table(3, 2, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("p,alpha_max", [(3, 5), (5, 4), (7, 3)])
+def test_table_rows_from_factorizations_match_factoring(p, alpha_max, monkeypatch):
+    # each row's profile, built from the factors of f's H, equals the one
+    # that factors mu itself, down to the irreducible factors
+    seen = []
+    monkeypatch.setattr(tabulate, "nullity_profile", lambda f, rows: seen.append(nullity_profile(f, rows)) or seen[-1])
+    rows = generate_table(p, alpha_max)
+    assert len(rows) == len(seen) == (p ** (alpha_max + 1) - 1) // (p - 1)
+    for row, prof in zip(rows, seen):
+        want = nullity_profile.__wrapped__(prof.func)
+        assert (row.s, row.pairs) == (prof.s, prof.entries) == (want.s, want.entries), row.coeffs
+        assert prof.factors == want.factors, row.coeffs
+
+
+def test_a_wrong_factorization_fails_the_table(monkeypatch):
+    # H = y^2 + 1 and H = y^2 over GF(3) trade factors: the rows of one no
+    # longer multiply to the mu of its f
+    real = pp.factorizations
+
+    def swapped(p, k):
+        out = real(p, k)
+        out[(1, 0, 1)], out[(0, 0, 1)] = out[(0, 0, 1)], out[(1, 0, 1)]
+        return out
+
+    monkeypatch.setattr(pp, "factorizations", swapped)
+    nullity_profile.cache_clear()
+    with pytest.raises(InternalInconsistency, match="do not multiply to mu"):
+        generate_table(3, 2)
+
+
+def test_a_wrong_ladder_fails_the_table(monkeypatch):
+    # every table row still checks l_n against the ladder
+    monkeypatch.setattr(nullity, "nullity_at", lambda f, m: -1)
+    nullity_profile.cache_clear()
+    with pytest.raises(InternalInconsistency, match="the ladder"):
+        generate_table(3, 2)
+
+
+@pytest.mark.parametrize("p,error", [(4, NotPrime), (9, NotPrime), (2, NotOdd)])
+def test_a_bad_prime_fails_the_table_before_any_work(p, error, monkeypatch):
+    def no_work(p, k):
+        raise RuntimeError("factorizations ran")
+
+    monkeypatch.setattr(pp, "factorizations", no_work)
+    with pytest.raises(error):
+        generate_table(p, 3)

@@ -8,9 +8,9 @@ fixed by A^k, so l_(kn) = dim ker(A^k - I) and s = n * ord(A).
 
 A's minimal polynomial mu has degree at most 2*alpha (mu(T^n) is the
 bound of L in R = GF(p^n)[T; sigma]: Giesbrecht, J. Symbolic Comput. 26,
-1998).  For n = 1 it is ell/lead(ell), ell(x) = sum c_j x^j.  For n > 1,
-left multiplication by the central T^n on R/RL is a 2*alpha*n square
-matrix M over GF(p), n copies of A, on the coordinates of the T^j
+1998).  For n = 1 it is ell(x) = sum c_j x^j made monic (``monic_ell``).
+For n > 1, left multiplication by the central T^n on R/RL is a 2*alpha*n
+square matrix M over GF(p), n copies of A, on the coordinates of the T^j
 coefficients of a remainder, block j.  M = S^n (``_primepoly.matpow``),
 S left multiplication by T (``_step_matrix``): T c T^i = c^p T^(i+1), so
 block (i + 1, i) of S is the Frobenius matrix F, and c^p T^(2*alpha) =
@@ -26,8 +26,7 @@ That suffices.  The blocks commute with G iff M commutes with D = diag(G,
 with S, as M is a power of S.  So Z e_0 = 0 gives Z S^i D^k e_0 = 0.  The
 D^k e_0 = x^k, k < n, span block 0, and S^i, i < 2*alpha, maps block 0 to
 block i by F^i alone (the subdiagonal), which is invertible: the S^i D^k
-e_0 span the space, and Z = 0.  Powers of M are formed only when A is not
-cyclic (``_Action``).
+e_0 span the space, and Z = 0.  No power of M is kept (``_Action``).
 
 The profile from mu = prod Q^e (``_primepoly.factor_reciprocal``, below;
 the product checked); no factor is x, and ord(g) divides p^(deg g) - 1
@@ -42,13 +41,13 @@ divide k', A^k - I is invertible on V_g.  Else x^k' - 1 = g u with u(A)
 invertible on V_g, and there ker(A^k - I) = ker g(A)^(p^v) = ker
 g(A)^min(p^v, e).  ord(A) is the least k with mu | x^k - 1, the lcm of
 ord(g^e) = ord(g) p^t.  When deg mu = 2*alpha, A is cyclic and dim ker
-Q(A)^j = j deg Q (Thm 3.62); otherwise (A = -I, say) it is dim ker y(M) /
-n, y = Q^j mod mu; kappa_g(v) is that, j = min(p^v, e), over the number
-of irreducibles in Q (one, or two for a pair, below).  ``nullity``,
-``entries`` (one pair per divisor of s, listed only when read, in one
-walk over the divisors) and ``pair_count`` are integer arithmetic.
-``nullity_profile`` checks l_n against the skew-gcd ladder
-(``nullity_at``) and l_s against 2*alpha.
+Q(A)^j = j deg Q (Thm 3.62); otherwise (A = -I, say) it is dim ker B^j /
+n, B = Q(M) by Horner, each B^j from the last; kappa_g(v) is that, j =
+min(p^v, e), over the number of irreducibles in Q (one, or two for a
+pair, below).  ``nullity``, ``entries`` (one pair per divisor of s,
+listed only when read, in one walk over the divisors) and ``pair_count``
+are integer arithmetic.  Each ``NullityProfile`` checks l_n against the
+skew-gcd ladder (``nullity_at``) and l_s against 2*alpha.
 
 A is symplectic (van der Geer and van der Vlugt, Compositio Math. 84,
 1992).  On the algebraic closure, where z -> z^p is a bijection, let
@@ -215,12 +214,8 @@ class QuadFunc:
         return QuadFunc.from_terms(self.ctx, [(c * a, al) for a, al in self.terms])
 
     def __str__(self):
-        def term(c, a):
-            e = self.p**a + 1
-            cs = str(c) if self.n > 1 else str(c.coeffs[0])
-            return f"({cs})*x^{e}" if self.n > 1 else f"{cs}*x^{e}"
-
-        return " + ".join(term(c, a) for c, a in self.terms)
+        term = "({})*x^{}" if self.n > 1 else "{}*x^{}"
+        return " + ".join(term.format(c if self.n > 1 else c.coeffs[0], self.p**a + 1) for c, a in self.terms)
 
 
 @dataclass(frozen=True)
@@ -260,25 +255,26 @@ class LinearizedPoly:
         return ctx_big.p_poly_matrix(terms)
 
 
+@functools.lru_cache(maxsize=512)
 def radical_poly(f: QuadFunc) -> LinearizedPoly:
     """The separable p-polynomial whose kernel in GF(p^m) is the radical of
-    Tr_m(f); p-power degree is exactly 2*alpha.  Built once per f and
-    memoized like ``nullity_profile``, which reads it twice: in the action
-    and in the l_n ladder check."""
-    out = _radical_poly(f)
-    if not out.is_separable():
-        raise InternalInconsistency("radical polynomial must be separable")
-    return out
-
-
-@functools.lru_cache(maxsize=512)
-def _radical_poly(f: QuadFunc) -> LinearizedPoly:
+    Tr_m(f); p-power degree is exactly 2*alpha.  Built and checked once per
+    f and memoized: the action (or ``_step_matrix``) and the ladder read it."""
     alpha = f.top_alpha
     coeffs = [f.ctx.zero()] * (2 * alpha + 1)
     for a, ai in f.terms:
         coeffs[alpha + ai] = coeffs[alpha + ai] + a.frobenius(alpha)
         coeffs[alpha - ai] = coeffs[alpha - ai] + a.frobenius(alpha - ai)
-    return LinearizedPoly(f.ctx, tuple(coeffs))
+    out = LinearizedPoly(f.ctx, tuple(coeffs))
+    if not out.is_separable():
+        raise InternalInconsistency("radical polynomial must be separable")
+    return out
+
+
+def monic_ell(f: QuadFunc) -> list[int]:
+    """For f over GF(p), ell(x) = sum c_j x^j made monic, as ascending
+    residues: the minimal polynomial mu of the action at n = 1."""
+    return pp.gcd([c.coeffs[0] for c in radical_poly(f).coeffs], [], f.p)
 
 
 def nullity_at(f: QuadFunc, m: int) -> int:
@@ -311,42 +307,46 @@ def _step_matrix(f: QuadFunc) -> np.ndarray:
 
 class _Action:
     """The action A on the root space, of dimension ``dim`` = 2*alpha: its
-    minimal polynomial ``mu`` (ascending, monic) and, when A is not cyclic
-    (deg mu < dim), M^0, ..., M^(deg mu - 1) in ``powers``, else None.  For
-    n > 1, M = S^n is the one matrix power formed for a cyclic A, and mu
-    comes from its 2*alpha + 1 Krylov columns; InternalInconsistency
-    unless every n x n block of M commutes with G = mult_mat(x) and mu(M)
-    e_0 = 0, which give mu(M) = 0 (above)."""
+    minimal polynomial ``mu`` (ascending, monic), whether it is ``cyclic``
+    (deg mu = dim) and ``M`` = S^n, no power of it kept (None at n = 1,
+    where mu is ``monic_ell``).  mu comes from M's 2*alpha + 1 Krylov
+    columns; InternalInconsistency unless every n x n block of M commutes
+    with G = mult_mat(x) and mu(M) e_0 = 0, which give mu(M) = 0 (above)."""
 
     def __init__(self, f: QuadFunc):
         p, n = f.p, f.n
-        L = radical_poly(f).coeffs
-        self.p, self.n, self.dim, self.powers = p, n, len(L) - 1, None
-        if n == 1:  # ell made monic
-            self.mu = pp.gcd([c.coeffs[0] for c in L], [], p)
-            return
-        M = pp.matpow(_step_matrix(f), n, p)
-        G, blocks = f.ctx.mult_mat(f.ctx.gen()), M.reshape(self.dim, n, self.dim, n).transpose(0, 2, 1, 3)
-        if ((blocks @ G - G @ blocks) % p).any():
-            raise InternalInconsistency("a block of M does not commute with mult_mat(x)")
-        K = _linalg.krylov(M, self.dim, p)
-        self.mu = _linalg.krylov_mu(K, p)
-        r = len(self.mu) - 1
-        if (K[:, : r + 1] @ np.array(self.mu, dtype=M.dtype) % p).any():
-            raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
-        if r < self.dim:
-            self.powers = np.empty((r,) + M.shape, dtype=M.dtype)
-            self.powers[0] = np.eye(len(M), dtype=M.dtype)
-            for k in range(1, r):
-                self.powers[k] = self.powers[k - 1] @ M % p
+        self.p, self.n, self.dim, self.M = p, n, 2 * f.top_alpha, None
+        if n == 1:
+            self.mu = monic_ell(f)
+        else:
+            M = pp.matpow(_step_matrix(f), n, p)
+            G, blocks = f.ctx.mult_mat(f.ctx.gen()), M.reshape(self.dim, n, self.dim, n).transpose(0, 2, 1, 3)
+            if ((blocks @ G - G @ blocks) % p).any():
+                raise InternalInconsistency("a block of M does not commute with mult_mat(x)")
+            K = _linalg.krylov(M, self.dim, p)
+            self.mu, self.M = _linalg.krylov_mu(K, p), M
+            if (K[:, : len(self.mu)] @ np.array(self.mu, dtype=M.dtype) % p).any():
+                raise InternalInconsistency(f"mu = {self.mu} does not annihilate the action")
+        self.cyclic = len(self.mu) - 1 == self.dim
 
-    def nullity(self, y: list[int]) -> int:
-        """dim ker y(A), A not cyclic: dim ker y(M) / n, for deg y < deg mu."""
-        ym = np.tensordot(np.array(y, dtype=self.powers.dtype), self.powers[: len(y)], 1) % self.p
-        k = _linalg.kernel_dim(ym, self.p)
-        if k % self.n:
-            raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
-        return k // self.n
+    def kernels(self, Q: list[int], js: list[int]) -> list[int]:
+        """dim ker Q(A)^j for each j of js, ascending from 1: j deg Q for a
+        cyclic A, else dim ker B^j / n, B = Q(M) by Horner and B^j from
+        the last B^i, as (B^i)^(j/i) or B^i B^(j - i)."""
+        if self.cyclic:
+            return [(len(Q) - 1) * j for j in js]
+        p, I = self.p, np.eye(len(self.M), dtype=self.M.dtype)
+        B = Q[-1] * I
+        for c in Q[-2::-1]:
+            B = (B @ self.M % p + c * I) % p
+        P, i, out = B, 1, []
+        for j in js:
+            P = pp.matpow(P, j // i, p) if j % i == 0 else P @ pp.matpow(B, j - i, p) % p
+            k, i = _linalg.kernel_dim(P, p), j
+            if k % self.n:
+                raise InternalInconsistency(f"kernel of dimension {k} is not a GF(p^{self.n})-space")
+            out.append(k // self.n)
+        return out
 
 
 class NullityProfile:
@@ -355,7 +355,8 @@ class NullityProfile:
     kernels), count the irreducibles in Q and kernels[v] = dim ker
     g(A)^min(p^v, e) until p^v >= e; ``factors`` lists (g, e, ord g,
     kernels) for each g, and ``order`` is ord(A) = s/n, factored.  Given
-    rows replace ``factor_reciprocal``'s, under the same product check."""
+    rows replace ``factor_reciprocal``'s, under the same product check; l_n
+    and l_s are checked against the ladder and 2*alpha however it is built."""
 
     def __init__(self, f: QuadFunc, rows=None):
         self.func, p, act = f, f.p, _Action(f)
@@ -365,8 +366,7 @@ class NullityProfile:
         self._rows, order = [], {}
         for Q, k, e in rows:
             t, count = next(t for t in range(e) if p**t >= e), (len(Q) - 1) // k
-            dims = [act.nullity(pp.powmod(Q, j, act.mu, p)) if act.powers is not None else (len(Q) - 1) * j
-                    for j in (min(p**v, e) for v in range(t + 1))]  # dim ker Q(A)^j; cyclic A: deg Q * j
+            dims = act.kernels(Q, [min(p**v, e) for v in range(t + 1)])
             if any(d % count for d in dims):
                 raise InternalInconsistency(f"ker Q(A)^j for the pair Q = {Q} has odd dimension: {dims}")
             kernels = tuple(d // count for d in dims)
@@ -376,6 +376,12 @@ class NullityProfile:
             self._rows.append((Q, count, e, prod(q**v for q, v in fac), kernels))
         self.order = {q: v for q, v in sorted(order.items()) if v}
         self.s = f.n * prod(q**v for q, v in self.order.items())
+        l_n, ladder = self.nullity(f.n), nullity_at(f, f.n)
+        if l_n != ladder:
+            raise InternalInconsistency(f"closed form gives l_{f.n} = {l_n}, the ladder {ladder}")
+        l_s = self.nullity(self.s)
+        if l_s != 2 * f.top_alpha:
+            raise InternalInconsistency(f"profile ends at l_{self.s} = {l_s}, not 2*alpha")
 
     @functools.cached_property
     def factors(self) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
@@ -433,16 +439,9 @@ class NullityProfile:
 
 
 @functools.lru_cache(maxsize=512)
-def nullity_profile(f: QuadFunc, rows=None) -> NullityProfile:
-    """The profile of f (rows as in ``NullityProfile``), l_n and l_s checked."""
-    prof = NullityProfile(f, rows)
-    l_n, ladder = prof.nullity(f.n), nullity_at(f, f.n)
-    if l_n != ladder:
-        raise InternalInconsistency(f"closed form gives l_{f.n} = {l_n}, the ladder {ladder}")
-    l_s = prof.nullity(prof.s)
-    if l_s != 2 * f.top_alpha:
-        raise InternalInconsistency(f"profile ends at l_{prof.s} = {l_s}, not 2*alpha")
-    return prof
+def nullity_profile(f: QuadFunc) -> NullityProfile:
+    """The checked profile of f, memoized."""
+    return NullityProfile(f)
 
 
 def matrix_kernel_nullity(f: QuadFunc, m: int) -> int:

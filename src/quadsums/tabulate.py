@@ -13,8 +13,9 @@ No row factors anything.  At n = 1 and alpha >= 1, mu = ell = x^alpha H(x +
 1/x) with H = sum a_i D_i (:mod:`quadsums.nullity`, D_0 = 2), triangular in
 the a_i: f -> H maps the p^alpha monic f of top exponent alpha one to one
 onto the monic H of degree alpha.  ``_primepoly.factorizations`` lists each
-H with its factors, ``half_rows`` makes mu's rows of them, and
-``nullity_profile`` checks those rows as its own.
+H with its factors, ``half_rows`` makes mu's rows of them, and each row's
+``NullityProfile`` is built from those rows and checked as any other; no
+table row enters the ``nullity_profile`` memo.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator
 from . import _primepoly as pp
 from ._numtheory import digits
 from .errors import InvalidInput, MalformedReference
-from .nullity import QuadFunc, nullity_profile
+from .nullity import NullityProfile, QuadFunc, monic_ell
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def enumerate_functions(p: int, alpha_max: int) -> Iterator[tuple[tuple[int, ...
 
 def _row_for(item: tuple[tuple[int, ...], QuadFunc, tuple]) -> TableRow:
     coeffs, f, rows = item
-    prof = nullity_profile(f, rows)
+    prof = NullityProfile(f, rows)
     return TableRow(coeffs=coeffs, s=prof.s, pairs=prof.entries)
 
 
@@ -64,10 +65,9 @@ def generate_table(p: int, alpha_max: int, jobs: int = 1) -> list[TableRow]:
     pickling, through ``FieldCtx`` and ``FieldElem.__reduce__``), mu's
     rows read off f's H (above)."""
     funcs = list(enumerate_functions(p, alpha_max))  # a bad p or alpha_max raises here, before any work
-    factors, work = pp.factorizations(p, alpha_max), []
-    for coeffs, f in funcs:
-        mu = pp.gcd([*coeffs[:0:-1], 2 * coeffs[0], *coeffs[1:]], [], p)  # ell made monic, as ``_Action`` takes it
-        work.append((coeffs, f, pp.half_rows(factors[tuple(pp.half(mu, p))], p)))
+    factors = pp.factorizations(p, alpha_max)
+    # lazy, so each f's radical polynomial is still memoized when its profile reads it
+    work = ((coeffs, f, pp.half_rows(factors[tuple(pp.half(monic_ell(f), p))], p)) for coeffs, f in funcs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing; only jobs > 1 pays
 

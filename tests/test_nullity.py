@@ -238,7 +238,9 @@ def test_nullity_extension_base():
 
 
 def test_radical_separability_check_raises(monkeypatch):
+    # the check runs inside the memo: a cached L would skip it
     monkeypatch.setattr(nullity.LinearizedPoly, "is_separable", lambda self: False)
+    radical_poly.cache_clear()
     with pytest.raises(InternalInconsistency, match="separable"):
         radical_poly(F7_SMALL)
 
@@ -250,7 +252,7 @@ def test_profile_builds_one_radical_polynomial(monkeypatch):
     monkeypatch.setattr(nullity, "LinearizedPoly", lambda *args: built.append(args) or real(*args))
     ctx = build_field_ctx(5, 2)
     for f in (QuadFunc.from_dense(7, [3, 1, 4, 1]), QuadFunc.from_terms(ctx, [(ctx.gen(), 0), (ctx.elem(2), 3)])):
-        nullity._radical_poly.cache_clear()
+        radical_poly.cache_clear()
         built.clear()
         nullity_profile.__wrapped__(f)
         assert len(built) == 1, f
@@ -260,9 +262,27 @@ def test_profile_endpoint_check_raises(monkeypatch):
     # A = -I over GF(27) with a kernel that comes out one short, so l_s
     # falls short of 2*alpha; the uncached function runs, so no corrupted
     # profile enters the cache
-    monkeypatch.setattr(nullity._Action, "nullity", lambda self, y: 1)
+    monkeypatch.setattr(nullity._Action, "kernels", lambda self, Q, js: [1] * len(js))
     with pytest.raises(InternalInconsistency, match="profile ends at l_6 = 1"):
         nullity_profile.__wrapped__(QuadFunc.from_dense(3, [[0, 0, 1], [0, 2, 1]], n=3))
+
+
+@pytest.mark.parametrize("given_rows", [False, True])
+@pytest.mark.parametrize("f", [F5_RUNNING, QuadFunc.from_dense(3, [[0, 0, 1], [0, 2, 1]], n=3)])
+def test_a_directly_built_profile_is_checked(monkeypatch, f, given_rows):
+    # NullityProfile runs both end checks itself, with or without given
+    # rows (a table row gives them): the l_n ladder, and l_s = 2*alpha on a
+    # kernel one short; at n = 1 (cyclic) and for A = -I over GF(27)
+    rows = pp.factor_reciprocal(tuple(nullity._Action(f).mu), f.p) if given_rows else None
+    assert nullity.NullityProfile(f, rows).entries == nullity_profile(f).entries
+    with monkeypatch.context() as patch:
+        patch.setattr(nullity, "nullity_at", lambda f, m: -1)
+        with pytest.raises(InternalInconsistency, match="the ladder -1"):
+            nullity.NullityProfile(f, rows)
+    real = nullity._Action.kernels
+    monkeypatch.setattr(nullity._Action, "kernels", lambda self, Q, js: [d - 1 for d in real(self, Q, js)])
+    with pytest.raises(InternalInconsistency, match=f"profile ends at l_{nullity_profile(f).s} = .*, not 2"):
+        nullity.NullityProfile(f, rows)
 
 
 def test_profile_ladder_cross_check_raises(monkeypatch):
@@ -368,7 +388,8 @@ def test_prime_base_action_is_the_companion_matrix():
     assert ell[-1] != 1
     inv = pow(ell[-1], -1, p)
     act = nullity._Action(f)
-    assert act.mu == [c * inv % p for c in ell] and act.powers is None
+    assert act.mu == [c * inv % p for c in ell] == nullity.monic_ell(f)
+    assert act.cyclic and act.M is None
 
 
 def test_profile_answers_without_the_divisor_walk(monkeypatch):
@@ -392,6 +413,7 @@ def test_profiles_past_two_to_the_63():
     assert pp.order((p - 1, 1), p) == ()
     funcs = [QuadFunc.from_dense(p, c) for c in ([p - 1, 1], [p - 2, 1], [3, p - 2, 1])]
     funcs.append(QuadFunc.from_dense(p, [[1, 0], [1, 1]], n=2))
+    funcs.append(QuadFunc.from_dense(p, [[0, 0], [1, 0]], n=2))  # x^(p+1): A = -I, object-dtype kernels
     for f in funcs:
         prof = nullity_profile(f)
         for m in range(f.n, 5, f.n):
@@ -454,10 +476,11 @@ def test_a_corrupt_step_matrix_fails_the_commutation_check(rng, monkeypatch, blo
 
 def test_a_cyclic_action_of_size_324_over_gf27():
     # x^2 + x x^(3^27 + 1) + x^2 x^(3^54 + 1) over GF(27): a 324 x 324 M,
-    # deg mu = 108, and no power of M kept
+    # deg mu = 108, cyclic
     ctx = build_field_ctx(3, 3)
     f = QuadFunc.from_terms(ctx, [(ctx.one(), 0), (ctx.gen(), 27), (ctx.gen() ** 2, 54)])
-    assert nullity._Action(f).powers is None
+    act = nullity._Action(f)
+    assert act.cyclic and len(act.mu) == 109 and act.M.shape == (324, 324)
     prof = nullity_profile.__wrapped__(f)
     assert prof.s == 756
     assert [(len(g) - 1, o, e) for g, e, o, _ in prof.factors] == [(6, 28, 9), (6, 14, 9)]
@@ -567,9 +590,9 @@ def test_two_term_profiles_match_the_block_matrix(p, n, non_cyclic_at_alpha_1):
                     if p ** (k * n) <= 3**12:
                         assert l == matrix_kernel_nullity(f, k * n), (f, k)
                 # deg mu, read off the factors, is below 2*alpha exactly when
-                # the action is not cyclic and keeps the powers of M
+                # the action is not cyclic
                 cyclic = sum((len(g) - 1) * e for g, e, _, _ in prof.factors) == 2 * f.top_alpha
-                assert cyclic or nullity._Action(f).powers is not None, f
+                assert nullity._Action(f).cyclic == cyclic, f
                 non_cyclic += (i, j) == (0, 1) and not cyclic
     if non_cyclic_at_alpha_1 is not None:
         assert non_cyclic == non_cyclic_at_alpha_1
@@ -580,10 +603,12 @@ def test_two_term_profiles_match_the_block_matrix(p, n, non_cyclic_at_alpha_1):
     [([[0, 0, 1], [0, 2, 1]], [1, 1], 6, ((3, 0), (6, 2))), ([[0, 0, 1], [0, 1, 2]], [2, 1], 3, ((3, 2),))],
 )
 def test_non_cyclic_actions_over_gf27(coeffs, mu, s, entries):
-    # A = -I and A = I on a two-dimensional root space: mu = x + 1, x - 1
+    # A = -I and A = I on a two-dimensional root space: mu = x + 1, x - 1;
+    # the action keeps M and no other matrix
     f = QuadFunc.from_dense(3, coeffs, n=3)
     act = nullity._Action(f)
-    assert act.mu == mu and act.dim == 2 and len(act.powers) == 1
+    assert act.mu == mu and act.dim == 2 and not act.cyclic and act.kernels(mu, [1]) == [2]
+    assert [k for k, v in vars(act).items() if isinstance(v, np.ndarray)] == ["M"] and act.M.shape == (6, 6)
     prof = nullity_profile.__wrapped__(f)
     assert prof.s == s and prof.entries == entries
 
@@ -626,16 +651,36 @@ def test_reciprocal_product_check_raises(monkeypatch):
         nullity_profile.__wrapped__(F5_RUNNING)
 
 
+def _stack_nullity(act):
+    """y -> dim ker y(A) for a non-cyclic action, deg y < deg mu, by an
+    explicit stack M^0, ..., M^(deg mu - 1): dim ker y(M) / n, y(M) one
+    tensordot of y with the stack."""
+    p, M = act.p, act.M
+    powers = [np.eye(len(M), dtype=M.dtype)]
+    for _ in range(len(act.mu) - 2):
+        powers.append(powers[-1] @ M % p)
+    powers = np.array(powers, dtype=M.dtype)
+
+    def nullity_of(y):
+        k = _linalg.kernel_dim(np.tensordot(np.array(y, dtype=M.dtype), powers[: len(y)], 1) % p, p)
+        assert k % act.n == 0
+        return k // act.n
+
+    return nullity_of
+
+
 def _profile_by_full_factoring(f):
     """(factors, s, entries) by factoring mu whole: each irreducible g with
-    its order and kernels dim ker g(A)^min(p^v, e), and l_(dn) = dim
-    ker(A^d - I), deg gcd(x^d - 1, mu) for a cyclic A."""
+    its order and kernels dim ker g(A)^min(p^v, e), by the stack for a
+    non-cyclic A (y = g^j mod mu), and l_(dn) = dim ker(A^d - I), deg
+    gcd(x^d - 1, mu) for a cyclic A."""
     p, act = f.p, nullity._Action(f)
     mu, order, factors = tuple(act.mu), {}, []
+    stack_nullity = None if act.cyclic else _stack_nullity(act)
     for g, e in pp.factor(mu, p):
         t = next(t for t in range(e) if p**t >= e)
         js = [min(p**v, e) for v in range(t + 1)]
-        kernels = tuple(act.nullity(pp.powmod(g, j, act.mu, p)) if act.powers is not None
+        kernels = tuple(stack_nullity(pp.powmod(g, j, act.mu, p)) if stack_nullity
                         else (len(g) - 1) * j for j in js)
         fac = pp.order(g, p)
         for q, v in fac + ((p, t),):
@@ -647,7 +692,7 @@ def _profile_by_full_factoring(f):
     for d in (d for d in range(1, ord_a + 1) if ord_a % d == 0):
         y = pp.powmod([0, 1], d, act.mu, p) or [0]
         y = pp.trim([(y[0] - 1) % p] + y[1:])
-        ker = act.nullity(y) if act.powers is not None else len(pp.gcd(y, act.mu, p)) - 1
+        ker = stack_nullity(y) if stack_nullity else len(pp.gcd(y, act.mu, p)) - 1
         entries.append((d * f.n, ker))
     return factors, f.n * ord_a, tuple(entries)
 
@@ -656,7 +701,9 @@ def _profile_by_full_factoring(f):
 def test_half_factoring_matches_full_factoring_on_every_small_function(p, n, max_alpha, non_cyclic_anti):
     # every f over GF(9) with alpha <= 2 and over GF(27), GF(25) with
     # alpha <= 1: factors, s and entries agree with factoring mu whole, on
-    # the non-cyclic actions and the anti-palindromic mu (mu* = -mu) too
+    # the non-cyclic actions and the anti-palindromic mu (mu* = -mu) too;
+    # a non-cyclic row's kernels, powers of Q(M), agree with the stack's
+    # y(M), y = Q^j mod mu
     ctx = build_field_ctx(p, n)
     elems = list(ctx.elements())
     non_cyclic = anti = 0
@@ -667,7 +714,13 @@ def test_half_factoring_matches_full_factoring_on_every_small_function(p, n, max
                 prof = nullity.NullityProfile(f)
                 assert (prof.factors, prof.s, prof.entries) == _profile_by_full_factoring(f), f
                 act = nullity._Action(f)
-                non_cyclic += act.powers is not None
+                if not act.cyclic:
+                    stack_nullity = _stack_nullity(act)
+                    for Q, _, e, _, _ in prof._rows:
+                        js = [min(p**v, e) for v in range(next(t for t in range(e) if p**t >= e) + 1)]
+                        want = [stack_nullity(pp.powmod(Q, j, act.mu, p)) for j in js]
+                        assert act.kernels(Q, js) == want, (f, Q)
+                non_cyclic += not act.cyclic
                 anti += [-c % p for c in act.mu[::-1]] == act.mu
     assert (non_cyclic, anti) == non_cyclic_anti
 
@@ -705,7 +758,7 @@ def test_an_odd_kernel_of_a_pair_raises(monkeypatch):
     f = QuadFunc.from_dense(3, [[0, 0], [1, 1], [0, 0], [1, 1]], n=2)
     prof = nullity_profile.__wrapped__(f)
     assert [(len(g) - 1, o, e) for g, e, o, _ in prof.factors] == [(1, 2, 1), (2, 8, 1), (2, 8, 1)]
-    real = nullity._Action.nullity
-    monkeypatch.setattr(nullity._Action, "nullity", lambda self, y: real(self, y) + 1)
+    real = nullity._Action.kernels
+    monkeypatch.setattr(nullity._Action, "kernels", lambda self, Q, js: [d + 1 for d in real(self, Q, js)])
     with pytest.raises(InternalInconsistency, match="odd dimension"):
         nullity.NullityProfile(f)

@@ -106,13 +106,22 @@ def test_table_rows_from_factorizations_match_factoring(p, alpha_max, monkeypatc
     # each row's profile, built from the factors of f's H, equals the one
     # that factors mu itself, down to the irreducible factors
     seen = []
-    monkeypatch.setattr(tabulate, "nullity_profile", lambda f, rows: seen.append(nullity_profile(f, rows)) or seen[-1])
+    monkeypatch.setattr(tabulate, "NullityProfile", lambda f, rows: seen.append(nullity.NullityProfile(f, rows)) or seen[-1])
     rows = generate_table(p, alpha_max)
     assert len(rows) == len(seen) == (p ** (alpha_max + 1) - 1) // (p - 1)
     for row, prof in zip(rows, seen):
         want = nullity_profile.__wrapped__(prof.func)
         assert (row.s, row.pairs) == (prof.s, prof.entries) == (want.s, want.entries), row.coeffs
         assert prof.factors == want.factors, row.coeffs
+
+
+def test_table_rows_stay_out_of_the_profile_memo():
+    # each row builds its NullityProfile directly: the memo of
+    # nullity_profile neither grows nor misses
+    before = nullity_profile.cache_info()
+    generate_table(3, 4)
+    after = nullity_profile.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_a_wrong_factorization_fails_the_table(monkeypatch):
@@ -126,7 +135,6 @@ def test_a_wrong_factorization_fails_the_table(monkeypatch):
         return out
 
     monkeypatch.setattr(pp, "factorizations", swapped)
-    nullity_profile.cache_clear()
     with pytest.raises(InternalInconsistency, match="do not multiply to mu"):
         generate_table(3, 2)
 
@@ -134,7 +142,6 @@ def test_a_wrong_factorization_fails_the_table(monkeypatch):
 def test_a_wrong_ladder_fails_the_table(monkeypatch):
     # every table row still checks l_n against the ladder
     monkeypatch.setattr(nullity, "nullity_at", lambda f, m: -1)
-    nullity_profile.cache_clear()
     with pytest.raises(InternalInconsistency, match="the ladder"):
         generate_table(3, 2)
 

@@ -14,6 +14,7 @@ digits, and a number with two larger ones is out of reach."""
 from __future__ import annotations
 
 import functools
+import sys
 from math import gcd, inf, isqrt
 
 from .errors import InternalInconsistency, InvalidInput, Unsupported
@@ -157,6 +158,14 @@ def digits(code: int, p: int, k: int) -> list[int]:
         out.append(code % p)
         code //= p
     return out
+
+
+def within_str_limit(size: int) -> bool:
+    """Whether a text of `size` digits stays within the interpreter's
+    int-to-string limit (0, or an interpreter without one, lifts it).  Every
+    output bound of the package reads the limit here."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or size <= limit
 
 
 def valuation(x: int, q: int) -> int | float:

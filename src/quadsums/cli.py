@@ -1,20 +1,22 @@
 """Command-line surface.
 
 Subcommands: eval, profile, table, verify, shift, monomial.  Exit codes,
-with the QuadsumsError subclasses that give each:
+by exception family (``main`` catches the three families, in this order of
+precedence, and no single class), with the QuadsumsError subclasses in
+each:
 
   0  success
-  1  invalid input: InvalidInput and its subclasses NotPrime, NotOdd,
-     ModulusReducible, ZeroPolynomial, MixedPrimes, NotSymmetric,
-     NotMultipleOfBase, ZeroCoefficient, MalformedReference; also
-     DivisionByZero, any other ValueError, and an OSError (a table --diff
-     or --out path that cannot be read or written)
-  2  unsupported, a limit rather than an input error: Unsupported,
-     TooLarge, SearchBudgetExceeded
-  3  internal inconsistency, always a bug: InternalInconsistency,
-     NoRootFound, ParityViolation, ConditionViolated, NotApplicable,
-     DivisibilityViolated; also a verify mismatch, or a table that differs
-     from its reference
+  1  invalid input, any other QuadsumsError: InvalidInput and its
+     subclasses NotPrime, NotOdd, ModulusReducible, ZeroPolynomial,
+     MixedPrimes, NotSymmetric, NotMultipleOfBase, ZeroCoefficient,
+     MalformedReference; also DivisionByZero, any other ValueError, and an
+     OSError (a table --diff or --out path that cannot be read or written)
+  2  unsupported, a limit rather than an input error: Unsupported and its
+     subclasses TooLarge, SearchBudgetExceeded
+  3  internal inconsistency, always a bug: InternalInconsistency and its
+     subclasses NoRootFound, ParityViolation, ConditionViolated,
+     NotApplicable, DivisibilityViolated; also a verify mismatch, or a
+     table that differs from its reference
 
 Coefficients are dense by default (--coeffs a0,a1,...,ak meaning exponents
 0..k); --alphas switches to sparse input where the i-th coefficient pairs
@@ -26,14 +28,15 @@ default) or json.
 
 Exact cyclotomic coordinates are printed only while their decimal digits,
 C = p - 1 coordinates of at most K digits each, stay within the
-interpreter's int-to-string limit (``sys.get_int_max_str_digits()``; 0
+interpreter's int-to-string limit (``_numtheory.within_str_limit``; 0
 lifts it).  Past it, text output reads ``cyclotomic coords = omitted (~K
 digits) in each of C coordinates`` and JSON writes null for them, as for a
 non-finite ``value_complex``; verify's report line and its JSON
 coordinates follow the same rule.  K is estimated from |S| = p^((N+l)/2)
 before any coordinate is computed, so a huge m or p answers at once.
 profile bounds its pairs alike (``NullityProfile.to_json_dict``): text reads
-``pairs = omitted (C pairs)`` and the factored order, JSON null, csv none.
+``pairs = omitted (C pairs)`` and the factored order, JSON null, csv none;
+its csv line is a ``TableRow``'s, as in a regenerated table.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ import math
 import sys
 
 from . import errors
+from ._numtheory import within_str_limit
 from .cyclotomic import ExpSumValue
 from .evaluator import evaluate, verify
 from .fieldcore import FieldCtx, build_field_ctx
 from .lifts import monomial_eval, shift_linear
 from .nullity import QuadFunc, nullity_profile
 from .quadform import DEFAULT_CAP
-from .tabulate import diff_reference, generate_table, reference_path, rows_to_csv, rows_to_json
+from .tabulate import TableRow, diff_reference, generate_table, reference_path, rows_to_csv, rows_to_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -173,8 +177,7 @@ def _coord_digits(v: ExpSumValue) -> int:
 def _coords(v: ExpSumValue, cyclotomic):
     """cyclotomic().coords as a list, for a value of the size of v; None
     when they would pass the int-to-string limit (see the module docstring)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and (v.p - 1) * _coord_digits(v) > limit:
+    if not within_str_limit((v.p - 1) * _coord_digits(v)):
         return None
     return list(cyclotomic().coords)
 
@@ -221,19 +224,19 @@ def _cmd_profile(args, out) -> int:
     f = _parse_func(args)
     prof = nullity_profile(f)
     doc = prof.to_json_dict()
-    pairs = None if doc["entries"] is None else " ".join(f"({m},{l})" for m, l in doc["entries"])
+    coeffs = tuple(c.coeffs[0] if f.n == 1 else c for c in f.dense_coeffs())
+    row = TableRow(coeffs, prof.s, () if doc["entries"] is None else prof.entries)
     if args.format == "json":
         _dump(doc, out)
     elif args.format == "csv":
-        coeffs = " ".join(str(c.coeffs[0]) if f.n == 1 else str(c) for c in f.dense_coeffs())
-        out.write(f"{coeffs};{prof.s};{pairs or ''}\n")
+        out.write(row.csv_line() + "\n")
     else:
         out.write(f"s = {prof.s}\nfactors: {' '.join(f'({d},{o},{e})' for d, o, e in doc['factors'])}\n")
-        if pairs is None:
+        if doc["entries"] is None:
             order = " * ".join(f"{q}^{v}" if v > 1 else str(q) for q, v in sorted(prof.order.items()))
             out.write(f"pairs = omitted ({prof.pair_count} pairs)\norder = {order}\n")
         else:
-            out.write(f"pairs: {pairs}\n")
+            out.write(f"pairs: {row.pair_text}\n")
     return EXIT_OK
 
 
@@ -338,11 +341,10 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except (errors.Unsupported, errors.TooLarge, errors.SearchBudgetExceeded) as exc:
+    except errors.Unsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (errors.InternalInconsistency, errors.NoRootFound, errors.ParityViolation,
-            errors.ConditionViolated, errors.NotApplicable, errors.DivisibilityViolated) as exc:
+    except errors.InternalInconsistency as exc:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (errors.QuadsumsError, ValueError, OSError) as exc:

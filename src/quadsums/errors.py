@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all quadsums modules."""
+"""Exception hierarchy shared by all quadsums modules.
+
+Three families carry the command line's exit status: an ``Unsupported``
+is a limit (exit 2), an ``InternalInconsistency`` a bug (exit 3), and any
+other ``QuadsumsError`` an input error (exit 1)."""
 
 
 class QuadsumsError(Exception):
@@ -21,11 +25,29 @@ class ModulusReducible(InvalidInput):
     pass
 
 
+class Unsupported(QuadsumsError):
+    """A limit rather than an input error: no evaluation route exists
+    within the configured limits, or a budget would be passed.
+
+    `reason` is a stable machine-readable code; `detail` is for humans.
+    """
+
+    def __init__(self, reason: str, detail: str = ""):
+        self.reason = reason
+        self.detail = detail
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+
+
+class InternalInconsistency(QuadsumsError):
+    """An internal invariant failed (two routes that must agree did not, or
+    a congruence a formula guarantees broke); always a bug."""
+
+
 class DivisionByZero(QuadsumsError, ZeroDivisionError):
     pass
 
 
-class NoRootFound(QuadsumsError):
+class NoRootFound(InternalInconsistency):
     """Subfield modulus has no root in the target field; the context is corrupt."""
 
 
@@ -41,7 +63,7 @@ class NotSymmetric(InvalidInput):
     pass
 
 
-class TooLarge(QuadsumsError):
+class TooLarge(Unsupported):
     """Enumeration would exceed the configured element budget."""
 
 
@@ -49,7 +71,7 @@ class NotMultipleOfBase(InvalidInput):
     pass
 
 
-class SearchBudgetExceeded(QuadsumsError):
+class SearchBudgetExceeded(Unsupported):
     """A search passed its iteration ceiling.
 
     The library no longer raises it: the nullity profile is computed in
@@ -57,40 +79,24 @@ class SearchBudgetExceeded(QuadsumsError):
     callers which catch it keep importing."""
 
 
-class ParityViolation(QuadsumsError):
+class ParityViolation(InternalInconsistency):
     """Nullity increment breaks a congruence the lift formula requires."""
 
 
-class ConditionViolated(QuadsumsError):
+class ConditionViolated(InternalInconsistency):
     """The p-power lift was requested outside its validity range."""
 
 
-class NotApplicable(QuadsumsError):
+class NotApplicable(InternalInconsistency):
     """Hypotheses of the balanced explicit formula do not hold."""
 
 
-class DivisibilityViolated(QuadsumsError):
+class DivisibilityViolated(InternalInconsistency):
     """Nullity fails the divisibility the balanced formula guarantees."""
 
 
 class ZeroCoefficient(InvalidInput):
     pass
-
-
-class Unsupported(QuadsumsError):
-    """No evaluation route exists within the configured limits.
-
-    `reason` is a stable machine-readable code; `detail` is for humans.
-    """
-
-    def __init__(self, reason: str, detail: str = ""):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-class InternalInconsistency(QuadsumsError):
-    """Two routes that must agree did not; always a bug."""
 
 
 class MalformedReference(InvalidInput):

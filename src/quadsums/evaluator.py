@@ -29,7 +29,6 @@ l_N(f~) = l_2N(f) - l_N(f) for the twist at N (proved in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf
 
 from ._numtheory import factor as _factor
 from .cyclotomic import CyclotomicInt, ExpSumValue
@@ -41,6 +40,7 @@ from .lifts import (
     lift_two,
     monomial_eval,
     p_power_bound,
+    shared_two_order,
     twist,
     type_balanced,
     valuation,
@@ -69,8 +69,8 @@ def plan(f: QuadFunc, m: int) -> EvalPlan:
     N = m * f.n
     if f.is_monomial:
         return EvalPlan(f, m, N, (("monomial",),))
-    vals = {valuation(a, 2) for a in f.alphas}
-    if len(vals) == 1 and vals != {inf} and valuation(N, 2) > next(iter(vals)):
+    nu = shared_two_order(f.alphas)
+    if nu is not None and valuation(N, 2) > nu:
         return EvalPlan(f, m, N, (("balanced",),))
     return _composition_plan(f, m)
 

@@ -55,8 +55,10 @@ lie in K = GF(p^n), the kernel of F^n - I for F the Frobenius matrix, the
 one subfield of that order (Lidl and Niederreiter, Thm 2.14).  The first
 b of K, in code order from p, of degree n has a minimal polynomial mu_b
 (``_linalg.krylov_mu``) that builds a copy of K; ``_find_root`` splits g
-there, and x -> b carries that root into GF(p^N), where its orbit under
-z -> z^p is all n roots (``_conjugates``).  The sorted root set, and so
+there.  x -> b carries that root into GF(p^N) by one product of its
+coordinate row with the rows of 1, b, ..., b^(n-1) that gave mu_b; dst
+keeps no embedding table for the copy.  In GF(p^N) the root's orbit under z -> z^p
+is all n roots (``_conjugates``).  The sorted root set, and so
 the default embedding (the smallest-encoding root), depends neither on the
 root found nor on b.  g is checked once, at the smallest root, on the rows
 of its powers that the default embedding reads; g has coefficients in
@@ -556,14 +558,14 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
     def build():
         p, n = src.p, src.d
         for b in _subfield_elems(dst, n):
-            mu = _linalg.krylov_mu(dst.powers(b, n + 1).T, p)
+            B = dst.powers(b, n + 1)
+            mu = _linalg.krylov_mu(B.T, p)
             if len(mu) == n + 1:  # b lies in no proper subfield
                 break
         else:
             raise NoRootFound("no element generates the fixed field; corrupt context")
-        small = build_field_ctx(p, n, mu)
-        r = _find_root(Poly.from_ints(small, src.modulus))
-        return _conjugates(src, dst, embed_element(small, dst, r, root=b))
+        r = _find_root(Poly.from_ints(build_field_ctx(p, n, mu), src.modulus))
+        return _conjugates(src, dst, dst.elem(np.array(r.coeffs, dtype=B.dtype) @ B[:-1] % p))  # x -> b
 
     return dst.table("roots", src.key, build)
 

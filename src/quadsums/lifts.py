@@ -10,8 +10,10 @@ the monomial closed form, and the linear-shift reduction.  Each lift maps
 an ExpSumValue to an ExpSumValue and appends its own provenance entry, as
 ``monomial_eval`` records its case.
 
-Nullities are inputs here, never recomputed: violated congruences raise
-instead of being repaired, since they can only mean an upstream bug.
+Nullities are inputs here, never recomputed: a violated congruence or
+hypothesis raises an ``InternalInconsistency`` (``ParityViolation``,
+``ConditionViolated``, ``NotApplicable``, ``DivisibilityViolated``)
+instead of being repaired, since it can only mean an upstream bug.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ from . import _linalg
 from .quadform import elem_quadratic_character, legendre, smallest_nonsquare
 
 
+def shared_two_order(exponents) -> int | None:
+    """The 2-adic order all the exponents share, or None when two differ
+    or one is 0 (nu_2(0) = inf): the balanced condition."""
+    vals = {valuation(a, 2) for a in exponents}
+    return next(iter(vals)) if len(vals) == 1 and vals != {inf} else None
+
+
 def gcd_plus_plus(p: int, exponents) -> int:
     """gcd(p^a1 + 1, ..., p^ak + 1), by the 2-adic case split: it exceeds 2
     exactly when all nu_2(a_i) agree and are finite, and then equals
@@ -43,11 +52,7 @@ def gcd_plus_plus(p: int, exponents) -> int:
     exps = list(exponents)
     if not exps or any(a < 0 for a in exps):
         raise InvalidInput("need nonnegative exponents")
-    vals = {valuation(a, 2) for a in exps}
-    if len(vals) == 1 and vals != {inf}:
-        result = p ** gcd(*exps) + 1
-    else:
-        result = 2
+    result = 2 if shared_two_order(exps) is None else p ** gcd(*exps) + 1
     if max(exps) <= 64:  # cheap regime: confirm the case split against direct gcd
         direct = 0
         for a in exps:
@@ -188,12 +193,10 @@ def lift_p_value(value: ExpSumValue) -> CyclotomicInt:
 
 def type_balanced(f: QuadFunc, N: int, l_N: int) -> int:
     """Explicit type at degree N when all nu_2(alpha_i) are equal (= nu,
-    finite) and nu_2(N) > nu."""
-    alphas = f.alphas
-    vals = {valuation(a, 2) for a in alphas}
-    if len(vals) != 1 or vals == {inf}:
+    finite, ``shared_two_order``) and nu_2(N) > nu."""
+    nu = shared_two_order(f.alphas)
+    if nu is None:
         raise NotApplicable("exponents do not share a finite 2-adic order")
-    nu = vals.pop()
     if valuation(N, 2) <= nu:
         raise NotApplicable(f"need nu_2(N) > {nu}")
     if l_N % 2 ** (nu + 1):
@@ -266,9 +269,8 @@ def shift_linear(f: QuadFunc, b: FieldElem, N: int, value: ExpSumValue) -> Shift
     """Reduce the sum of e(f(x) + b*x) over GF(p^N) to the unshifted value:
     zero when the radical equation has no solution, else a phase shift by
     Tr(f(x0)) for any solution x0 (the trace is constant on the solution
-    coset)."""
-    if N % f.n:
-        raise InvalidInput("N must be a multiple of the base degree")
+    coset).  NotMultipleOfBase unless N is a positive multiple of n."""
+    f.relative_degree(N)
     ctx_big = build_field_ctx(f.p, N) if b.ctx.d != N else b.ctx
     b = embed_element(b.ctx, ctx_big, b)
     L = radical_poly(f)

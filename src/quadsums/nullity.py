@@ -109,15 +109,14 @@ split only to list ``factors``.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
 from . import _linalg
 from . import _primepoly as pp
-from ._numtheory import valuation
+from ._numtheory import valuation, within_str_limit
 from .errors import InternalInconsistency, InvalidInput, NotMultipleOfBase
 from .fieldcore import (
     FieldCtx,
@@ -197,6 +196,13 @@ class QuadFunc:
     @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
+
+    def relative_degree(self, m: int) -> int:
+        """m/n, the degree of GF(p^m) over the base GF(p^n);
+        NotMultipleOfBase unless m is a positive multiple of n."""
+        if m < 1 or m % self.n:
+            raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={self.n}")
+        return m // self.n
 
     def terms_in(self, ctx: FieldCtx) -> list[tuple[FieldElem, int]]:
         """The terms with each coefficient embedded in ctx, a field that
@@ -279,8 +285,7 @@ def monic_ell(f: QuadFunc) -> list[int]:
 
 def nullity_at(f: QuadFunc, m: int) -> int:
     """l_m(f) = dim of the radical of Tr_m(f) over GF(p); requires n | m."""
-    if m < 1 or m % f.n:
-        raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={f.n}")
+    f.relative_degree(m)
     return linearized_gcd_deg(f.ctx, list(radical_poly(f).coeffs), m)
 
 
@@ -394,17 +399,16 @@ class NullityProfile:
         return sorted(out, key=lambda row: (len(row[0]), row[0][::-1]))
 
     def nullity(self, m: int) -> int:
-        """With k = gcd(m/n, s/n) = k' p^v, p not dividing k', the sum of
-        kernels[v] over the irreducible factors whose order divides k'."""
-        n, p = self.func.n, self.func.p
-        if m < 1 or m % n:
-            raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={n}")
-        k = gcd(m // n, self.s // n)
-        v = valuation(k, p)
-        return self._sum(k // p**v, v)
+        """l_m, ``_sum`` of the p-free part and nu_p of m/n."""
+        k = self.func.relative_degree(m)
+        v = valuation(k, self.func.p)
+        return self._sum(k // self.func.p**v, v)
 
     def _sum(self, k: int, v: int) -> int:
-        """l_(k p^v n) for k | s/n prime to p, p^v | s/n."""
+        """l_(k p^v n) for k prime to p: count * kernels[v] summed over the
+        rows whose order divides k, each kernels capped at its last entry
+        (p^t >= e).  Neither k nor v need divide s/n: ord g | k iff it
+        divides gcd(k, s/n), and the cap stands for min(v, nu_p(s/n))."""
         return sum(count * ker[min(v, len(ker) - 1)] for _, count, _, o, ker in self._rows if k % o == 0)
 
     @functools.cached_property
@@ -428,11 +432,10 @@ class NullityProfile:
     def to_json_dict(self) -> dict:
         """The profile as JSON with the rows (deg g, ord g, e), and entries
         None, never listed, when pair_count pairs of len(" (s,2*alpha)")
-        would pass sys.get_int_max_str_digits() (0 lifts the limit)."""
+        would pass the int-to-string limit (``within_str_limit``)."""
         f = self.func
         coeffs = [c.coeffs[0] if f.n == 1 else list(c.coeffs) for c in f.dense_coeffs()]
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        listed = not limit or self.pair_count * len(f" ({self.s},{2 * f.top_alpha})") <= limit
+        listed = within_str_limit(self.pair_count * len(f" ({self.s},{2 * f.top_alpha})"))
         factors = [[len(g) - 1, o, e] for g, e, o, _ in self.factors]
         entries = [list(e) for e in self.entries] if listed else None
         return {"p": f.p, "n": f.n, "coeffs": coeffs, "s": self.s, "factors": factors, "entries": entries}
@@ -448,8 +451,7 @@ def matrix_kernel_nullity(f: QuadFunc, m: int) -> int:
     """Independent nullity backend: kernel dimension of the radical
     polynomial as a GF(p)-linear map on GF(p^m).  Cross-check only; the
     closed-form profile is authoritative."""
-    if m < 1 or m % f.n:
-        raise NotMultipleOfBase(f"m={m} is not a positive multiple of n={f.n}")
+    f.relative_degree(m)
     ctx_big = build_field_ctx(f.p, m)
     M = radical_poly(f).linear_map_matrix(ctx_big)
     return _linalg.kernel_dim(M, f.p)

@@ -32,14 +32,20 @@ from .nullity import NullityProfile, QuadFunc, monic_ell
 
 @dataclass(frozen=True)
 class TableRow:
-    coeffs: tuple[int, ...]
+    """One line of a table, and of ``profile --format csv``: the dense
+    coefficients (residues, or field elements printed as residue vectors
+    at n > 1), s and the pairs (m, l_m)."""
+
+    coeffs: tuple
     s: int
     pairs: tuple[tuple[int, int], ...]
 
+    @property
+    def pair_text(self) -> str:
+        return " ".join(f"({m},{l})" for m, l in self.pairs)
+
     def csv_line(self) -> str:
-        cs = " ".join(map(str, self.coeffs))
-        ps = " ".join(f"({m},{l})" for m, l in self.pairs)
-        return f"{cs};{self.s};{ps}"
+        return f"{' '.join(map(str, self.coeffs))};{self.s};{self.pair_text}"
 
 
 def enumerate_functions(p: int, alpha_max: int) -> Iterator[tuple[tuple[int, ...], QuadFunc]]:

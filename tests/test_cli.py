@@ -253,6 +253,18 @@ def test_every_error_class_has_its_documented_exit_code(source, monkeypatch):
         assert code == codes[0], exc_cls.__name__
 
 
+@pytest.mark.parametrize("exc_cls", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_exit_status_follows_the_exception_family(exc_cls, monkeypatch):
+    # main names the families only: a new subclass exits by its base
+    family = 2 if issubclass(exc_cls, errors.Unsupported) else 3 if issubclass(exc_cls, errors.InternalInconsistency) else 1
+
+    def raise_it(args, out):
+        raise exc_cls("forced")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", raise_it)
+    assert run(["eval", "--p", "3", "--coeffs", "1", "--m", "1"])[0] == family
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

@@ -482,6 +482,17 @@ def test_embedding_roots_live_on_the_default_context(monkeypatch):
     assert embedding_roots(src, dst) is roots
 
 
+@pytest.mark.parametrize("p,n,N", [(3, 2, 8), (5, 3, 6), (7, 2, 14)])
+def test_embedding_roots_keep_only_the_default_embedding_table(p, n, N, monkeypatch):
+    # the root found in the degree-n copy reaches dst by one product with the
+    # rows of b's powers: embed_element is not called and the one embed
+    # table kept on dst is src's, at the smallest root
+    src, dst = build_field_ctx(p, n), FieldCtx(p, N)
+    monkeypatch.setattr(fieldcore, "embed_element", None)
+    roots = embedding_roots(src, dst)
+    assert list(dst._cache["embed"]) == [(src.key, roots[0].coeffs)]
+
+
 def test_cache_roots_rejects_too_few_roots_or_a_non_root():
     # the orbit of r under z -> z^p must close after n distinct elements at
     # a root: an element of GF(3) gives too few, one of degree 4 never

@@ -38,6 +38,7 @@ from quadsums.errors import (
     InternalInconsistency,
     InvalidInput,
     NotApplicable,
+    NotMultipleOfBase,
     ParityViolation,
     ZeroCoefficient,
 )
@@ -69,6 +70,16 @@ def test_gcd_plus_plus_examples():
     assert gcd_plus_plus(3, (1, 3)) == 4
     assert gcd_plus_plus(3, (1, 2)) == 2
     assert gcd_plus_plus(5, (2, 2)) == 26
+
+
+def test_shared_two_order_matches_the_inline_set_on_small_tuples():
+    # the one owner of the balanced condition against the expression it
+    # replaced in plan, type_balanced and gcd_plus_plus
+    for k in (1, 2, 3):
+        for exps in itertools.product(range(9), repeat=k):
+            vals = {valuation(a, 2) for a in exps}
+            old = next(iter(vals)) if len(vals) == 1 and vals != {math.inf} else None
+            assert lifts.shared_two_order(exps) == old, exps
 
 
 def test_gcd_plus_minus_examples():
@@ -380,6 +391,14 @@ def test_shift_examples():
     shz = shift_linear(f21, build_field_ctx(3, 1).elem(1), 1, ExpSumValue(3, 1, 1, 1))
     assert shz.zero
     assert brute_force_sum_shifted(f21, 1, 1).is_zero()
+
+
+@pytest.mark.parametrize("N", [0, -2, 3])
+def test_shift_rejects_a_degree_that_is_not_a_positive_multiple_of_the_base(N):
+    f = QuadFunc.from_dense(3, [[1, 1], [0, 1]], n=2)
+    b = build_field_ctx(3, 2).elem(1)
+    with pytest.raises(NotMultipleOfBase):
+        shift_linear(f, b, N, ExpSumValue(3, 2, 0, 1))
 
 
 def test_shift_matches_brute_random(rng):

@@ -182,6 +182,28 @@ def test_profile_coherence_random_m(rng):
             assert prof.nullity(m) == prof.entry_dict[math.gcd(m, prof.s)]
 
 
+@pytest.mark.parametrize(
+    "p,n,coeffs",
+    [
+        (5, 1, [1, 2, 3, 4, 1]),
+        (3, 1, [1, 2, 2, 2, 1]),
+        (7, 1, [5, 6, 1]),
+        (3, 1, [1, 1, 0, 1]),
+        (3, 1, [0, 2, 1]),  # mu = (x - 1)^4: kernels at v = 0, 1, 2
+        (3, 2, [[1, 1], [0, 1]]),
+        (3, 2, [[0, 0], [1, 1], [0, 0], [1, 1]]),
+        (3, 3, [[0, 0, 1], [0, 2, 1]]),
+        (5, 2, [[1, 0], [2, 1], [1, 0]]),
+    ],
+)
+def test_nullity_of_every_multiple_up_to_4s_reads_its_gcd_with_s(p, n, coeffs):
+    # nullity(m) takes m/n whole, not gcd(m/n, s/n): the rows' orders and
+    # their capped kernels must give l_m = l_gcd(m, s) for every m
+    prof = nullity_profile(QuadFunc.from_dense(p, coeffs, n))
+    for m in range(n, 4 * prof.s + 1, n):
+        assert prof.nullity(m) == prof.entry_dict[math.gcd(m, prof.s)], m
+
+
 def test_profile_monotone_on_divisors():
     for f in (F5_RUNNING, F3_TOWER, F7_SMALL, QuadFunc.from_dense(3, [1, 1, 0, 1])):
         prof = nullity_profile(f)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quadsums"
 
 
@@ -60,3 +62,27 @@ def test_only_the_table_store_touches_the_cache():
         and (isinstance(node, ast.Attribute) and node.attr == "lru_cache" or isinstance(node, ast.Name) and node.id == "lru_cache")
     ]
     assert lru == []
+
+
+def _occurrences(text: str) -> list[str]:
+    return [
+        f"{path.name}:{i}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if text in line
+    ]
+
+
+@pytest.mark.parametrize("text", ["get_int_max_str_digits", "raise NotMultipleOfBase(", "{valuation(a, 2) for"])
+def test_each_rule_has_one_owner(text):
+    # the output-size limit, the base-degree check and the balanced
+    # condition are each written once
+    assert len(_occurrences(text)) == 1, _occurrences(text)
+
+
+def test_main_catches_exception_families_only():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {ast.unparse(name) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)
+              for name in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])}
+    assert caught == {"errors.Unsupported", "errors.InternalInconsistency", "errors.QuadsumsError", "ValueError", "OSError"}

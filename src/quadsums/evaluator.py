@@ -6,7 +6,10 @@ the balanced explicit formula; everything else starts from a direct
 diagonalization at a small base and composes lift steps (p-power, then one
 two-power stage, then odd primes in increasing order).  Odd primes are
 ordered purely so provenance is reproducible; results are order
-independent.
+independent.  With p^c the p-part of m, the base is n p^c*, c* the least
+c' <= c from which every p-power step up to n p^c keeps the type by the
+profile's nullities (``lifts.p_step_keeps_type``), for f and, when a
+two-power stage follows, for f~.
 
 One loop runs the plan's steps; each step yields an ExpSumValue that
 records its own provenance entry.  The direct step diagonalizes at its
@@ -16,19 +19,20 @@ default GF(p^n), and above it an Artin-Schreier tower over f's field, so
 no modulus search and no root split runs.  The type and nullity depend on
 no modulus or embedding root (see :mod:`quadsums.fieldcore`).  The
 two-power step diagonalizes f's twist f~ on that same field and carries
-it to its N through the plan's p-power steps: f~ has f's exponents, so
-``lift_p`` applies to it within the same bound.
-Every nullity comes from the one closed-form profile of f.  The
-diagonalization at the direct base and the twist's lifted nullity are
-checked against it: l_base(f) = profile.nullity(base), and
-l_N(f~) = l_2N(f) - l_N(f) for the twist at N (proved in
-:func:`quadsums.lifts.twist`); the value the route reaches must have
-(N, l) = (N, profile.nullity(N)).
+it to its N through the plan's p-power steps, which keep its type too, by
+the planner's choice of base.
+Every nullity comes from the one closed-form profile of f, which the
+planner reads too.  The diagonalizations at the direct base are checked
+against it: l_base(f) = profile.nullity(base), and l_N(f~) = l_2N(f) -
+l_N(f) for the twist at N = base (proved in :func:`quadsums.lifts.twist`),
+the nullity function its p-power steps read; the value the route reaches
+must have (N, l) = (N, profile.nullity(N)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from ._numtheory import factor as _factor
 from .cyclotomic import CyclotomicInt, ExpSumValue
@@ -39,13 +43,13 @@ from .lifts import (
     lift_p,
     lift_two,
     monomial_eval,
-    p_power_bound,
+    p_step_keeps_type,
     shared_two_order,
     twist,
     type_balanced,
     valuation,
 )
-from .nullity import QuadFunc, nullity_profile
+from .nullity import NullityProfile, QuadFunc, nullity_profile
 from .quadform import DEFAULT_CAP, brute_force_sum, enumeration_size, type_direct
 
 DIRECT_LIMIT = 256
@@ -62,8 +66,9 @@ class EvalPlan:
     steps: tuple[tuple, ...]
 
 
-def plan(f: QuadFunc, m: int) -> EvalPlan:
-    """Deterministic evaluation strategy for S(f, m*n)."""
+def plan(f: QuadFunc, m: int, profile: NullityProfile | None = None) -> EvalPlan:
+    """Deterministic evaluation strategy for S(f, m*n).  A composition
+    route reads f's profile, built here only when none is given."""
     if m < 1:
         raise InvalidInput("m must be >= 1")
     N = m * f.n
@@ -72,27 +77,35 @@ def plan(f: QuadFunc, m: int) -> EvalPlan:
     nu = shared_two_order(f.alphas)
     if nu is not None and valuation(N, 2) > nu:
         return EvalPlan(f, m, N, (("balanced",),))
-    return _composition_plan(f, m)
+    return _composition_plan(f, m, nullity_profile(f) if profile is None else profile)
 
 
-def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
+def _twist_nullity(profile: NullityProfile):
+    """N -> l_N(f~) = l_2N(f) - l_N(f) (proved in :func:`quadsums.lifts.twist`)."""
+    return lambda N: profile.nullity(2 * N) - profile.nullity(N)
+
+
+def _composition_plan(f: QuadFunc, m: int, profile: NullityProfile) -> EvalPlan:
     p = f.p
     fac = _factor(m)
     a = fac.pop(2, 0)
     c = fac.pop(p, 0)
-    steps: list[tuple] = []
-    base = f.n
-    if c and p_power_bound(f, f.n) >= c:
-        steps.append(("direct", base))
-        steps.append(("p_power_lift", c))
-    else:
-        base = f.n * p**c
-        if base > DIRECT_LIMIT:
-            raise Unsupported(
-                "p_power_base_too_large",
-                f"no p-power lift applies and direct work at degree {base} exceeds {DIRECT_LIMIT}",
-            )
-        steps.append(("direct", base))
+    nullities = (profile.nullity, _twist_nullity(profile)) if a else (profile.nullity,)
+    # l_(n p^j) and l_(2 n p^j) stop changing once p^j >= 2 alpha, which
+    # bounds the power e of every factor of mu, so only the steps below can fail
+    top = min(c, next(j for j in count() if p**j >= 2 * f.top_alpha))
+    c_star = max((j + 1 for j in range(top) if not all(
+        p_step_keeps_type(p, l(f.n * p**j), l(f.n * p ** (j + 1))) for l in nullities)), default=0)
+    base = f.n * p**c_star
+    if base > DIRECT_LIMIT:
+        raise Unsupported(
+            "p_power_base_too_large",
+            f"the p-power step from degree {base // p} to {base} can change the type, and direct work "
+            f"at degree {base} exceeds {DIRECT_LIMIT}",
+        )
+    steps: list[tuple] = [("direct", base)]
+    if c > c_star:
+        steps.append(("p_power_lift", c - c_star))
     if a:
         steps.append(("two_power_lift", a))
     for q in sorted(fac):
@@ -100,7 +113,7 @@ def _composition_plan(f: QuadFunc, m: int) -> EvalPlan:
     return EvalPlan(f, m, f.n * m, tuple(steps))
 
 
-def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
+def _run(f: QuadFunc, pln: EvalPlan, profile: NullityProfile) -> ExpSumValue:
     """The value the plan's steps reach, each step recording itself in its
     provenance.  The balanced step is cross-checked against the composed
     route while N <= CROSS_CHECK_LIMIT and that route is supported."""
@@ -114,7 +127,7 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
             l = profile.nullity(pln.N)
             v = ExpSumValue(p, pln.N, l, type_balanced(f, pln.N, l)).record("balanced_explicit_form")
             try:
-                alt = _composition_plan(f, pln.m) if pln.N <= CROSS_CHECK_LIMIT else None
+                alt = _composition_plan(f, pln.m, profile) if pln.N <= CROSS_CHECK_LIMIT else None
             except Unsupported:
                 alt = None
             if alt is not None:
@@ -131,16 +144,15 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
                 raise InternalInconsistency(f"diagonalization nullity {l} != profile nullity {l_profile} at N={base}")
             v = ExpSumValue(p, base, l, t).record("direct_diagonalization")
         elif kind == "p_power_lift":
-            v = lift_p(v, f, step[1])
+            v = lift_p(v, step[1], profile.nullity)
         elif kind == "two_power_lift":
-            ft = twist(f)
-            tt, lt = type_direct(ft, base // f.n, ctx=ctx)
-            vt = lift_p(ExpSumValue(p, base, lt, tt), ft, valuation(v.N // base, p))
-            lt_profile = profile.nullity(2 * v.N) - profile.nullity(v.N)
-            if vt.l != lt_profile:
+            tt, lt = type_direct(twist(f), base // f.n, ctx=ctx)
+            twisted = _twist_nullity(profile)
+            if lt != twisted(base):
                 raise InternalInconsistency(
-                    f"twist diagonalization nullity {vt.l} != l_2N - l_N = {lt_profile} at N={v.N}"
+                    f"twist diagonalization nullity {lt} != l_2N - l_N = {twisted(base)} at N={base}"
                 )
+            vt = lift_p(ExpSumValue(p, base, lt, tt), valuation(v.N // base, p), twisted)
             v = lift_two(v, vt, step[1], profile.nullity(2 ** step[1] * v.N))
         else:
             q, e = step[1], step[2]
@@ -149,9 +161,10 @@ def _run(f: QuadFunc, pln: EvalPlan, profile) -> ExpSumValue:
 
 
 def evaluate(f: QuadFunc, m: int) -> ExpSumValue:
-    """Exact S(f, m*n) as t * g_p^(N-l) * p^l with full provenance."""
-    pln = plan(f, m)
+    """Exact S(f, m*n) as t * g_p^(N-l) * p^l with full provenance, from
+    the one profile of f, which the plan reads too."""
     profile = nullity_profile(f)
+    pln = plan(f, m, profile)
     v = _run(f, pln, profile)
     l = profile.nullity(pln.N)
     if (v.N, v.l) != (pln.N, l):

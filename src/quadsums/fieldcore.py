@@ -581,8 +581,10 @@ def _conjugates(src: FieldCtx, dst: FieldCtx, r: FieldElem) -> tuple[FieldElem, 
         orbit.append(orbit[-1].frobenius(1))
     roots = tuple(sorted(orbit, key=lambda e: e.encoding))
     closed = orbit[-1].frobenius(1) == r and len(set(roots)) == src.d
-    if not closed or dst.table("embed", (src.key, roots[0].coeffs), lambda: _root_powers(src, dst, roots[0])) is None:
+    R = _root_powers(src, dst, roots[0]) if closed else None
+    if R is None:
         raise NoRootFound(f"the orbit of {r} is not the {src.d} roots of {src.modulus}; corrupt context")
+    dst.table("embed", src.key, lambda: R)
     return roots
 
 
@@ -593,10 +595,11 @@ def _require_subfield(src: FieldCtx, dst: FieldCtx):
         raise InvalidInput(f"GF({src.p}^{src.d}) is not a subfield of GF({dst.p}^{dst.d})")
 
 
-def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | None = None) -> FieldElem:
-    """Image of x under the embedding sending the src generator to `root`
-    (default: the smallest-encoding root of src.modulus in dst): x's row
-    times the matrix of the root's powers, cached on dst per (src, root)."""
+def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem) -> FieldElem:
+    """Image of x under the default embedding, which sends the src
+    generator to the smallest-encoding root of src.modulus in dst: x's row
+    times the matrix of that root's powers, which ``embedding_roots``
+    checks and caches on dst per src."""
     _require_subfield(src, dst)
     if x.ctx.key != src.key:
         raise InvalidInput("element does not belong to src")
@@ -604,19 +607,15 @@ def embed_element(src: FieldCtx, dst: FieldCtx, x: FieldElem, root: FieldElem | 
         return FieldElem(dst, x.coeffs)
     if src.d == 1:
         return dst.elem(x.coeffs[0])
-    if root is None:
-        root = embedding_roots(src, dst)[0]
-    R = dst.table("embed", (src.key, root.coeffs), lambda: _root_powers(src, dst, root))
-    if R is None:
-        raise InvalidInput(f"{root} is not a root of the modulus of GF({src.p}^{src.d})")
+    embedding_roots(src, dst)
+    R = dst.table("embed", src.key)
     out = np.array(x.coeffs, dtype=R.dtype) @ R % dst.p
     return FieldElem(dst, tuple(int(c) for c in out))
 
 
 def _root_powers(src: FieldCtx, dst: FieldCtx, root: FieldElem) -> np.ndarray | None:
     """Rows of root^u for u < n = src.d, cut from those for u <= n, which
-    give src.modulus at root: None, cached as such, unless it vanishes
-    there."""
+    give src.modulus at root: None unless it vanishes there."""
     R = dst.powers(root, src.d + 1)
     if ((np.array(src.modulus[:-1], dtype=R.dtype) @ R[:-1] % dst.p + R[-1]) % dst.p).any():
         return None

@@ -2,13 +2,13 @@
 
 Given the value at a base degree and nullities from the profile, these
 operations transport it up the extension tower: odd-prime-power steps,
-two-power steps (via the nonsquare twist of f), p-power steps (at most
-``p_power_bound(f, N)`` = min nu_p(alpha_i) - nu_p(N) of them from degree
-N; the planner and ``lift_p`` both read that one bound), the balanced
-explicit form (all alpha_i of equal 2-adic order, exceeded by that of N),
-the monomial closed form, and the linear-shift reduction.  Each lift maps
-an ExpSumValue to an ExpSumValue and appends its own provenance entry, as
-``monomial_eval`` records its case.
+two-power steps (via the nonsquare twist of f), p-power steps (a step N
+-> pN keeps the type when l_pN = l_N or l_pN = p l_N,
+``p_step_keeps_type``, the one rule the planner and ``lift_p`` read),
+the balanced explicit form (all alpha_i of equal 2-adic order, exceeded
+by that of N), the monomial closed form, and the linear-shift reduction.
+Each lift maps an ExpSumValue to an ExpSumValue and appends its own
+provenance entry, as ``monomial_eval`` records its case.
 
 Nullities are inputs here, never recomputed: a violated congruence or
 hypothesis raises an ``InternalInconsistency`` (``ParityViolation``,
@@ -159,33 +159,90 @@ def lift_two(v: ExpSumValue, v_tilde: ExpSumValue, s: int, l_target: int) -> Exp
     return lifted.record("two_power_lift", height=s, twist_t=v_tilde.t, twist_l=lt)
 
 
-def p_power_bound(f: QuadFunc, N: int) -> int | float:
-    """The most p-power steps ``lift_p`` takes from degree N:
-    min nu_p(alpha_i) - nu_p(N), where alpha_i = 0 contributes nu_p = inf.
-    The evaluator's planner chooses the p-power lift by the same bound."""
-    return min(valuation(a, f.p) for a in f.alphas) - valuation(N, f.p)
+def p_step_keeps_type(p: int, l_N: int, l_pN: int) -> bool:
+    """Whether the step N -> pN is proved to keep the type, read off the
+    nullities at both ends: l_pN = l_N or l_pN = p l_N (proof in
+    ``lift_p``).  A step with l_N < l_pN < p l_N may change it."""
+    return l_pN in (l_N, p * l_N)
 
 
-def lift_p(v: ExpSumValue, f: QuadFunc, steps: int) -> ExpSumValue:
-    """Value at p^steps * N: the nullity multiplies by p^steps and the type
-    is unchanged, valid while steps <= p_power_bound(f, N); past it
-    ConditionViolated."""
+def lift_p(v: ExpSumValue, steps: int, nullity) -> ExpSumValue:
+    """Value at p^steps * N from the value v at N, for a function whose
+    nullity at each degree is nullity(N): f's profile, or N -> l_2N - l_N
+    for the twist f~ (see ``twist``).  Each step N -> pN keeps the type and
+    takes l = l_pN; it raises ConditionViolated unless l_pN = l_N or
+    l_pN = p l_N (``p_step_keeps_type``), with l_N = v.l at the first.
+
+    Proof.  Let Q = Tr_pN(f) on V = GF(p^pN), B its polar form, R its
+    radical (dimension l_pN), W = GF(p^N) with Q_N = Tr_N(f) and radical
+    R_N, p = 2h + 1, and g^2 = eta(-1) p with eta(-1) = (-1)^h.  For a
+    totally isotropic I, S(Q) = p^(dim I) S(Q on I^perp / I): Q(x + i) =
+    Q(x) + B(x, i), and the sum of zeta^B(x, i) over i in I is |I| on
+    I^perp and 0 off it.
+
+    sigma: z -> z^(p^N) fixes f's coefficients, so it is an isometry of Q
+    of order p, and R is sigma-stable.  u = sigma - 1 has u^p = sigma^p - 1
+    = 0 and u^(p-1) = 1 + sigma + ... + sigma^(p-1) = Tr_(pN/N), as (x -
+    1)^(p-1) = (x^p - 1)/(x - 1) mod p.  By the normal basis theorem V is a
+    free GF(p)[u]/(u^p)-module of rank N, so K_i = ker u^i = u^(p-i) V has
+    dimension iN, and K_1 = W.  B(ux, y) = B(x, u'y) with u' = sigma^-1 - 1
+    = -sigma^-1 u.  For w in W, B(x, w) = B_N(Tr_(pN/N) x, w), since the
+    trace passes through a_i (x^(p^alpha_i) w + x w^(p^alpha_i)) when a_i
+    and w lie in W.  So W is totally isotropic (Tr_(pN/N) is p = 0 on W),
+    and R meets W in R_N, as Tr_(pN/N) maps V onto W.  R is thus a
+    GF(p)[u]/(u^p)-module with socle R_N: a sum of l_N cyclic modules
+    GF(p)[u]/(u^d), 1 <= d <= p.  Hence l_N <= l_pN <= p l_N; l_pN = l_N
+    iff R = R_N, and l_pN = p l_N iff R is free.
+
+    y is orthogonal to K_i = u^(p-i) V iff u'^(p-i) y, so u^(p-i) y, lies
+    in R.  So K_h^perp = {x : u^(h+1) x in R} contains K_h, which is
+    totally isotropic (p is odd, so Q(x) = B(x, x)/2), and S(Q) = p^(hN)
+    S(M), M = K_h^perp / K_h.  On K_(h+1) = u^h V, x = u^h y and x' = u^h
+    y' give B(x, x') = B(y, u'^h u^h y') = (-1)^h B(y, sigma^-h Tr y') =
+    (-1)^h B_N(u^h x, u^h x'), and u^h maps K_(h+1) onto W with kernel
+    K_h: the middle piece K_(h+1) / K_h is W with (-1)^h Q_N, a unit
+    multiple of Tr_N(f).  Both cases split M into hyperbolic pieces and
+    that middle piece modulo R_N.
+    - R = R_N, inside K_h: M is nondegenerate (its radical is (K_h + R) /
+      K_h = 0), of dimension (h + 1) N + l_N - hN = N + l_N.  The preimage
+      J of R_N in the middle piece has dimension l_N and lies in the
+      middle piece's radical, so J is totally isotropic in M, and J^perp,
+      of dimension N, is the middle piece.  So S(M) = p^(l_N) S(W/R_N,
+      (-1)^h Q_N).
+    - R free: u^(h+1) R is the part of R in K_h, so K_h^perp = K_(h+1) +
+      R.  M has radical (K_h + R) / K_h, of dimension p l_N - h l_N, and
+      modulo it M is K_(h+1) / (K_h + u^h R), which u^h carries onto
+      W/R_N, as u^h u^h R = u^(p-1) R = R_N.  So S(M) = p^((h+1) l_N)
+      S(W/R_N, (-1)^h Q_N).
+    With S(Q_N) = p^(l_N) S(W/R_N, Q_N) = t g^(N - l_N) p^(l_N), and the
+    scaling by (-1)^h a factor eta(-1)^(h (N - l_N)), the first case gives
+    S(Q) = t eta(-1)^(h l_N) g^(pN - l_N) p^(l_N), the second S(Q) = t
+    g^(p (N - l_N)) p^(p l_N).  In the first, l_N is even.  With N = kn,
+    l_N = dim ker X and l_pN = dim ker X^p for X = A^k - I on the root
+    space U of the radical polynomial (:mod:`quadsums.nullity`), so ker X
+    = ker X^j for every j.  A preserves the nondegenerate alternating
+    pairing proved there, so X has adjoint -A^-k X, and ker X^j is
+    orthogonal to im X^j.  For j = dim U, U = ker X^j + im X^j, so ker X
+    is nondegenerate, of even dimension.  So the type is t in both cases.
+    Where l_N < l_pN < p l_N the type can change, and the planner
+    diagonalizes above such a step."""
     if steps < 0:
         raise InvalidInput("steps must be >= 0")
     if steps == 0:
         return v
-    p = v.p
-    bound = p_power_bound(f, v.N)
-    if steps > bound:
-        raise ConditionViolated(
-            f"p-power lift needs steps <= {bound} at N={v.N} for exponents {f.alphas}"
-        )
-    return ExpSumValue(p, p**steps * v.N, p**steps * v.l, v.t, v.provenance).record("p_power_lift", count=steps)
+    p, N, l = v.p, v.N, v.l
+    for _ in range(steps):
+        l_pN = nullity(p * N)
+        if not p_step_keeps_type(p, l, l_pN):
+            raise ConditionViolated(f"p-power step {N} -> {p * N} takes l = {l} to {l_pN}, neither l nor {p}*l")
+        N, l = p * N, l_pN
+    return ExpSumValue(p, N, l, v.t, v.provenance).record("p_power_lift", count=steps)
 
 
 def lift_p_value(value: ExpSumValue) -> CyclotomicInt:
-    """Exact value of the sum at p*N implied by the p-power lift:
-    p^((p-3)/2 * (N+l)) * |S|^2 * conj(S), in Z[zeta_p]."""
+    """Exact value of the sum at p*N implied by the p-power lift when
+    l_pN = p l_N (l_N = 0 included): p^((p-3)/2 * (N+l)) * |S|^2 *
+    conj(S), in Z[zeta_p]."""
     S = value.to_cyclotomic()
     scale = value.p ** ((value.p - 3) // 2 * (value.N + value.l))
     return S * S.conj() * S.conj() * scale

@@ -110,7 +110,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -379,6 +379,7 @@ class NullityProfile:
             for q, v in fac + ((p, t),):
                 order[q] = max(order.get(q, 0), v)
             self._rows.append((Q, count, e, prod(q**v for q, v in fac), kernels))
+        self._p_top = p ** max((len(row[-1]) - 1 for row in self._rows), default=0)
         self.order = {q: v for q, v in sorted(order.items()) if v}
         self.s = f.n * prod(q**v for q, v in self.order.items())
         l_n, ladder = self.nullity(f.n), nullity_at(f, f.n)
@@ -399,16 +400,17 @@ class NullityProfile:
         return sorted(out, key=lambda row: (len(row[0]), row[0][::-1]))
 
     def nullity(self, m: int) -> int:
-        """l_m, ``_sum`` of the p-free part and nu_p of m/n."""
+        """l_m, ``_sum`` of k = m/n and nu_p(k), the latter read no further
+        than the last kernel index, so a large p-part costs one gcd."""
         k = self.func.relative_degree(m)
-        v = valuation(k, self.func.p)
-        return self._sum(k // self.func.p**v, v)
+        return self._sum(k, valuation(gcd(k, self._p_top), self.func.p))
 
     def _sum(self, k: int, v: int) -> int:
-        """l_(k p^v n) for k prime to p: count * kernels[v] summed over the
-        rows whose order divides k, each kernels capped at its last entry
-        (p^t >= e).  Neither k nor v need divide s/n: ord g | k iff it
-        divides gcd(k, s/n), and the cap stands for min(v, nu_p(s/n))."""
+        """count * kernels[v] summed over the rows whose order divides k,
+        each kernels capped at its last entry (p^t >= e): l_(k' p^v n) for
+        k' the part of k prime to p, as every order is prime to p.  Neither
+        k' nor v need divide s/n: ord g | k' iff it divides gcd(k', s/n),
+        and the cap stands for min(v, nu_p(s/n))."""
         return sum(count * ker[min(v, len(ker) - 1)] for _, count, _, o, ker in self._rows if k % o == 0)
 
     @functools.cached_property

@@ -161,9 +161,12 @@ def test_monomial_case_iii():
     assert "case iii" in out and "integer value = -27" in out
 
 
-def test_unsupported_exit_code():
-    code, _ = run(["eval", "--p", "3", "--coeffs", "1,1", "--m", str(3**6)])
+def test_unsupported_exit_code(capsys):
+    # l_1 = 1 and l_257 = 2: the step 1 -> 257 may change the type, and the
+    # direct base 257 is past DIRECT_LIMIT
+    code, _ = run(["eval", "--p", "257", "--coeffs", "256,1", "--m", "257"])
     assert code == 2
+    assert "unsupported: p_power_base_too_large" in capsys.readouterr().err
 
 
 def test_factoring_past_the_rho_bound_exits_2(monkeypatch, capsys):

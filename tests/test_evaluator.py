@@ -46,37 +46,60 @@ def test_plan_balanced():
 
 
 def test_plan_p_power_fallback():
-    # exponents (0,1): no p-power lift; base 3^c must stay within the limit
-    f = QuadFunc.from_dense(3, [1, 1])
+    # 2x^2 + x^4 over GF(3): l = 1, 2, 2 at 1, 3, 9, so the step 1 -> 3 may
+    # change the type (it does, from +1 to -1) and the base is 3
+    f = QuadFunc.from_dense(3, [2, 1])
     assert plan(f, 3).steps == (("direct", 3),)
+    assert plan(f, 27).steps == (("direct", 3), ("p_power_lift", 2))
+    # x^2 + x^4: l = 0 at every 3^c, but its twist's l goes 1, 2, so the
+    # twist moves the base to 3 only where a two-power stage reads it
+    g = QuadFunc.from_dense(3, [1, 1])
+    assert plan(g, 3**6).steps == (("direct", 1), ("p_power_lift", 6))
+    assert plan(g, 6).steps == (("direct", 3), ("two_power_lift", 1))
+    # 256x^2 + x^258 over GF(257): l_1 = 1 and l_257 = 2, so the base would
+    # be 257, past the limit
     with pytest.raises(Unsupported) as ei:
-        plan(f, 3**6)
+        plan(QuadFunc.from_dense(257, [256, 1]), 257)
     assert ei.value.reason == "p_power_base_too_large"
 
 
 def test_plan_p_power_lift_applies():
-    f = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
+    f = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3): l = 0 at every 3^c
     assert plan(f, 3).steps == (("direct", 1), ("p_power_lift", 1))
-    assert plan(f, 9).steps == (("direct", 9),)  # second step fails the order test
+    assert plan(f, 9).steps == (("direct", 1), ("p_power_lift", 2))
+    # its twist's l goes 1, 3, 6 at 1, 3, 9: the second step fails the rule
+    assert plan(f, 6).steps == (("direct", 1), ("p_power_lift", 1), ("two_power_lift", 1))
+    assert plan(f, 18).steps == (("direct", 9), ("two_power_lift", 1))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_plan_takes_the_p_power_lift_exactly_when_lift_p_accepts(p):
-    # min nu_p(alpha_i) from 0 to 3 (alpha = 0 counts as infinite), odd N so
-    # no balanced route, nu_p(n) from 0 to 1 and nu_p(m) from 0 to 4
-    for alphas in ((0, 1), (1, 2), (0, p), (p, 2 * p), (0, p * p), (p**3, 2 * p**3)):
-        for n in (1, p):
-            f = QuadFunc.from_terms(build_field_ctx(p, n), [(1, a) for a in alphas])
-            for c in range(5):
-                try:
-                    takes = ("p_power_lift", c) in plan(f, p**c).steps
-                except Unsupported:
-                    takes = False
-                try:
-                    accepts = lift_p(ExpSumValue(p, n, 0, 1), f, c).N == n * p**c
-                except ConditionViolated:
-                    accepts = False
-                assert takes == (c > 0 and accepts), (p, alphas, n, c)
+    # min nu_p(alpha_i) from 0 to 3 (alpha = 0 counts as infinite), nu_p(n)
+    # from 0 to 1 and nu_p(m) from 0 to 4, odd N, and N doubled so that the
+    # twist's steps count too; exponents of mixed 2-adic order, so no
+    # balanced route.  The action matrix is 2 alpha n square: the one case
+    # past 500 (alpha = 250 over GF(5^5)) is left out.
+    seen = set()
+    for alphas in ((0, 1), (1, 2), (0, p), (2, p), (p, 2 * p), (0, p * p), (p**3, 2 * p**3)):
+        for n in (n for n in (1, p) if 2 * alphas[1] * n <= 500):
+            for lead in (1, p - 1):
+                f = QuadFunc.from_terms(build_field_ctx(p, n), [(1, alphas[0]), (lead, alphas[1])])
+                prof = nullity_profile(f)
+                twisted = evaluator._twist_nullity(prof)
+                for c in range(5):
+                    for two, nullities in ((1, (prof.nullity,)), (2, (prof.nullity, twisted))):
+                        try:
+                            takes = ("p_power_lift", c) in plan(f, two * p**c).steps
+                        except Unsupported:
+                            takes = False
+                        try:
+                            accepts = all(lift_p(ExpSumValue(p, n, l(n), 1), c, l).N == n * p**c for l in nullities)
+                        except ConditionViolated:
+                            accepts = False
+                        assert takes == (c > 0 and accepts), (p, alphas, n, lead, c, two)
+                        if c:
+                            seen.add(takes)
+    assert seen == {True, False}
 
 
 def test_plan_rejects_bad_m():
@@ -153,7 +176,11 @@ DIRECT = ("step", "direct_diagonalization")
         [("step", "two_power_lift"), ("height", 1), ("twist_t", -1), ("twist_l", 0), ("N", 2), ("t", -1), ("l", 0)],
         [("step", "odd_prime_lift"), ("q", 13), ("power", 1), ("N", 26), ("t", -1), ("l", 8)],
     ]),
-    (QuadFunc.from_dense(3, [1, 1]), 3, [[DIRECT, ("N", 3), ("t", -1), ("l", 0)]]),  # direct base n * p^c
+    (QuadFunc.from_dense(3, [2, 1]), 3, [[DIRECT, ("N", 3), ("t", -1), ("l", 2)]]),  # direct base n * p^c
+    (QuadFunc.from_dense(3, [1, 1]), 3, [  # l_1 = l_3 = 0: the p-power lift from base n
+        [DIRECT, ("N", 1), ("t", -1), ("l", 0)],
+        [("step", "p_power_lift"), ("count", 1), ("N", 3), ("t", -1), ("l", 0)],
+    ]),
 ])
 def test_provenance_golden(f, m, expected):
     # every entry, key order included, as the CLI's JSON prints it
@@ -225,7 +252,7 @@ def test_route_independence_balanced_vs_composition(rng):
             continue
         prof = nullity_profile(f)
         t_bal = type_balanced(f, m, prof.nullity(m))
-        composed = _run(f, _composition_plan(f, m), prof)
+        composed = _run(f, _composition_plan(f, m, prof), prof)
         assert (composed.t, composed.l) == (t_bal, prof.nullity(m))
         checked += 1
     assert checked >= 5
@@ -328,8 +355,10 @@ TOWER_GRID = [(p, n, c) for p in (3, 5, 7) for n in (1, 2, 3) for c in range(1, 
 @pytest.mark.parametrize("p,n,c", TOWER_GRID)
 def test_tower_base_types_match_the_default_field(p, n, c):
     # the type and nullity of Tr_N(f) depend on no modulus or embedding
-    # root; where GF(p^N) is small enough to enumerate, verify compares an
-    # f whose route is the direct step at N with the oracle's default field
+    # root; the plan's base is n p^c*, c* the least c' from which every
+    # step up to N keeps l or multiplies it by p; where GF(p^N) is small
+    # enough to enumerate, verify compares the route with the oracle's
+    # default field
     rng = random.Random(f"tower:{p}:{n}:{c}")
     ctx, N = build_field_ctx(p, n), n * p**c
     for _ in range(2):
@@ -337,8 +366,10 @@ def test_tower_base_types_match_the_default_field(p, n, c):
         coeffs[1] = coeffs[3] = ctx.from_encoding(rng.randrange(1, ctx.order))  # alpha = 1 is prime to p
         f = QuadFunc.from_terms(ctx, [(a, i) for i, a in enumerate(coeffs)])
         assert type_direct(f, p**c, ctx=direct_field(ctx, N)) == type_direct(f, p**c)
+        ls = [nullity_profile(f).nullity(n * p**j) for j in range(c + 1)]
+        c_star = max((j + 1 for j in range(c) if ls[j + 1] not in (ls[j], p * ls[j])), default=0)
+        assert plan(f, p**c).steps[0] == ("direct", n * p**c_star)
         if p**N <= 10**6:
-            assert plan(f, p**c).steps == (("direct", N),)
             assert verify(f, p**c).equal
 
 
@@ -355,8 +386,7 @@ def test_lifted_twist_matches_the_twist_at_the_top_of_the_tower(p, n, c):
     rng = random.Random(f"twist:{p}:{n}:{c}")
     ctx, N = build_field_ctx(p, n), n * p**c
     for _ in range(3):
-        # alpha = (0, p^c): nu_p(alpha) >= c, and alpha = 0 keeps f off the
-        # balanced route
+        # alpha = (0, p^c); alpha = 0 keeps f off the balanced route
         f = QuadFunc.from_terms(ctx, [(ctx.from_encoding(rng.randrange(1, ctx.order)), a) for a in (0, p**c)])
         v = evaluate(f, 2 * p**c)
         two = next(s for s in v.provenance if s["step"] == "two_power_lift")
@@ -395,7 +425,8 @@ def test_one_field_per_composition_route(monkeypatch):
         (F5_RUNNING, 26, [1]),  # direct, two-power, odd prime
         (QuadFunc.from_dense(3, [1, 0, 0, 1]), 6, [1]),  # direct, p-power, two-power
         (QuadFunc.from_dense(3, [1, 1]), 6, [3]),  # direct at n p, two-power
-        (QuadFunc.from_dense(3, [1, 2, 0, 1]), 18, [9]),  # direct at n p^2, two-power
+        (QuadFunc.from_dense(3, [1, 0, 0, 1]), 18, [9]),  # direct at n p^2 (the twist's l goes 3 -> 6), two-power
+        (QuadFunc.from_dense(3, [1, 2, 0, 1]), 18, [1]),  # direct, two p-power steps, two-power
         (balanced, 4, [1]),  # the balanced form, cross-checked by direct and two-power
         (QuadFunc.from_dense(3, [0, 1]), 6, []),  # monomial
     ]
@@ -403,3 +434,32 @@ def test_one_field_per_composition_route(monkeypatch):
         calls.clear()
         evaluate(f, m)
         assert calls == expected, (f, m)
+
+
+def test_evaluate_reads_one_profile(monkeypatch):
+    # the planner reads the profile that evaluate holds: one nullity_profile
+    # call per evaluate, on every composition route
+    calls = []
+    real = evaluator.nullity_profile
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(evaluator, "nullity_profile", counting)
+    balanced = QuadFunc.from_terms(build_field_ctx(5, 1), [(3, 1), (1, 3)])
+    cases = [
+        (QuadFunc.from_dense(3, [2, 1]), 27),  # direct at n p, p-power
+        (QuadFunc.from_dense(3, [1, 0, 0, 1]), 6),  # direct, p-power, two-power
+        (QuadFunc.from_dense(3, [1, 0, 0, 1]), 18 * 5),  # direct at n p^2, two-power, odd prime
+        (balanced, 4),  # the balanced form, cross-checked by a composed route
+    ]
+    for f, m in cases:
+        calls.clear()
+        v = evaluate(f, m)
+        assert calls == [f], (f, m)
+        if f is balanced:
+            assert v.provenance[-1]["step"] == "composition_cross_check"
+    calls.clear()
+    assert plan(QuadFunc.from_dense(3, [2, 1]), 27).steps == (("direct", 3), ("p_power_lift", 2))
+    assert calls == [QuadFunc.from_dense(3, [2, 1])]

@@ -323,10 +323,17 @@ def test_embed_is_homomorphism(rng):
         assert embed_element(f9, f81, x + y) == ex + ey
 
 
+def _embed_at(src, dst, x, r):
+    """x's image under the embedding that sends src's generator to r."""
+    R = fieldcore._root_powers(src, dst, r)
+    return dst.elem([int(c) for c in np.array(x.coeffs, dtype=R.dtype) @ R % dst.p])
+
+
 @pytest.mark.parametrize("p,n,N", [(3, 2, 6), (5, 3, 6), (7, 2, 4), (2**61 - 1, 2, 4)])
 def test_embed_is_the_sum_of_root_powers(p, n, N, rng):
     # the image of x = sum c_i g^i is sum c_i r^i, for every root r; the
-    # matrix of root powers is cached on dst, one per (src key, root)
+    # default embedding is the smallest root's, its matrix of root powers
+    # cached on dst per src key
     src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
     roots = embedding_roots(src, dst)
     for r in roots:
@@ -335,23 +342,20 @@ def test_embed_is_the_sum_of_root_powers(p, n, N, rng):
             want, rp = dst.zero(), dst.one()
             for c in x.coeffs:
                 want, rp = want + rp * dst.elem(c), rp * r
-            assert embed_element(src, dst, x, r) == want
-    assert embed_element(src, dst, x) == embed_element(src, dst, x, roots[0])
-    assert {(src.key, r.coeffs) for r in roots} <= set(dst._cache["embed"])
+            assert _embed_at(src, dst, x, r) == want
+    assert embed_element(src, dst, x) == _embed_at(src, dst, x, roots[0])
+    assert tuple(int(c) for c in dst.table("embed", src.key)[1]) == roots[0].coeffs
 
 
 def test_embed_element_rejects_a_root_that_is_not_a_root():
     # x -> (2,1,0,0) is no embedding of GF(9) in GF(81): x^2 would go to
-    # (2,0,0,0), while (2,1,0,0)^2 = (1,1,1,0)
+    # (2,0,0,0), while (2,1,0,0)^2 = (1,1,1,0); the root powers are None
+    # for it, and give x -> r for each true root r
     src, dst = build_field_ctx(3, 2), FieldCtx(3, 4)
-    bad = dst.from_encoding(5)
-    for x in (src.gen(), src.gen() ** 2):
-        with pytest.raises(InvalidInput, match="not a root"):
-            embed_element(src, dst, x, root=bad)
-    assert dst.table("embed", (src.key, bad.coeffs)) is None
+    assert fieldcore._root_powers(src, dst, dst.from_encoding(5)) is None
     for r in embedding_roots(src, dst):
-        assert embed_element(src, dst, src.gen(), root=r) == r
-        assert embed_element(src, dst, src.gen() ** 2, root=r) == r * r
+        assert _embed_at(src, dst, src.gen(), r) == r
+        assert _embed_at(src, dst, src.gen() ** 2, r) == r * r
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 3), (7, 1), (2**61 - 1, 2)])
@@ -381,8 +385,8 @@ def test_exposed_traces_independent_of_embedding_root(rng):
     r0, r1 = embedding_roots(f9, f81)
     for code in range(9):
         x = f9.from_encoding(code)
-        t0 = embed_element(f9, f81, x, root=r0).trace()
-        t1 = embed_element(f9, f81, x, root=r1).trace()
+        t0 = _embed_at(f9, f81, x, r0).trace()
+        t1 = _embed_at(f9, f81, x, r1).trace()
         assert t0 == t1
 
 
@@ -490,7 +494,8 @@ def test_embedding_roots_keep_only_the_default_embedding_table(p, n, N, monkeypa
     src, dst = build_field_ctx(p, n), FieldCtx(p, N)
     monkeypatch.setattr(fieldcore, "embed_element", None)
     roots = embedding_roots(src, dst)
-    assert list(dst._cache["embed"]) == [(src.key, roots[0].coeffs)]
+    assert list(dst._cache["embed"]) == [src.key]
+    assert tuple(int(c) for c in dst._cache["embed"][src.key][1]) == roots[0].coeffs
 
 
 def test_cache_roots_rejects_too_few_roots_or_a_non_root():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from quadsums import (
     type_balanced,
     type_direct,
     valuation,
+    verify,
 )
 from quadsums import lifts, quadform
 from quadsums.errors import (
@@ -42,6 +44,7 @@ from quadsums.errors import (
     ParityViolation,
     ZeroCoefficient,
 )
+from quadsums.quadform import DEFAULT_CAP
 from tests.conftest import random_quadfunc
 
 F5_RUNNING = QuadFunc.from_dense(5, [1, 2, 3, 4, 1])
@@ -267,25 +270,85 @@ def test_lift_two_parity_guard():
 def test_lift_p_table_row():
     f = QuadFunc.from_dense(3, [0, 0, 0, 1])  # x^(3^3+1)
     t1, l1 = type_direct(f, 1)
-    st = lift_p(ExpSumValue(3, 1, l1, t1), f, 1)
+    st = lift_p(ExpSumValue(3, 1, l1, t1), 1, nullity_profile(f).nullity)
     assert (st.N, st.l, st.t) == (3, 0, t1)
     assert brute_force_sum(f, 3) == ExpSumValue(3, 3, st.l, st.t).to_cyclotomic()
 
 
 def test_lift_p_identity_and_condition():
-    st = ExpSumValue(3, 1, 0, 1)
-    f = QuadFunc.from_dense(3, [1, 1])
-    assert lift_p(st, f, 0) == st
+    # 2x^2 + x^4 over GF(3): l = 1, 2, 2, 2 at 1, 3, 9, 27
+    f = QuadFunc.from_dense(3, [2, 1])
+    l = nullity_profile(f).nullity
+    t1, l1 = type_direct(f, 1)
+    st = ExpSumValue(3, 1, l1, t1)
+    assert lift_p(st, 0, l) == st
     with pytest.raises(ConditionViolated):
-        lift_p(st, f, 1)
-    # alpha = 0 terms have infinite p-adic order and do not restrict the lift
-    f0 = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
-    t1, l1 = type_direct(f0, 1)
-    st3 = lift_p(ExpSumValue(3, 1, l1, t1), f0, 1)
-    assert (st3.N, st3.l) == (3, 3 * l1)
-    assert nullity_at(f0, 3) == 3 * l1
+        lift_p(st, 1, l)  # l_1 < l_3 < 3 l_1
+    assert type_direct(f, 3)[0] != t1  # and the type does change there
+    t3, l3 = type_direct(f, 3)
+    st27 = lift_p(ExpSumValue(3, 3, l3, t3), 2, l)  # l_27 = l_9 = l_3 = 2
+    assert (st27.N, st27.l, st27.t) == (27, 2, t3)
+    assert type_direct(f, 9) == (t3, 2)
+    assert nullity_at(f, 27) == 2
+    # the twist of x^2 + x^28: l = 1, 3, 6 at 1, 3, 9, a free step and then
+    # one strictly between
+    ft = twist(QuadFunc.from_dense(3, [1, 0, 0, 1]))
+    lt = nullity_profile(ft).nullity
+    t1, l1 = type_direct(ft, 1)
+    st3 = lift_p(ExpSumValue(3, 1, l1, t1), 1, lt)
+    assert (st3.N, st3.l, st3.t) == (3, 3 * l1, t1)
+    assert type_direct(ft, 3) == (t1, 3 * l1)
+    assert nullity_at(ft, 3) == 3 * l1
     with pytest.raises(ConditionViolated):
-        lift_p(ExpSumValue(3, 1, l1, t1), f0, 2)  # second step needs nu_3 >= 2
+        lift_p(ExpSumValue(3, 1, l1, t1), 2, lt)  # l_3 = 3 < l_9 = 6 < 9
+
+
+def _every_small_function():
+    """Every f over GF(3) and GF(5) with alpha <= 3 and over GF(9) with
+    alpha <= 2, then 200 seeded ones over GF(9) with alpha = 3."""
+    for p, n, top in ((3, 1, 3), (5, 1, 3), (3, 2, 2)):
+        elems = list(build_field_ctx(p, n).elements())
+        for alpha in range(top + 1):
+            for lower in itertools.product(elems, repeat=alpha):
+                for lead in elems[1:]:
+                    yield QuadFunc.from_terms(lead.ctx, [(c, a) for a, c in enumerate(lower + (lead,))])
+    rng = random.Random("p-power steps")
+    ctx = build_field_ctx(3, 2)
+    for _ in range(200):
+        coeffs = [ctx.from_encoding(rng.randrange(9)) for _ in range(3)] + [ctx.from_encoding(rng.randrange(1, 9))]
+        yield QuadFunc.from_terms(ctx, [(c, a) for a, c in enumerate(coeffs)])
+
+
+def test_p_power_steps_keep_the_type_exactly_where_lift_p_accepts():
+    # every step N -> pN, N = n p^j, with p^pN <= DEFAULT_CAP, for f and its
+    # twist (nullity l_2N - l_N): where l_pN is l_N or p l_N, the type at pN
+    # on the default field is the one at N and verify agrees; elsewhere
+    # lift_p refuses.  A step the old valuation bound allowed (min
+    # nu_p(alpha_i) > nu_p(N)) is always one the rule allows.
+    kinds = Counter()
+    for f in _every_small_function():
+        p, n = f.p, f.n
+        prof = nullity_profile(f)
+        for g, l in ((f, prof.nullity), (twist(f), lambda N: prof.nullity(2 * N) - prof.nullity(N))):
+            N = n
+            while p ** (p * N) <= DEFAULT_CAP:
+                t, l_N = type_direct(g, N // n)
+                assert l_N == l(N), (g, N)
+                l_pN = l(p * N)
+                kind = "equal" if l_pN == l_N else "free" if l_pN == p * l_N else "between"
+                kinds[kind] += 1
+                if min(valuation(a, p) for a in f.alphas) > valuation(N, p):
+                    assert kind != "between", (g, N)
+                v = ExpSumValue(p, N, l_N, t)
+                if kind == "between":
+                    with pytest.raises(ConditionViolated):
+                        lift_p(v, 1, l)
+                else:
+                    w = lift_p(v, 1, l)
+                    assert type_direct(g, p * N // n) == (w.t, w.l) == (t, l_pN), (g, N)
+                    assert verify(g, p * N // n).equal, (g, N)
+                N *= p
+    assert all(kinds[k] for k in ("equal", "free", "between")), kinds
 
 
 def test_lifts_append_exactly_one_provenance_entry():
@@ -304,13 +367,13 @@ def test_lifts_append_exactly_one_provenance_entry():
     f0 = QuadFunc.from_dense(3, [1, 0, 0, 1])  # exponents (0, 3)
     t1, l1 = type_direct(f0, 1)
     base3 = ExpSumValue(3, 1, l1, t1).record("direct_diagonalization")
-    lifted = lift_p(base3, f0, 1)
+    lifted = lift_p(base3, 1, nullity_profile(f0).nullity)
     assert items(lifted) == items(base3) + [
         [("step", "p_power_lift"), ("count", 1), ("N", 3), ("t", t1), ("l", 3 * l1)]
     ]
     # zero-step lifts return the input itself, provenance included
     assert lift_odd_prime(base, 13, 0, base.l) is base
-    assert lift_p(base3, f0, 0) is base3
+    assert lift_p(base3, 0, nullity_profile(f0).nullity) is base3
 
 
 def test_lift_p_value_identity_on_applicable_rows():

@@ -73,10 +73,10 @@ def _occurrences(text: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("text", ["get_int_max_str_digits", "raise NotMultipleOfBase(", "{valuation(a, 2) for"])
+@pytest.mark.parametrize("text", ["get_int_max_str_digits", "raise NotMultipleOfBase(", "{valuation(a, 2) for", "in (l_N, p * l_N)"])
 def test_each_rule_has_one_owner(text):
-    # the output-size limit, the base-degree check and the balanced
-    # condition are each written once
+    # the output-size limit, the base-degree check, the balanced condition
+    # and the p-power step rule are each written once
     assert len(_occurrences(text)) == 1, _occurrences(text)
 
 

@@ -31,7 +31,6 @@ from .evaluator import EvalPlan, VerifyReport, evaluate, plan, verify
 from .fieldcore import (
     FieldCtx,
     FieldElem,
-    Poly,
     build_field_ctx,
     embed_element,
     embedding_roots,
@@ -91,7 +90,6 @@ __all__ = [
     "FieldElem",
     "LinearizedPoly",
     "NullityProfile",
-    "Poly",
     "QuadFormDiag",
     "QuadFunc",
     "ShiftedSum",

@@ -41,9 +41,8 @@ the factored p^j + 1 (:mod:`quadsums.nullity`).
 
 ``power`` is the one square-and-multiply, under any product: ``powmod``,
 ``matpow`` (X^p in ``frobenius_matrix`` and every Frobenius table of a
-field are its powers), ``Poly.powmod`` and ``CyclotomicInt.__pow__`` call
-it.  ``order`` keeps its own squares X^(2^i), each shared by every
-exponent it tests.
+field are its powers) and ``CyclotomicInt.__pow__`` call it.  ``order``
+keeps its own squares X^(2^i), each shared by every exponent it tests.
 
 ``is_irreducible`` is Rabin's test.  z -> z^p on GF(p)[x]/(a), a monic of
 degree d, has the matrix Q (``frobenius_matrix``), whose row u is

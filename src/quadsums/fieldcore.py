@@ -54,15 +54,35 @@ Embeddings.  The roots of the modulus g of GF(p^n) in GF(p^N), n | N, all
 lie in K = GF(p^n), the kernel of F^n - I for F the Frobenius matrix, the
 one subfield of that order (Lidl and Niederreiter, Thm 2.14).  The first
 b of K, in code order from p, of degree n has a minimal polynomial mu_b
-(``_linalg.krylov_mu``) that builds a copy of K; ``_find_root`` splits g
-there.  x -> b carries that root into GF(p^N) by one product of its
-coordinate row with the rows of 1, b, ..., b^(n-1) that gave mu_b; dst
-keeps no embedding table for the copy.  In GF(p^N) the root's orbit under z -> z^p
-is all n roots (``_conjugates``).  The sorted root set, and so
-the default embedding (the smallest-encoding root), depends neither on the
-root found nor on b.  g is checked once, at the smallest root, on the rows
-of its powers that the default embedding reads; g has coefficients in
-GF(p), so it then vanishes on the whole orbit.
+(``_linalg.krylov_mu``), and L = GF(p)[y]/(mu_b) is a copy of K.
+``_split_root`` finds a root of g in L by GF(p) linear algebra alone, as
+in Berlekamp's splitting by the fixed algebra (Math. Comp. 24, 1970):
+
+- A = GF(p)[x, y]/(g(x), mu_b(y)) is L[x]/(g), and g has n distinct roots
+  rho_k in L, so A is L^n by the Chinese remainder theorem, x going to
+  (rho_1, ..., rho_n).  On the coordinate rows of x^i y^j, z -> z^p is
+  the Kronecker product of the Frobenius matrices of g and mu_b.  It is a
+  ring map, on each factor L the Frobenius of L, so its fixed points are
+  B = GF(p)^n: one kernel, which must have dimension n.
+- A basis of B separates the n factors: were two factors alike under every
+  basis vector, they would be alike under all of B, its idempotents
+  included.  So refining the identity e by each basis vector v in turn
+  ends at a minimal idempotent.  The Krylov rows e, e v, e v^2, ... give
+  the minimal polynomial m of v on eA, whose roots are the values of v on
+  the factors of e, all in GF(p) (``_primepoly.factor``); for one root c,
+  e m(v) / ((v - c) m'(c)) keeps just the factors of e where v = c.
+- For the minimal e, on factor k, eA is L: x e = (1 (x) rho_k) e, and c ->
+  (1 (x) c) e is injective on L.  So one solve of x e = sum_j r_j y^j e
+  gives r = rho_k, a root of g in L.
+
+x -> b carries that root into GF(p^N) by one product of its coordinate
+row with the rows of 1, b, ..., b^(n-1) that gave mu_b; dst builds no
+other field and keeps no embedding table for L.  In GF(p^N) the root's
+orbit under z -> z^p is all n roots (``_conjugates``).  The sorted root
+set, and so the default embedding (the smallest-encoding root), depends
+neither on the root found nor on b.  g is checked once, at the smallest
+root, on the rows of its powers that the default embedding reads; g has
+coefficients in GF(p), so it then vanishes on the whole orbit.
 
 Direct bases.  ``direct_field(base, N)`` builds GF(p^N), N = n p^c over
 base = GF(p^n), as an Artin-Schreier tower, with no modulus search and no
@@ -98,8 +118,7 @@ arithmetic of :mod:`quadsums._primepoly` against the modulus: a product
 one ``mulmod`` (O(d^2), reduced lazily), a^e one ``powmod`` after e is
 reduced mod p^d - 1, and ``FieldElem.inverse`` the extended Euclid, O(d^2)
 residue operations instead of a^(p^d - 2).  For d = 1 they are ``% p``
-and ``pow``.  Polynomial gcds, monic scaling and division over GF(p^d)
-use them.
+and ``pow``.
 
 The module also houses the skew-gcd ladder behind ``nullity_at``, the
 single-degree nullity that checks the first entry l_n of every closed-form
@@ -113,6 +132,7 @@ powering costs O(deg_p L) field operations instead of O(deg L).
 from __future__ import annotations
 
 import functools
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -343,10 +363,14 @@ def _ctx_cached(p: int, d: int, modulus) -> FieldCtx:
 
 def build_field_ctx(p: int, d: int, modulus=None) -> FieldCtx:
     """Shared, validated context for GF(p^d); see module docstring for the
-    default modulus rule."""
+    default modulus rule.  A given modulus is reduced mod p, once p is
+    known to be prime, before the cache lookup."""
+    p = int(p)
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
-    return _ctx_cached(int(p), int(d), modulus)
+        if is_prime(p):
+            modulus = tuple(c % p for c in modulus)
+    return _ctx_cached(p, int(d), modulus)
 
 
 def _rebuild_elem(p, d, modulus, coeffs):
@@ -490,45 +514,47 @@ class FieldElem:
 # -- embeddings ---------------------------------------------------------------
 
 
-def _find_root(g: "Poly") -> FieldElem:
-    """A root of the monic g of degree n >= 2 whose n distinct roots all lie
-    in K = GF(p^n), inside its context GF(p^N): Cantor-Zassenhaus splitting
-    with shifts drawn from K.
+def _split_root(g: tuple[int, ...], mu: list[int], p: int) -> np.ndarray:
+    """Coordinates on 1, y, ..., y^(n-1) of a root of the monic irreducible
+    g of degree n in L = GF(p)[y]/(mu), mu irreducible of degree n: the
+    split of A = GF(p)[x, y]/(g(x), mu(y)) by GF(p) linear algebra (see the
+    module docstring).  An element of A is the n x n matrix Z of its
+    coordinates on x^i y^j, so x Z = X^T Z and y Z = Z Y for the companion
+    matrices X of g and Y of mu, and the row of Z is Z flattened.
+    NoRootFound means a corrupt context."""
+    n = len(g) - 1
+    dtype = pp.exact_dtype(p, n * n)
 
-    K is the kernel of F^n - I, F the Frobenius matrix of GF(p^N).  Column
-    0 of F^n - I is zero (1 is fixed), so the first vector of the echelon
-    kernel basis is 1, and the shifts whose codes (coordinates in that basis)
-    are below p are exactly GF(p).  For c in K, (r + c)^((p^n - 1)/2) is the
-    quadratic character eta_K(r + c), so gcd(g, (x + c)^((p^n - 1)/2) - 1)
-    collects the roots r with r + c a nonzero square.
+    def powers(M):  # M^0, ..., M^(n-1), stacked
+        out = [np.eye(n, dtype=dtype)]
+        for _ in range(n - 1):
+            out.append(out[-1] @ M % p)
+        return np.array(out, dtype=dtype)
 
-    - A shift c in GF(p) never splits g: the roots are the conjugates
-      r^(p^j), and r^(p^j) + c = (r + c)^(p^j) has the character of r + c.
-      The codes therefore start at p.
-    - For two distinct roots r and r + delta, sum_(u in K) eta(u) eta(u +
-      delta) = -1 is a sum of p^n - 2 terms +-1 and two zeros, so exactly
-      (p^n - 1)/2 shifts c give r + c and r + delta + c opposite nonzero
-      characters, and each separates the two.
-    - The factor kept after a shift lies on one side of that shift, and a
-      shift that splits nothing leaves every factor whole; so no code
-      already tried splits the current factor, and one pass over the codes
-      ends at a linear factor.  NoRootFound after it means a corrupt
-      context."""
-    ctx = g.ctx
-    p, n = ctx.p, g.degree
-    one = Poly(ctx, (ctx.one(),))
-    e = (p**n - 1) // 2
-    for c in _subfield_elems(ctx, n):
-        if g.degree == 1:
-            break
-        w = Poly(ctx, (c, ctx.one())).powmod(e, g) - one
-        h = g.gcd(w)
-        if 0 < h.degree < g.degree:
-            other = g // h
-            g = h if h.degree <= other.degree else other
-    if g.degree != 1:
-        raise NoRootFound("splitting never separated the roots; corrupt context")
-    return -(g.coeffs[0] / g.coeffs[1])
+    X, Y = (np.array(pp._companion(a, p), dtype=dtype) for a in (g, mu))
+    Xt, Ys = powers(X.T), powers(Y)
+    F = np.kron(pp.frobenius_matrix(g, p), pp.frobenius_matrix(mu, p)).astype(dtype)  # z -> z^p on rows
+    fixed = _linalg.kernel_basis((F - np.eye(n * n, dtype=dtype)).T % p, p)
+    if len(fixed) != n:
+        raise NoRootFound(f"the fixed points of z -> z^p on A have dimension {len(fixed)}, not {n}")
+    E = np.eye(n, dtype=dtype)
+    for v in fixed:
+        W = np.tensordot(np.array(v, dtype=dtype).reshape(n, n), Ys, 1) % p  # v = sum_i x^i W_i(y)
+        K = [E]
+        for _ in range(n):
+            K.append((Xt @ (K[-1] @ W % p)).sum(axis=0) % p)  # v Z = sum_i (X^T)^i Z W_i
+        K = np.array(K, dtype=dtype).reshape(n + 1, n * n).T
+        m = _linalg.krylov_mu(K, p)
+        roots = [-h[0] % p for h, k in pp.factor(tuple(m), p) if len(h) == 2 and k == 1]
+        if len(roots) != len(m) - 1:
+            raise NoRootFound(f"{m}, the minimal polynomial of a fixed point, has no {len(m) - 1} distinct roots")
+        c = roots[0]  # e m(v) / ((v - c) m'(c)): the factors of e where v = c
+        q = pp._quotient(m, [-c % p, 1], p)
+        E = (K[:, : len(q)] @ np.array(q, dtype=dtype) % p * pow(prod(c - d for d in roots[1:]), -1, p) % p).reshape(n, n)
+    r = _linalg.solve((E @ Ys % p).reshape(n, n * n).T, (X.T @ E % p).ravel(), p)  # x e = sum_j r_j y^j e
+    if r is None:
+        raise NoRootFound("x e is no multiple of e by an element of L")
+    return r
 
 
 def _subfield_elems(ctx: FieldCtx, n: int) -> Iterable[FieldElem]:
@@ -549,8 +575,9 @@ def _subfield_elems(ctx: FieldCtx, n: int) -> Iterable[FieldElem]:
 
 def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
     """All roots of src.modulus inside dst, sorted by integer encoding and
-    cached on dst per src.key, split in the copy GF(p)[x]/(mu_b) of the
-    subfield (see the module docstring)."""
+    cached on dst per src.key: one root from ``_split_root`` in the copy
+    GF(p)[y]/(mu_b) of the subfield, the rest its orbit (see the module
+    docstring)."""
     _require_subfield(src, dst)
     if src.d == 1:
         raise InvalidInput("prime field embeds without a root choice")
@@ -564,8 +591,8 @@ def embedding_roots(src: FieldCtx, dst: FieldCtx) -> tuple[FieldElem, ...]:
                 break
         else:
             raise NoRootFound("no element generates the fixed field; corrupt context")
-        r = _find_root(Poly.from_ints(build_field_ctx(p, n, mu), src.modulus))
-        return _conjugates(src, dst, dst.elem(np.array(r.coeffs, dtype=B.dtype) @ B[:-1] % p))  # x -> b
+        r = _split_root(src.modulus, mu, p)
+        return _conjugates(src, dst, dst.elem(np.array(r, dtype=B.dtype) @ B[:-1] % p))  # x -> b
 
     return dst.table("roots", src.key, build)
 
@@ -634,12 +661,12 @@ def direct_field(base: FieldCtx, N: int) -> FieldCtx:
     c = valuation(N // n, p) if N > n and N % n == 0 else 0
     if N != n * p**c:
         raise InvalidInput(f"{N} is not {n} times a positive power of {p}")
-    return _direct_cached(p, n, base.modulus, c) if c else base
+    return _direct_cached(base, c) if c else base
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
-    base = build_field_ctx(p, n, modulus)
+def _direct_cached(base: FieldCtx, c: int) -> FieldCtx:
+    n, p = base.d, base.p
     N = n * p**c
     dtype = pp.exact_dtype(p, N)
     # K_(i+1) = K_i[y]/(y^p - y - a_i) on coordinate blocks v_0..v_(p-1) of
@@ -674,119 +701,6 @@ def _direct_cached(p: int, n: int, modulus, c: int) -> FieldCtx:
         r = dst.elem(x0.tolist())
         dst.table("roots", base.key, lambda: _conjugates(base, dst, r))
     return dst
-
-
-# -- generic dense polynomials over one context --------------------------------
-
-
-class Poly:
-    """Dense polynomial with FieldElem coefficients, trailing zeros stripped;
-    the zero polynomial has an empty coefficient tuple."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: Sequence[FieldElem]):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_ints(cls, ctx: FieldCtx, ints: Sequence[int]) -> "Poly":
-        return cls(ctx, [ctx.elem(int(c)) for c in ints])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.ctx.key == other.ctx.key and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ctx.key, self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ctx, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ctx, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(self.ctx, ())
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(self.ctx, ()), self
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
-        inv_lead = lead if lead == self.ctx.one() else lead.inverse()
-        q = [self.ctx.zero()] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] * inv_lead
-            if not c.is_zero():
-                q[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return Poly(self.ctx, q), Poly(self.ctx, rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero or self.coeffs[-1] == self.ctx.one():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.ctx, [c * inv for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def powmod(self, e: int, modulus: "Poly") -> "Poly":
-        if not e:
-            return Poly(self.ctx, (self.ctx.one(),))
-        return pp.power(self % modulus, e, lambda a, b: a * b % modulus)
-
-    def __call__(self, x: FieldElem) -> FieldElem:
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        terms = [f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 # -- the iterated-Frobenius gcd kernel -----------------------------------------

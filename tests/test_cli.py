@@ -184,6 +184,9 @@ def test_invalid_prime_exit_code():
     assert code == 1
     code, _ = run(["eval", "--p", "2", "--coeffs", "1", "--m", "1"])
     assert code == 1
+    # a given modulus is reduced mod p only once p is known to be prime
+    code, _ = run(["eval", "--p", "0", "--n", "2", "--modulus", "1,0,1", "--coeffs", "1,0", "--m", "1"])
+    assert code == 1
 
 
 def test_extension_base_input():

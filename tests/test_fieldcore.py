@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from quadsums import (
     FieldCtx,
     FieldElem,
-    Poly,
     QuadFunc,
     build_field_ctx,
     embed_element,
@@ -20,9 +20,10 @@ from quadsums import (
 from tests import polyref
 from tests.linref import P_PAST_INT64
 from tests.test_primepoly import _rabin_ref
+from quadsums import _linalg
 from quadsums import _primepoly as pp
 from quadsums import fieldcore
-from quadsums.fieldcore import _default_modulus, _find_root, direct_field
+from quadsums.fieldcore import _default_modulus, direct_field
 from quadsums.errors import (
     DivisionByZero,
     InternalInconsistency,
@@ -419,59 +420,113 @@ ENUMERATED_PAIRS = [
 ]
 
 
+def _horner(g, x):
+    """g(x) for the integer coefficients g, ascending, at the element x."""
+    acc = x.ctx.zero()
+    for c in reversed(g):
+        acc = acc * x + int(c)
+    return acc
+
+
+def _rows_times(a, b, modulus, p):
+    """Row-wise products of the coordinate rows a and b modulo the monic
+    modulus, by convolution and reduction from the top degree down."""
+    d = len(modulus) - 1
+    out = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        out[:, i : i + d] = (out[:, i : i + d] + a[:, i : i + 1] * b) % p
+    for t in range(2 * d - 2, d - 1, -1):
+        out[:, t - d : t] = (out[:, t - d : t] - out[:, t : t + 1] * np.array(modulus[:-1])) % p
+    return out[:, :d]
+
+
+def _roots_by_modulus(p, n, dst):
+    """{g: encodings of its roots in dst} for every monic irreducible g of
+    degree n: each x of GF(p^n) inside dst (x^(p^n) = x) of degree n is a
+    root of exactly one, prod_(j<n) (t - x^(p^j)).  Rows of all p^N
+    elements at once, the products by ``_rows_times``."""
+    N = dst.d
+    codes = np.arange(p**N)
+    rows = np.stack([codes // p**i % p for i in range(N)], axis=1)
+    rows = rows[(rows @ dst.frob_images(n) % p == rows).all(axis=1)]
+    conjugates = [rows @ dst.frob_images(j) % p for j in range(n)]
+    poly = [np.eye(1, N, dtype=np.int64).repeat(len(rows), axis=0)]  # prod (t - c), ascending in t
+    for c in conjugates:
+        poly = [np.zeros_like(c)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] = (poly[k] - _rows_times(poly[k + 1], c, dst.modulus, p)) % p
+    coeffs = np.stack(poly, axis=2)
+    assert not coeffs[:, 1:].any()  # the coefficients lie in GF(p)
+    degree_n = np.all([(c != rows).any(axis=1) for c in conjugates[1:]], axis=0)
+    out = {}
+    for code, g in zip(rows[degree_n] @ p ** np.arange(N), coeffs[degree_n, 0].tolist()):
+        out.setdefault(tuple(g), []).append(int(code))
+    return out
+
+
+def _irreducible_count(p, n):
+    """(1/n) sum_(d | n) mu(d) p^(n/d), the number of monic irreducibles."""
+    def mobius(d):
+        primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+        return 0 if any(d % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+    return sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
 @pytest.mark.parametrize("p,n,N", ENUMERATED_PAIRS)
 def test_embedding_roots_match_enumeration(p, n, N):
-    # oracle: every x of GF(p^N) with g(x) = 0; all roots of g lie in
-    # GF(p^n), where x^(p^n) = x, so the other elements are skipped unevaluated
-    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
-    g = Poly.from_ints(dst, src.modulus)
-    expect = [x for x in dst.elements() if x.frobenius(n) == x and g(x).is_zero()]
-    assert len(expect) == n
-    assert list(embedding_roots(src, dst)) == expect
-
-
-@pytest.mark.parametrize("p,n,N", [(3, 2, 8), (5, 3, 6), (7, 2, 14), (7, 3, 21)])
-def test_prime_field_shift_never_splits(p, n, N):
-    # the roots are conjugates r^(p^j), and r^(p^j) + c = (r + c)^(p^j) for
-    # c in GF(p): all have the character of r + c
-    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
-    g = Poly.from_ints(dst, src.modulus)
-    one = Poly(dst, (dst.one(),))
-    for c in range(p):
-        w = Poly(dst, (dst.elem(c), dst.one())).powmod((p**n - 1) // 2, g) - one
-        assert g.gcd(w).degree in (0, n)
+    # oracle: for every monic irreducible g of degree n, the x of GF(p^N)
+    # with g(x) = 0, grouped by their minimal polynomials; all roots of g
+    # lie in GF(p^n), where x^(p^n) = x, so the other elements are skipped
+    dst = FieldCtx(p, N)
+    expect = _roots_by_modulus(p, n, dst)
+    assert len(expect) == _irreducible_count(p, n)
+    default = build_field_ctx(p, n)
+    assert [r.encoding for r in embedding_roots(default, build_field_ctx(p, N))] == expect[default.modulus]
+    for g, codes in expect.items():
+        assert len(codes) == n
+        roots = embedding_roots(FieldCtx(p, n, g), dst)
+        assert [r.encoding for r in roots] == sorted(codes)
+        assert _horner(g, roots[0]).is_zero()
 
 
 @pytest.mark.parametrize("p,n,N", [(3, 2, 8), (5, 3, 15), (7, 3, 21)])
-def test_find_root_takes_no_large_power(monkeypatch, p, n, N):
-    src, dst = build_field_ctx(p, n), build_field_ctx(p, N)
-    g = Poly.from_ints(dst, src.modulus)
-    elem_pow, poly_powmod = FieldElem.__pow__, Poly.powmod
+def test_embedding_roots_take_no_large_power(monkeypatch, p, n, N):
+    src, dst = build_field_ctx(p, n), FieldCtx(p, N)
+    elem_pow = FieldElem.__pow__
 
     def small_pow(x, e):
         if abs(e) >= p**n:
             raise AssertionError(f"power {e} >= p^n taken")
         return elem_pow(x, e)
 
-    def small_powmod(x, e, modulus):
-        if e >= p**n:
-            raise AssertionError(f"power {e} >= p^n taken")
-        return poly_powmod(x, e, modulus)
-
     monkeypatch.setattr(FieldElem, "__pow__", small_pow)
-    monkeypatch.setattr(Poly, "powmod", small_powmod)
-    root = _find_root(g)
+    roots = embedding_roots(src, dst)
     monkeypatch.undo()
-    assert g(root).is_zero()
+    assert all(_horner(src.modulus, r).is_zero() for r in roots)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, P_PAST_INT64])
 def test_embedding_roots_past_int64_match_the_full_split(p):
-    # the split in the degree-n copy against the split over all of GF(p^N)
+    # g = (x - r0)(x - r1) over GF(p^4), r1 the conjugate of r0, and both
+    # are roots by Horner's rule
     src, dst = build_field_ctx(p, 2), build_field_ctx(p, 4)
-    r = _find_root(Poly.from_ints(dst, src.modulus))
-    expect = sorted({r, r.frobenius(1)}, key=lambda e: e.encoding)
-    assert list(embedding_roots(src, dst)) == expect
+    r0, r1 = embedding_roots(src, dst)
+    assert r0 + r1 == dst.elem(-src.modulus[1]) and r0 * r1 == dst.elem(src.modulus[0])
+    assert r0.frobenius(1) == r1 and r0.encoding < r1.encoding
+    assert _horner(src.modulus, r0).is_zero() and _horner(src.modulus, r1).is_zero()
+
+
+def test_embedding_roots_build_no_field(monkeypatch):
+    # the split runs on GF(p) arrays alone: no copy of the subfield is
+    # built, on a fresh cache of contexts and a fresh GF(3^8)
+    monkeypatch.setattr(fieldcore, "_ctx_cached", functools.lru_cache(maxsize=None)(fieldcore._ctx_cached.__wrapped__))
+    src, dst = build_field_ctx(3, 4), FieldCtx(3, 8)
+    built = []
+    init = FieldCtx.__init__
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    roots = embedding_roots(src, dst)
+    assert built == [] and len(roots) == 4
 
 
 def test_embedding_roots_live_on_the_default_context(monkeypatch):
@@ -513,18 +568,16 @@ def test_cache_roots_rejects_too_few_roots_or_a_non_root():
 def test_root_set_takes_one_evaluation_of_the_modulus(monkeypatch):
     # the other n - 1 roots are the Frobenius orbit of the first, so g is
     # checked once, on the rows of the smallest root's powers, which the
-    # default embedding then reads; no Horner evaluation of g
-    calls, built = [], []
-    call, rows = Poly.__call__, fieldcore._root_powers
-    monkeypatch.setattr(Poly, "__call__", lambda g, x: calls.append(x) or call(g, x))
+    # default embedding then reads
+    built = []
+    rows = fieldcore._root_powers
     monkeypatch.setattr(fieldcore, "_root_powers", lambda s, d, r: built.append((s.key, r)) or rows(s, d, r))
     src, dst = build_field_ctx(3, 4), FieldCtx(3, 8)
     roots = embedding_roots(src, dst)
     assert embed_element(src, dst, src.gen()) == roots[0]
-    assert len(roots) == 4 and calls == []
+    assert len(roots) == 4
     assert [r for key, r in built if key == src.key] == [roots[0]]
-    g = Poly.from_ints(dst, src.modulus)
-    assert all(call(g, r).is_zero() for r in roots)
+    assert all(_horner(src.modulus, r).is_zero() for r in roots)
 
 
 INVERSE_FIELDS = [(3, 7), (7, 21), (3, 81), (2**31 - 1, 2), (2**61 - 1, 3), (P_PAST_INT64, 2)]
@@ -632,32 +685,6 @@ def test_sparse_path_matches_materialized_oracle():
             assert 3 ** linearized_gcd_deg(ctx, coeffs, m) == _naive_gcd_deg(dense, 3, m)
 
 
-def test_poly_arithmetic_over_extension():
-    ctx = build_field_ctx(3, 2)
-    r = ctx.gen()
-    f = Poly(ctx, (r, ctx.one()))  # x + r
-    g = Poly(ctx, (ctx.one(), r))  # rx + 1
-    q, rem = divmod(f * g + Poly(ctx, (r,)), g)
-    assert q * g + rem == f * g + Poly(ctx, (r,))
-    assert (f * g).gcd(f).monic() == f.monic()
-
-
-def test_division_by_monic_needs_no_inverse(monkeypatch):
-    ctx = build_field_ctx(3, 4)
-    r = ctx.gen()
-    a = Poly(ctx, [r, ctx.one(), r * r, ctx.elem(2), r + 1, ctx.one()])
-    g = Poly(ctx, [r + 2, r, ctx.one()])  # monic
-    expect = divmod(a, g)
-
-    def no_inverse(self):
-        raise AssertionError("inverse taken for a monic divisor")
-
-    monkeypatch.setattr(FieldElem, "inverse", no_inverse)
-    q, rem = divmod(a, g)
-    assert (q, rem) == expect
-    assert q * g + rem == a and rem.degree < g.degree
-
-
 def test_element_textual_format():
     ctx = build_field_ctx(3, 2)
     x = ctx.parse_elem("1,2")
@@ -691,6 +718,31 @@ def test_evaluate_on_a_user_modulus_builds_no_default_base(monkeypatch):
     assert all(modulus is not None for p, d, modulus in requested if d > 1)
 
 
+def test_a_tower_over_the_default_base_builds_no_second_base(monkeypatch):
+    # direct_field caches per base context: the tower GF(3^6) over the
+    # default GF(9) builds no copy of GF(9) with its modulus spelled out
+    for name in ("_ctx_cached", "_direct_cached"):
+        monkeypatch.setattr(fieldcore, name, functools.lru_cache(maxsize=None)(getattr(fieldcore, name).__wrapped__))
+    built = []
+    init = FieldCtx.__init__
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, *args: init(self, *args) or built.append(self))
+    ctx = build_field_ctx(3, 2)
+    f = QuadFunc.from_terms(ctx, [(ctx.one(), 0), (ctx.one(), 1)])  # x^2 + x^4
+    assert evaluate(f, 3).provenance == ({"step": "direct_diagonalization", "N": 6, "t": 1, "l": 2},)
+    assert [c for c in built if c.key == ctx.key] == [ctx]
+    assert len([c for c in built if c.d == 6]) == 1
+
+
+def test_a_given_modulus_is_reduced_before_the_cache_lookup():
+    # (5, 4, 1) is (2, 1, 1) over GF(3): one context; p = 0 and p = 9 are
+    # refused as not prime before any reduction
+    assert build_field_ctx(3, 2, (5, 4, 1)) is build_field_ctx(3, 2, USER_GF9)
+    assert build_field_ctx(3, 2, (5, 4, 1)).modulus == USER_GF9
+    for p in (0, 9):
+        with pytest.raises(NotPrime):
+            build_field_ctx(p, 2, (1, 0, 1))
+
+
 @pytest.mark.parametrize("p,n,N", TOWERS)
 def test_direct_field_modulus_is_irreducible_of_degree_N(p, n, N):
     dst = direct_field(build_field_ctx(p, n), N)
@@ -700,12 +752,16 @@ def test_direct_field_modulus_is_irreducible_of_degree_N(p, n, N):
 
 @pytest.mark.parametrize("p,n,N,modulus", [t + (None,) for t in TOWERS if t[1] > 1] + [(3, 2, 6, USER_GF9)])
 def test_direct_field_caches_the_conjugates_of_a_root(p, n, N, modulus):
-    # against a root split out of the tower field by Cantor-Zassenhaus
+    # against the roots of the base modulus, by Horner's rule, among the
+    # p^n elements of the subfield ker(F^n - I) of the tower field
     src = build_field_ctx(p, n, modulus)
     dst = direct_field(src, N)
     roots = dst._cache["roots"][src.key]
-    r = _find_root(Poly.from_ints(dst, src.modulus))
-    assert list(roots) == sorted({r.frobenius(k) for k in range(n)}, key=lambda e: e.encoding)
+    basis = [dst.elem(v) for v in _linalg.kernel_basis((dst.frob_mat_power(n) - np.eye(N, dtype=np.int64)) % p, p)]
+    assert len(basis) == n
+    subfield = [sum((c * v for c, v in zip(cs, basis)), dst.zero()) for cs in itertools.product(range(p), repeat=n)]
+    expect = sorted((x for x in subfield if _horner(src.modulus, x).is_zero()), key=lambda e: e.encoding)
+    assert list(roots) == expect
     assert embedding_roots(src, dst) is roots
 
 

@@ -262,7 +262,7 @@ def test_oracle_reads_no_gram_route(monkeypatch):
     expected = []
     for f, m in cases:
         b = f.ctx.from_encoding(rng.randrange(1, f.ctx.order))
-        if f.n > 1:  # _find_root reads frob_mat_power
+        if f.n > 1:  # embedding_roots reads frob_mat_power for the subfield
             embedding_roots(f.ctx, build_field_ctx(f.p, m * f.n))
         expected.append((b, *_reference_counts(f, m, b)))
 
